@@ -50,6 +50,14 @@ _EXTENSIBLE = {
 }
 
 
+def _sum_adag_a(ops) -> np.ndarray:
+    """sum_a A_a^dag A_a, the operator in the completeness relation."""
+    acc = np.zeros_like(ops[0])
+    for a in ops:
+        acc += dagger(a) @ a
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorEnsemble:
     """Ordered family of same-dimension interaction operators.
@@ -77,10 +85,7 @@ class OperatorEnsemble:
             a.setflags(write=False)
         if dim > DIM_CAP:
             raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for a in ops:
-            acc += dagger(a) @ a
-        residual = float(np.max(np.abs(acc - np.eye(dim))))
+        residual = float(np.max(np.abs(_sum_adag_a(ops) - np.eye(dim))))
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "completeness_residual", residual)
         object.__setattr__(self, "_superop_tol", tol.check)
@@ -269,11 +274,7 @@ def build_channel(spec: ChannelSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Oper
 
 def validate_superoperator(ensemble: OperatorEnsemble) -> float:
     """Max-norm residual of the completeness relation sum A^dag A = I."""
-    dim = ensemble.dim
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for a in ensemble:
-        acc += dagger(a) @ a
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    return ensemble.completeness_residual
 
 
 def apply_channel(
@@ -343,7 +344,7 @@ def e_error_family(
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
     a0 = ops[0]
     c = a0[0, 0]
-    if np.max(np.abs(a0 - c * np.eye(d))) > DEFAULT_TOL.check * max(1.0, abs(c)):
+    if np.max(np.abs(a0 - c * np.eye(d))) > tol.check * max(1.0, abs(c)):
         raise ValueError("operator 0 of the basis must be proportional to the identity")
 
     members: list[np.ndarray] = []
@@ -361,11 +362,7 @@ def e_error_family(
 
 def strength(ensemble: OperatorEnsemble) -> float:
     """Largest eigenvalue of sum A^dag A (the exact sup over unit vectors)."""
-    dim = ensemble.dim
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for a in ensemble:
-        acc += dagger(a) @ a
-    return float(np.max(np.linalg.eigvalsh(acc)))
+    return float(np.max(np.linalg.eigvalsh(_sum_adag_a(ensemble.operators))))
 
 
 def compose(

@@ -244,7 +244,7 @@ def _cmd_memory(args) -> int:
         if args.gamma is None:
             raise _InputError("--compare requires --gamma")
         _resolve_code(args.code)  # validated but the comparison pipeline is fixed
-        cmp = compare_coded_uncoded(args.gamma, args.cycles, FidelityConfig(seed=args.seed))
+        cmp = compare_coded_uncoded(args.gamma, args.cycles)
         text = comparison_csv(cmp)
     else:
         if args.channel is None:

@@ -31,36 +31,14 @@ DEFAULT_TOL = ToleranceConfig()
 class FidelityConfig:
     """Settings for the worst-case fidelity optimizers.
 
-    Two-dimensional codes are minimized on a ``grid_theta`` x ``grid_phi``
-    sphere grid followed by coordinate-descent refinement down to
-    ``refine_tol`` step size; higher-dimensional codes use ``restarts``
-    seeded projected-gradient descents.
+    Worst cases over codes of dimension 1 and 2 are exact and read neither
+    field. Larger codes use ``restarts`` projected-gradient descents from
+    random starts drawn with ``seed``; the entangled-fidelity frame search
+    draws its random starts from both as well.
     """
 
-    grid_theta: int = 64
-    grid_phi: int = 128
     restarts: int = 32
     seed: int = 0
-    refine_tol: float = 1e-8
-
-    def to_json(self) -> dict:
-        return {
-            "grid_theta": self.grid_theta,
-            "grid_phi": self.grid_phi,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "refine_tol": self.refine_tol,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FidelityConfig":
-        return cls(
-            grid_theta=int(data.get("grid_theta", 64)),
-            grid_phi=int(data.get("grid_phi", 128)),
-            restarts=int(data.get("restarts", 32)),
-            seed=int(data.get("seed", 0)),
-            refine_tol=float(data.get("refine_tol", 1e-8)),
-        )
 
 
 DEFAULT_FIDELITY = FidelityConfig()

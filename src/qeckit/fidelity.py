@@ -2,11 +2,12 @@
 
 The pure-state fidelity of |psi> under a family {A_a} is
 sum_a |<psi|A_a|psi>|^2; the fidelity of a code is its minimum over the
-code subspace. The objective is a smooth quartic in the amplitudes, so
-two-dimensional codes are minimized on a dense Bloch-angle grid with local
-refinement and larger codes use seeded random-restart projected gradient
-descent. Optimizer outputs always carry the witness state at which the
-reported value was re-evaluated.
+code subspace. The objective is a quartic in the amplitudes, which for a
+two-dimensional code is a quadratic in the Bloch vector: its minimum on the
+sphere is found exactly (with a multiplier certifying optimality), while
+larger codes use seeded random-restart projected gradient descent, an upper
+bound on the minimum. Optimizer outputs always carry the witness state at
+which the reported value was re-evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import OperatorEnsemble, validate_superoperator
+from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, validate_superoperator
 from .codes import QuantumCode
 from .config import DEFAULT_FIDELITY, DEFAULT_TOL, FidelityConfig
 from .errors import NotSuperoperatorError
@@ -24,6 +25,15 @@ from .linalg import PureState, dagger, orthonormalize, random_unitary
 
 #: Numerical slack granted to optimizer-derived quantities in bound checks.
 BOUND_SLACK = 1e-6
+
+#: Smallest line-search step of the random-restart descent.
+_STEP_FLOOR = 1e-10
+
+#: Relative size below which an eigenvalue gap or a linear coefficient counts
+#: as zero when the sphere minimizer decides between its two cases.
+_HARD_CASE_TOL = 1e-14
+
+_PAULIS = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,59 +103,62 @@ def _compress(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
     return np.stack([dagger(b) @ a @ b for a in ensemble])
 
 
-def _bloch_states(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """(2, P) code-coordinate states cos(t/2)|0> + e^{i phi} sin(t/2)|1>."""
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    c0 = np.cos(tt / 2.0).reshape(-1)
-    c1 = (np.sin(tt / 2.0) * np.exp(1j * pp)).reshape(-1)
-    return np.stack([c0.astype(np.complex128), c1])
-
-
 def _bloch_point(theta: float, phi: float) -> np.ndarray:
     return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
-def _coordinate_refine(fn, theta, phi, step_theta, step_phi, refine_tol):
-    """Minimize fn(theta, phi) by coordinate descent with shrinking steps."""
-    best = fn(theta, phi)
-    evals = 1
-    while max(step_theta, step_phi) > refine_tol:
-        moved = False
-        for dt, dp in ((step_theta, 0.0), (-step_theta, 0.0), (0.0, step_phi), (0.0, -step_phi)):
-            t2 = min(max(theta + dt, 0.0), math.pi)
-            p2 = (phi + dp) % (2.0 * math.pi)
-            v = fn(t2, p2)
-            evals += 1
-            if v < best - 1e-18:
-                theta, phi, best = t2, p2, v
-                moved = True
-        if not moved:
-            step_theta /= 2.0
-            step_phi /= 2.0
-    return theta, phi, best, evals
+def _bloch_form(q: np.ndarray) -> np.ndarray:
+    """Real symmetric T with f = x^T T x for x = (1, r), r the Bloch vector.
+
+    ``q`` is the (2, 2, 2, 2) tensor of an objective
+    f = sum q[i, j, k, l] rho_ij rho_lk; rho = sum_m x_m P_m / 2 over the
+    basis P = (I, X, Y, Z).
+    """
+    t = np.einsum("ijkl,mij,nlk->mn", q, _PAULIS, _PAULIS).real / 4.0
+    return (t + t.T) / 2.0
 
 
-def _minimize_k2(single, batch, cfg: FidelityConfig):
-    """Grid search plus refinement for the two-dimensional code objective."""
-    thetas = np.linspace(0.0, math.pi, cfg.grid_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, cfg.grid_phi, endpoint=False)
-    states = _bloch_states(thetas, phis)
-    values = batch(states)
-    flat = int(np.argmin(values))
-    t0 = thetas[flat // cfg.grid_phi]
-    p0 = phis[flat % cfg.grid_phi]
-    step_t = math.pi / max(cfg.grid_theta - 1, 1)
-    step_p = 2.0 * math.pi / cfg.grid_phi
-    theta, phi, best, evals = _coordinate_refine(single, t0, p0, step_t, step_p, cfg.refine_tol)
-    trace = {"grid_points": int(states.shape[1]), "refine_evaluations": evals}
-    return _bloch_point(theta, phi), best, trace
+def _min_on_sphere(t: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Exact minimizer of x^T T x over x = (1, r) with |r| = 1.
+
+    With Q = T[1:, 1:] and b = T[1:, 0], the global minimizer solves
+    (Q - mu I) r = -b for a multiplier mu <= lambda_min(Q), which certifies
+    it (More and Sorensen's trust-region conditions). Writing
+    mu = lambda_min - delta, |r(delta)| = 1 is a secular equation
+    monotone in delta > 0 and is bisected; when b has no component along
+    the bottom eigenspace and the rest of r is short, mu = lambda_min and
+    the bottom eigenvector fills r to unit length (the hard case).
+    Returns the code coordinates and the trace
+    {"multiplier": mu, "min_curvature": lambda_min}.
+    """
+    lam, vecs = np.linalg.eigh(t[1:, 1:])
+    beta = vecs.T @ t[1:, 0]
+    gaps = lam - lam[0]
+    tol = _HARD_CASE_TOL * max(1.0, float(np.max(np.abs(t))))
+    bottom = gaps <= tol
+    y = np.where(bottom, 0.0, -beta) / np.where(bottom, 1.0, gaps)
+    if np.linalg.norm(beta[bottom]) <= tol and (rest := y @ y) <= 1.0:
+        delta = 0.0
+        y[0] = -math.copysign(math.sqrt(1.0 - rest), beta[0])
+    else:
+        lo, hi = 0.0, float(np.linalg.norm(beta))  # |r(lo)| > 1 >= |r(hi)|
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if np.sum((beta / (gaps + mid)) ** 2) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        delta = hi
+        y = -beta / (gaps + delta)
+    r = vecs @ y
+    r /= np.linalg.norm(r)
+    c = _bloch_point(math.atan2(math.hypot(r[0], r[1]), r[2]), math.atan2(r[1], r[0]))
+    return c, {"multiplier": float(lam[0] - delta), "min_curvature": float(lam[0])}
 
 
 def _minimize_sphere(value, grad, k: int, cfg: FidelityConfig):
     """Seeded random-restart projected gradient descent on the unit sphere."""
     rng = np.random.default_rng(cfg.seed)
     best_c, best_v = None, math.inf
-    per_restart = []
     for _ in range(cfg.restarts):
         c = rng.normal(size=k) + 1j * rng.normal(size=k)
         c /= np.linalg.norm(c)
@@ -157,7 +170,7 @@ def _minimize_sphere(value, grad, k: int, cfg: FidelityConfig):
             if np.linalg.norm(g) < 1e-13:
                 break
             improved = False
-            while step > cfg.refine_tol * 1e-2:
+            while step > _STEP_FLOOR:
                 cand = c - step * g
                 cand /= np.linalg.norm(cand)
                 fcand = value(cand)
@@ -169,11 +182,27 @@ def _minimize_sphere(value, grad, k: int, cfg: FidelityConfig):
                 step /= 2.0
             if not improved:
                 break
-        per_restart.append(fc)
         if fc < best_v:
             best_c, best_v = c, fc
     trace = {"restarts": cfg.restarts, "seed": cfg.seed, "best_restart_value": best_v}
     return best_c, best_v, trace
+
+
+def _worst_case(k: int, q, value, grad, cfg: FidelityConfig):
+    """Minimize an objective over unit code vectors: (coordinates, method, trace).
+
+    k = 1 is closed form; k = 2 is solved exactly on the Bloch sphere from
+    the tensor returned by the zero-argument callable ``q`` (see
+    ``_bloch_form``); larger codes use random restarts of ``value``/``grad``,
+    whose result is only an upper bound on the minimum.
+    """
+    if k == 1:
+        return np.array([1.0 + 0.0j]), "closed_form", {}
+    if k == 2:
+        c, trace = _min_on_sphere(_bloch_form(q()))
+        return c, "bloch_exact", trace
+    c, _, trace = _minimize_sphere(value, grad, k, cfg)
+    return c, "random_restart", trace
 
 
 def _fidelity_objective(m_ops: np.ndarray):
@@ -181,17 +210,16 @@ def _fidelity_objective(m_ops: np.ndarray):
         w = np.einsum("aij,i,j->a", m_ops, c.conj(), c)
         return float(np.sum(np.abs(w) ** 2))
 
-    def batch(states: np.ndarray) -> np.ndarray:
-        w = np.einsum("aij,ip,jp->ap", m_ops, states.conj(), states)
-        return np.sum(np.abs(w) ** 2, axis=0)
-
     def grad(c: np.ndarray) -> np.ndarray:
         w = np.einsum("aij,i,j->a", m_ops, c.conj(), c)
         mc = np.einsum("aij,j->ai", m_ops, c)
         mdc = np.einsum("aji,j->ai", m_ops.conj(), c)
         return np.einsum("a,ai->i", w.conj(), mc) + np.einsum("a,ai->i", w, mdc)
 
-    return value, batch, grad
+    def quartic() -> np.ndarray:
+        return np.einsum("aji,alk->ijkl", m_ops, m_ops.conj())
+
+    return value, grad, quartic
 
 
 def min_fidelity(
@@ -199,24 +227,12 @@ def min_fidelity(
 ) -> FidelityReport:
     """Worst-case pure-state fidelity over the code subspace.
 
-    k = 1 is closed form; k = 2 uses the Bloch grid with refinement; larger
+    k = 1 is closed form; k = 2 is the exact Bloch-sphere minimum; larger
     codes use random restarts. The returned value is re-evaluated at the
     witness state, so report.value == pure_fidelity(report.argmin_state).
     """
-    m_ops = _compress(code, ensemble)
-    value, batch, grad = _fidelity_objective(m_ops)
-    if code.k == 1:
-        c_best = np.array([1.0 + 0.0j])
-        trace: dict = {}
-        method = "closed_form"
-    elif code.k == 2:
-        c_best, _, trace = _minimize_k2(
-            lambda t, p: value(_bloch_point(t, p)), batch, cfg
-        )
-        method = "grid_refine"
-    else:
-        c_best, _, trace = _minimize_sphere(value, grad, code.k, cfg)
-        method = "random_restart"
+    value, grad, quartic = _fidelity_objective(_compress(code, ensemble))
+    c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
 
     psi = code.matrix @ c_best
     psi /= np.linalg.norm(psi)
@@ -241,29 +257,19 @@ def code_error(
     """
     m_ops = _compress(code, composite)
     g_ops = np.stack([dagger(op) @ op for op in (a @ code.matrix for a in composite)])
-    fid_value, fid_batch, fid_grad = _fidelity_objective(m_ops)
+    fid_value, fid_grad, fid_quartic = _fidelity_objective(m_ops)
 
     def value(c):  # negated deviation, so the shared minimizers apply
         g = float(np.einsum("aij,i,j->", g_ops, c.conj(), c).real)
         return fid_value(c) - g
 
-    def batch(states):
-        g = np.einsum("aij,ip,jp->p", g_ops, states.conj(), states).real
-        return fid_batch(states) - g
-
     def grad(c):
         return fid_grad(c) - np.einsum("aij,j->i", g_ops, c)
 
-    if code.k == 1:
-        c_best = np.array([1.0 + 0.0j])
-        trace: dict = {}
-        method = "closed_form"
-    elif code.k == 2:
-        c_best, _, trace = _minimize_k2(lambda t, p: value(_bloch_point(t, p)), batch, cfg)
-        method = "grid_refine"
-    else:
-        c_best, _, trace = _minimize_sphere(value, grad, code.k, cfg)
-        method = "random_restart"
+    def quartic():  # <c|G|c> = sum G[j, i] rho_ij tr(rho)
+        return fid_quartic() - np.einsum("ji,lk->ijkl", g_ops.sum(axis=0), np.eye(code.k))
+
+    c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
 
     psi = code.matrix @ c_best
     psi /= np.linalg.norm(psi)
@@ -376,11 +382,11 @@ def entangled_fidelity(
     starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
     starts += [random_unitary(k, rng) for _ in range(max(cfg.restarts // 4, 2))]
 
-    best_v, best_p, best_u = math.inf, None, None
+    best_v, best_p = math.inf, None
     for u in starts:
-        v, p, u2 = optimize_frame(u, rng)
+        v, p, _ = optimize_frame(u, rng)
         if v < best_v:
-            best_v, best_p, best_u = v, p, u2
+            best_v, best_p = v, p
     min_value = max(0.0, min(best_v, max_entangled, f_pure))
 
     eps = 1.0 - f_pure

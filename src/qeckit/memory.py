@@ -4,7 +4,7 @@ A memory run starts from a pure state in the code, alternates the noise
 channel and the recovery superoperator on its density matrix, and records
 the overlap with the initial state after every cycle. The optional
 worst-case mode re-minimizes the fidelity over the whole code at every
-cycle (two-dimensional codes only, on the standard Bloch grid).
+cycle (two-dimensional codes only, solved exactly on the Bloch sphere).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 
 from .channels import ChannelSpec, OperatorEnsemble, build_channel, compose, e_error_family, tensor_power, validate_superoperator
 from .codes import QuantumCode, builtin_code, repetition_phase_code
-from .config import DEFAULT_FIDELITY, DEFAULT_TOL, FidelityConfig
+from .config import DEFAULT_TOL
 from .errors import CapacityError, NotSuperoperatorError
-from .fidelity import _bloch_point, _bloch_states, _coordinate_refine, binomial_fidelity_bound, min_fidelity
+from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound, min_fidelity
 from .linalg import PureState, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
 
@@ -71,7 +71,7 @@ def _apply_raw(ops: OperatorEnsemble, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _worst_case_values(code: QuantumCode, sector_images: list[np.ndarray], cfg: FidelityConfig) -> float:
+def _worst_case_values(code: QuantumCode, sector_images: list[np.ndarray]) -> float:
     """Minimum of <psi| T^t(|psi><psi|) |psi> over the code, from the evolved sector images."""
     b = code.matrix
     k = code.k
@@ -80,22 +80,8 @@ def _worst_case_values(code: QuantumCode, sector_images: list[np.ndarray], cfg: 
     )  # (k, k, k, k): q[i, j, kk, ll]
     if k == 1:
         return float(q[0, 0, 0, 0].real)
-
-    def single(theta: float, phi: float) -> float:
-        c = _bloch_point(theta, phi)
-        return float(np.einsum("ijkl,i,j,k,l->", q, c, c.conj(), c.conj(), c).real)
-
-    thetas = np.linspace(0.0, math.pi, cfg.grid_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, cfg.grid_phi, endpoint=False)
-    states = _bloch_states(thetas, phis)
-    values = np.einsum("ijkl,ip,jp,kp,lp->p", q, states, states.conj(), states.conj(), states).real
-    flat = int(np.argmin(values))
-    t0 = thetas[flat // cfg.grid_phi]
-    p0 = phis[flat % cfg.grid_phi]
-    _, _, best, _ = _coordinate_refine(
-        single, t0, p0, math.pi / max(cfg.grid_theta - 1, 1), 2.0 * math.pi / cfg.grid_phi, cfg.refine_tol
-    )
-    return best
+    c, _ = _min_on_sphere(_bloch_form(q))
+    return float(np.einsum("ijkl,i,j,k,l->", q, c, c.conj(), c.conj(), c).real)
 
 
 def run_memory(
@@ -106,7 +92,6 @@ def run_memory(
     cycles: int,
     bound_params: tuple[int, int, float] | None = None,
     worst_case: bool = False,
-    cfg: FidelityConfig = DEFAULT_FIDELITY,
 ) -> MemoryRun:
     """Iterate rho -> recovery(channel(rho)) and track fidelity per cycle.
 
@@ -142,7 +127,7 @@ def run_memory(
     worst_values = None
     if worst_case:
         sector_images = [np.outer(b[:, i], b[:, j].conj()) for i in range(code.k) for j in range(code.k)]
-        worst_values = [_worst_case_values(code, sector_images, cfg)]
+        worst_values = [_worst_case_values(code, sector_images)]
 
     for _ in range(cycles):
         rho = _apply_raw(recovery.ensemble, _apply_raw(channel, rho))
@@ -154,7 +139,7 @@ def run_memory(
             sector_images = [
                 _apply_raw(recovery.ensemble, _apply_raw(channel, m)) for m in sector_images
             ]
-            worst_values.append(_worst_case_values(code, sector_images, cfg))
+            worst_values.append(_worst_case_values(code, sector_images))
 
     bound = None
     if bound_params is not None:
@@ -192,9 +177,7 @@ def identity_recovery(dim: int) -> RecoveryOperator:
     )
 
 
-def compare_coded_uncoded(
-    gamma: float, cycles: int, cfg: FidelityConfig = DEFAULT_FIDELITY
-) -> MemoryComparison:
+def compare_coded_uncoded(gamma: float, cycles: int) -> MemoryComparison:
     """Three-qubit phase-coded memory versus a bare qubit under dephasing.
 
     Both trajectories are per-cycle worst cases. The coded memory uses the
@@ -211,14 +194,14 @@ def compare_coded_uncoded(
     p_flip = (1.0 - math.exp(-gamma)) / 2.0
     coded = run_memory(
         code, noise, recovery, code.basis[0], cycles,
-        bound_params=(3, 1, p_flip), worst_case=True, cfg=cfg,
+        bound_params=(3, 1, p_flip), worst_case=True,
     )
 
     qubit = builtin_code("trivial(2)")
     bare_channel = build_channel(ChannelSpec("decoherence", {"gamma": gamma}))
     plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), shape=(2,))
     uncoded = run_memory(
-        qubit, bare_channel, identity_recovery(2), plus, cycles, worst_case=True, cfg=cfg
+        qubit, bare_channel, identity_recovery(2), plus, cycles, worst_case=True
     )
 
     coded_vals = coded.worst_case_fidelity
@@ -250,9 +233,7 @@ class ScalingFit:
     infidelities: tuple[float, ...]
 
 
-def scaling_exponent_fit(
-    m: int, gammas=None, cfg: FidelityConfig = DEFAULT_FIDELITY
-) -> ScalingFit:
+def scaling_exponent_fit(m: int, gammas=None) -> ScalingFit:
     """Measure how the corrected infidelity scales with the dephasing rate.
 
     For the m-qubit phase repetition code the infidelity after one cycle
@@ -270,7 +251,7 @@ def scaling_exponent_fit(
         noise = tensor_power(pm, m)
         recovery = synthesize_recovery(code, e_error_family(pm, m, (m - 1) // 2))
         composite = compose(recovery.ensemble, noise)
-        ys.append(1.0 - min_fidelity(code, composite, cfg).value)
+        ys.append(1.0 - min_fidelity(code, composite).value)
     slope, intercept = np.polyfit(np.log(np.asarray(gammas, dtype=float)), np.log(ys), 1)
     return ScalingFit(
         qubits=m,

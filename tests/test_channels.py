@@ -9,6 +9,7 @@ from qeckit import (
     DensityMatrix,
     OperatorEnsemble,
     PureState,
+    ToleranceConfig,
     apply_channel,
     build_channel,
     compose,
@@ -150,6 +151,19 @@ def test_validate_superoperator_values():
     assert validate_superoperator(one_error) > 1e-3  # truncation is incomplete
 
 
+def test_validate_superoperator_is_the_completeness_residual():
+    rng = np.random.default_rng(113)
+    for _ in range(20):
+        dim = int(rng.choice([2, 4, 8]))
+        channel = random_superoperator(dim, int(rng.integers(1, 5)), rng)
+        scaled = OperatorEnsemble(tuple(rng.uniform(0.5, 1.5) * a for a in channel))
+        for ens in (channel, scaled):
+            assert validate_superoperator(ens) == ens.completeness_residual
+            dense = sum(a.conj().T @ a for a in ens)
+            assert validate_superoperator(ens) == pytest.approx(np.max(np.abs(dense - np.eye(dim))), abs=1e-14)
+            assert strength(ens) == pytest.approx(np.max(np.linalg.eigvalsh(dense)), abs=1e-14)
+
+
 def test_apply_channel_identity_and_errors():
     rho = PureState([1.0, 0.0]).density()
     ident = OperatorEnsemble((I2.copy(),))
@@ -198,6 +212,14 @@ def test_e_error_family_requires_identity_slot():
     bad = OperatorEnsemble((SIGMA_X.copy(), I2.copy()))
     with pytest.raises(ValueError, match="identity"):
         e_error_family(bad, 2, 1)
+
+
+def test_e_error_family_honours_tol():
+    near_identity = OperatorEnsemble((I2 + 1e-8 * SIGMA_Z, SIGMA_X.copy()))
+    family = e_error_family(near_identity, 2, 1, tol=ToleranceConfig(check=1e-6))
+    assert len(family) == 3
+    with pytest.raises(ValueError, match="identity"):
+        e_error_family(near_identity, 2, 1)
 
 
 def test_strength_values():

@@ -79,7 +79,7 @@ def test_min_fidelity_decoherence_matches_closed_form():
     for gamma in (0.01, 0.1, 1.0):
         ch = build_channel(ChannelSpec("decoherence", {"gamma": gamma}))
         report = min_fidelity(QUBIT, ch)
-        assert report.method == "grid_refine"
+        assert report.method == "bloch_exact"
         assert report.value == pytest.approx((1 + math.exp(-gamma)) / 2, abs=1e-6)
 
 
