@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .channels import ChannelSpec, OperatorEnsemble, build_channel, compose
 from .codes import QuantumCode, builtin_code, kl_check, naive_counting_bound, qubit_lower_bound
-from .config import DEFAULT_TOL, FidelityConfig
+from .config import FidelityConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, entangled_fidelity, min_fidelity
 from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
@@ -93,16 +92,14 @@ def _resolve_channel(arg: str) -> OperatorEnsemble:
 
 def _tolerance(args) -> float:
     env = os.environ.get("QEC_TOL")
-    tol = 1e-9
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            raise _InputError(f"QEC_TOL must be numeric, got {env!r}")
+    try:
+        tol = 1e-9 if env is None else float(env)
+    except ValueError:
+        raise _InputError(f"QEC_TOL must be numeric, got {env!r}")
     if args.tol is not None:
         tol = args.tol
-    if tol <= 0:
-        raise _InputError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise _InputError(f"tolerance must be positive and finite, got {tol}")
     return tol
 
 
@@ -152,14 +149,13 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
-def _emit(report: dict, args, default_out=None) -> None:
+def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = ser.dumps_canonical(report)
     else:
         text = "\n".join(_render_text(report)) + "\n"
-    target = args.out or default_out
-    if target:
-        with open(target, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

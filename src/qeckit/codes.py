@@ -87,31 +87,51 @@ class KLReport:
     tol: float
 
 
+def _error_images(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
+    """Error images as an (n, m, k) array: ``X[:, a, i] = A_a |i_L>``."""
+    if ensemble.dim != code.n:
+        raise ValueError(f"dimension mismatch: operators {ensemble.dim}, code {code.n}")
+    images = np.empty((code.n, len(ensemble), code.k), dtype=np.complex128)
+    for a, op in enumerate(ensemble):
+        images[:, a, :] = op @ code.matrix
+    return images
+
+
+def _image_gram(images: np.ndarray) -> np.ndarray:
+    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the stacked images."""
+    n, m, k = images.shape
+    flat = images.reshape(n, m * k)
+    return (dagger(flat) @ flat).reshape(m, k, m, k).transpose(0, 2, 1, 3)
+
+
+def _first_max(values: np.ndarray) -> tuple[int, ...]:
+    """First index (C order) within rounding of the maximum, so exact ties give one witness."""
+    first = int(np.flatnonzero(values >= values.max() * (1.0 - 1e-12))[0])
+    return tuple(int(x) for x in np.unravel_index(first, values.shape))
+
+
 def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: float = 1e-9) -> KLReport:
     """Check the correctability conditions for ``code`` against ``errors``.
 
-    Computes every G[a, b, i, j] = <i_L|A_a^dag A_b|j_L>. The check passes
-    iff all i != j entries vanish and the diagonal entries do not depend on
-    the logical index, both within ``tol`` (absolute; the inputs are unit
-    vectors).
+    Computes every G[a, b, i, j] = <i_L|A_a^dag A_b|j_L>, the Gram matrix of
+    the error images A_a|i_L>. The check passes iff all i != j entries
+    vanish and the diagonal entries do not depend on the logical index, both
+    within ``tol`` (absolute; the inputs are unit vectors). G as an (mk) x
+    (mk) matrix over k, and sum_i G[:, :, i, i] / k, carry the spectra of the
+    corrupted mixed and entangled codeword states (``entropy_test``, quant-ph/9604022).
     """
-    if errors.dim != code.n:
-        raise ValueError(f"dimension mismatch: errors {errors.dim}, code {code.n}")
-    b = code.matrix
-    images = np.stack([a @ b for a in errors])  # (m, n, k)
-    gram = np.einsum("ani,bnj->abij", images.conj(), images)
-
-    m, k = len(errors), code.k
-    off = np.abs(gram.copy())
+    gram = _image_gram(_error_images(code, errors))
+    k = code.k
+    off = np.abs(gram)
     idx = np.arange(k)
     off[:, :, idx, idx] = 0.0
     max_off = float(off.max()) if k > 1 else 0.0
-    off_witness = tuple(int(x) for x in np.unravel_index(int(off.argmax()), off.shape))
+    off_witness = _first_max(off)
 
     diags = gram[:, :, idx, idx]  # (m, m, k)
     spread = np.abs(diags[:, :, :, None] - diags[:, :, None, :])  # (m, m, k, k)
     max_diag = float(spread.max()) if k > 1 else 0.0
-    diag_witness = tuple(int(x) for x in np.unravel_index(int(spread.argmax()), spread.shape))
+    diag_witness = _first_max(spread)
 
     passed = max_off < tol and max_diag < tol
     witness = None

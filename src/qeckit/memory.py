@@ -262,11 +262,10 @@ def scaling_exponent_fit(m: int, gammas=None) -> ScalingFit:
     )
 
 
-def trajectory_csv(run: MemoryRun, worst_case: bool = False) -> str:
+def trajectory_csv(run: MemoryRun) -> str:
     """Render a run as CSV with header ``cycle,fidelity,bound`` (17 significant digits)."""
-    values = run.worst_case_fidelity if worst_case and run.worst_case_fidelity else run.per_cycle_fidelity
     lines = ["cycle,fidelity,bound"]
-    for t, f in enumerate(values):
+    for t, f in enumerate(run.per_cycle_fidelity):
         bound = f"{run.bound_curve[t]:.17g}" if run.bound_curve is not None else ""
         lines.append(f"{t},{f:.17g},{bound}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import OperatorEnsemble, validate_superoperator
-from .codes import KLReport, QuantumCode, kl_check
+from .codes import QuantumCode, _error_images, _image_gram, kl_check
 from .config import DEFAULT_TOL
 from .errors import NotCorrectableError, NotSuperoperatorError
 from .linalg import dagger, orthonormalize, random_unitary, von_neumann_entropy
@@ -99,8 +99,7 @@ def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, rank_tol: floa
     exact (and Q_i orthonormal) precisely when the correctability conditions
     hold. Returns (frames, C, rank, frame_residual, factor_residual).
     """
-    b = code.matrix
-    images = [np.column_stack([a @ b[:, i] for a in errors]) for i in range(code.k)]
+    images = list(np.moveaxis(_error_images(code, errors), 2, 0).copy())  # k blocks, n x m
     basis0, coeff, rank = orthonormalize(list(images[0].T), rank_tol=rank_tol)
     if rank == 0:
         empty = np.zeros((code.n, 0), dtype=np.complex128)
@@ -111,15 +110,9 @@ def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, rank_tol: floa
     for i in range(1, code.k):
         frames.append(images[i] @ np.linalg.solve(gram, coeff).conj().T)
 
-    frame_residual = 0.0
-    for i, qi in enumerate(frames):
-        for j, qj in enumerate(frames):
-            block = dagger(qi) @ qj
-            target = np.eye(rank) if i == j else np.zeros((rank, rank))
-            frame_residual = max(frame_residual, float(np.max(np.abs(block - target))))
-    factor_residual = max(
-        float(np.max(np.abs(images[i] - frames[i] @ coeff))) for i in range(code.k)
-    )
+    joint = np.hstack(frames)  # n x ks; an isometry iff the frames are orthonormal together
+    frame_residual = float(np.max(np.abs(dagger(joint) @ joint - np.eye(code.k * rank))))
+    factor_residual = max(float(np.max(np.abs(x - q @ coeff))) for x, q in zip(images, frames))
     return frames, coeff, rank, frame_residual, factor_residual
 
 
@@ -195,14 +188,16 @@ def verify_recovery(
     if recovery.dim != code.n or errors.dim != code.n:
         raise ValueError("dimension mismatch between code, errors and recovery")
     b = code.matrix
-    num_r, num_a = len(recovery.ensemble), len(errors)
-    lam = np.zeros((num_r, num_a), dtype=np.complex128)
+    images = _error_images(code, errors)
+    n, m, k = images.shape
+    flat = images.reshape(n, m * k)
+    lam = np.zeros((len(recovery.ensemble), m), dtype=np.complex128)
     worst = 0.0
     for r, rr in enumerate(recovery.ensemble):
-        for a, aa in enumerate(errors):
-            image = rr @ (aa @ b)  # n x k
-            lam[r, a] = np.vdot(b[:, 0], image[:, 0])
-            worst = max(worst, float(np.max(np.linalg.norm(image - lam[r, a] * b, axis=0))))
+        image = (rr @ flat).reshape(n, m, k)
+        lam[r] = b[:, 0].conj() @ image[:, :, 0]
+        residual = np.linalg.norm(image - lam[r][:, None] * b[:, None, :], axis=0)  # m x k
+        worst = max(worst, float(np.max(residual)))
     return VerificationReport(
         lambda_values=lam,
         max_identity_residual=worst,
@@ -215,25 +210,25 @@ def verify_recovery(
 def entangled_state_test(
     code: QuantumCode, composite: OperatorEnsemble, tol: float = 1e-9
 ) -> bool:
-    """Zero-error test on one state: I (x) B must fix the fully entangled codeword sum.
+    """Zero-error test on one state: I (x) A must fix the fully entangled codeword sum.
 
-    Builds the (unnormalized) state sum_i |i_L>|i_L> on a doubled space and
-    checks that each composite element maps it to a scalar multiple of
-    itself; equivalent to the proportionality route.
+    Each composite element A must map sum_i |i_L>|i_L> on a doubled space to
+    a multiple of itself; equivalent to the proportionality route.
     """
-    if composite.dim != code.n:
-        raise ValueError(f"dimension mismatch: composite {composite.dim}, code {code.n}")
-    b = code.matrix
-    ent = np.zeros((code.n, code.n), dtype=np.complex128)  # axis 0: bystander copy
-    for i in range(code.k):
-        ent += np.outer(b[:, i], b[:, i])
-    scale = float(np.linalg.norm(ent))
-    worst = 0.0
-    for op in composite:
-        image = ent @ op.T  # (I (x) op) acting on the second factor
-        lam = np.vdot(ent, image) / (scale * scale)
-        worst = max(worst, float(np.linalg.norm(image - lam * ent)) / scale)
-    return worst < tol
+    return _entangled_residual(code, composite) < tol
+
+
+def _entangled_residual(code: QuantumCode, composite: OperatorEnsemble) -> float:
+    """Worst ||(I (x) A)|ent> - lam |ent>|| / ||ent|| over the composite elements.
+
+    For the n x k isometry B of logical states this is ||A B - lam B||_F / sqrt(k),
+    with lam = tr(B^dag A B) / k, since (I (x) A)|ent> = sum_i |i_L> (x) A|i_L>.
+    """
+    b, k = code.matrix, code.k
+    images = _error_images(code, composite)  # n x m x k
+    lam = np.einsum("ni,nai->a", b.conj(), images) / k
+    residual = np.linalg.norm(images - lam[:, None] * b[:, None, :], axis=(0, 2)) / np.sqrt(k)
+    return float(np.max(residual))
 
 
 def syndrome_decomposition(
@@ -293,35 +288,24 @@ def entropy_test(
     """Information-theoretic route: correctability iff the entropy gap is log2(k).
 
     Compares the entropy of the uniform mixture of corrupted codewords with
-    the entropy of the corrupted fully entangled codeword state. Only
-    defined for trace-preserving families; incomplete ones are refused
-    rather than silently renormalized.
+    that of the corrupted fully entangled codeword state: the coherent-
+    information criterion of Schumacher and Nielsen (quant-ph/9604022).
+    Both spectra come from the image Gram G[a, b, i, j] = <A_a i_L|A_b j_L>:
+    the mixed state sum_a A_a P A_a^dag / k has the nonzero spectrum of G as
+    an (mk) x (mk) matrix over k, and the entangled image sum_a |y_a><y_a|,
+    |y_a> = sum_i |i_L> (x) A_a|i_L> / sqrt(k), that of its m x m Gram
+    sum_i G[:, :, i, i] / k. Only defined for trace-preserving families;
+    incomplete ones are refused rather than silently renormalized.
     """
     residual = validate_superoperator(errors)
     if residual > superop_tol:
         raise NotSuperoperatorError(
             f"entropy route needs a superoperator (completeness residual {residual:.3e})"
         )
-    b = code.matrix
-    n, k = code.n, code.k
-
-    mixed = np.zeros((n, n), dtype=np.complex128)
-    for a in errors:
-        img = a @ b
-        mixed += img @ dagger(img)
-    mixed /= k
-
-    ent = np.zeros((n, n), dtype=np.complex128)
-    for i in range(k):
-        ent += np.outer(b[:, i], b[:, i])
-    ent /= np.sqrt(k)
-    big = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a in errors:
-        y = (ent @ a.T).reshape(-1)  # (I (x) A_a) applied to the entangled state
-        big += np.outer(y, y.conj())
-
-    s_mixed = von_neumann_entropy(mixed)
-    s_entangled = von_neumann_entropy(big)
+    m, k = len(errors), code.k
+    gram = _image_gram(_error_images(code, errors))
+    s_mixed = von_neumann_entropy(gram.transpose(0, 2, 1, 3).reshape(m * k, m * k) / k)
+    s_entangled = von_neumann_entropy(np.trace(gram, axis1=2, axis2=3) / k)
     diff = s_mixed - s_entangled
     return EntropyReport(
         difference_bits=diff,

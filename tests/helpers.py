@@ -61,3 +61,68 @@ def grid_refine_minimum(q, grid_theta=64, grid_phi=128, refine_tol=1e-8):
             step_theta /= 2.0
             step_phi /= 2.0
     return best, _bloch_point(theta, phi)
+
+
+def stacked_images(code, errors):
+    """(m, n, k) stack of the error images A_a B, one n x k block per operator."""
+    return np.stack([a @ code.matrix for a in errors])
+
+
+def einsum_gram(stack):
+    """Dense oracle for G[a, b, i, j] = <A_a i_L|A_b j_L>: an unoptimized einsum over the stack."""
+    return np.einsum("ani,bnj->abij", stack.conj(), stack)
+
+
+def _entangled_codeword(code):
+    """n x n matrix of sum_i |i_L>|i_L>; axis 0 is the bystander copy."""
+    b = code.matrix
+    ent = np.zeros((code.n, code.n), dtype=np.complex128)
+    for i in range(code.k):
+        ent += np.outer(b[:, i], b[:, i])
+    return ent
+
+
+def dense_entropies(code, errors):
+    """Dense oracle for the entropy route: (mixed, entangled) entropies in bits.
+
+    Builds the n x n mixed corrupted codeword state and the n^2 x n^2 image
+    of the normalized fully entangled codeword state.
+    """
+    from qeckit import von_neumann_entropy
+
+    b, n, k = code.matrix, code.n, code.k
+    mixed = np.zeros((n, n), dtype=np.complex128)
+    for a in errors:
+        img = a @ b
+        mixed += img @ img.conj().T
+    ent = _entangled_codeword(code) / np.sqrt(k)
+    big = np.zeros((n * n, n * n), dtype=np.complex128)
+    for a in errors:
+        y = (ent @ a.T).reshape(-1)  # (I (x) A_a) applied to the entangled state
+        big += np.outer(y, y.conj())
+    return von_neumann_entropy(mixed / k), von_neumann_entropy(big)
+
+
+def dense_entangled_residual(code, composite):
+    """Dense oracle: worst ||(I (x) A)|ent> - lam |ent>|| / ||ent|| on the n x n entangled matrix."""
+    ent = _entangled_codeword(code)
+    scale = float(np.linalg.norm(ent))
+    worst = 0.0
+    for op in composite:
+        image = ent @ op.T  # (I (x) op) acting on the second factor
+        lam = np.vdot(ent, image) / (scale * scale)
+        worst = max(worst, float(np.linalg.norm(image - lam * ent)) / scale)
+    return worst
+
+
+def pairwise_verification(code, errors, recovery):
+    """Dense oracle for verify_recovery: (lambda, residual) from R_r (A_a B) for every pair."""
+    b = code.matrix
+    lam = np.zeros((len(recovery.ensemble), len(errors)), dtype=np.complex128)
+    worst = 0.0
+    for r, rr in enumerate(recovery.ensemble):
+        for a, aa in enumerate(errors):
+            image = rr @ (aa @ b)
+            lam[r, a] = np.vdot(b[:, 0], image[:, 0])
+            worst = max(worst, float(np.max(np.linalg.norm(image - lam[r, a] * b, axis=0))))
+    return lam, worst

@@ -195,3 +195,18 @@ def test_out_file_writing(files, tmp_path, capsys):
     with open(target) as fh:
         report = json.load(fh)
     assert report["result"]["passed"] is True
+
+
+@pytest.mark.parametrize("flag", ["nan", "inf"])
+def test_non_finite_tol_flag_is_input_error(files, capsys, flag):
+    assert main(["check", files["code"], files["good"], "--tol", flag]) == 2
+    assert "finite" in capsys.readouterr().err
+    # inf would otherwise pass a family the code does not correct
+    assert main(["check", "phase3", "pauli_unitary_basis:qubits=3,max_errors=1", "--tol", flag]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_env_is_input_error(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("QEC_TOL", value)
+    assert main(["check", files["code"], files["good"]]) == 2
+    assert "finite" in capsys.readouterr().err
