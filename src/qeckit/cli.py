@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .channels import ChannelSpec, OperatorEnsemble, build_channel, compose
+from .channels import ChannelSpec, OperatorEnsemble, build_channel
 from .codes import QuantumCode, builtin_code, kl_check, naive_counting_bound, qubit_lower_bound
 from .config import FidelityConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
@@ -213,22 +213,18 @@ def _cmd_fidelity(args) -> int:
     tol = _tolerance(args)
     code = _resolve_code(args.code)
     channel = _resolve_channel(args.channel)
-    ensemble = channel
+    rec = None
     if args.recovery:
         rec = ser.recovery_from_json(_load_json_file(args.recovery))
         if rec.dim != channel.dim:
             raise _InputError("recovery and channel dimensions do not match")
-        ensemble = compose(rec.ensemble, channel)
     cfg = FidelityConfig(seed=args.seed)
-    report = min_fidelity(code, ensemble, cfg)
+    report = min_fidelity(code, channel, cfg, recovery=rec)
     out = _envelope(args, "fidelity", tol)
     out["inputs"] = {"code": args.code, "channel": args.channel, "recovery": args.recovery}
     out["result"] = {"min_fidelity": ser.fidelity_report_to_json(report)}
     if args.entangled:
-        try:
-            ent = entangled_fidelity(code, ensemble, cfg)
-        except NotSuperoperatorError as exc:
-            raise _InputError(str(exc))
+        ent = entangled_fidelity(code, channel, cfg, recovery=rec)
         out["result"]["entangled"] = ser.entangled_report_to_json(ent)
     _emit(out, args)
     return 0
@@ -327,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="worst-case fidelity (optionally entangled)")
     p.add_argument("code")
     p.add_argument("channel")
-    p.add_argument("--recovery", default=None, help="recovery JSON to compose with the channel")
+    p.add_argument("--recovery", default=None, help="recovery JSON applied after the channel")
     p.add_argument("--entangled", action="store_true", help="add the entangled-state report")
     common(p)
     p.set_defaults(func=_cmd_fidelity)

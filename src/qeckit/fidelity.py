@@ -1,13 +1,15 @@
 """Pure-state and entangled-state fidelity, worst cases and bounds.
 
-The pure-state fidelity of |psi> under a family {A_a} is
-sum_a |<psi|A_a|psi>|^2; the fidelity of a code is its minimum over the
-code subspace. The objective is a quartic in the amplitudes, which for a
-two-dimensional code is a quadratic in the Bloch vector: its minimum on the
-sphere is found exactly (with a multiplier certifying optimality), while
-larger codes use seeded random-restart projected gradient descent, an upper
-bound on the minimum. Optimizer outputs always carry the witness state at
-which the reported value was re-evaluated.
+The pure-state fidelity of |psi> under a family {A_a}, optionally followed
+by a recovery {R_r}, is sum |<psi|R_r A_a|psi>|^2; the fidelity of a code is
+its minimum over the code subspace. Every quantity here reads the k x k
+code-frame compression (R_r^dag B)^dag (A_a B) of the error images, so no
+composite R_r A_a is formed. The objective is a quartic in the amplitudes,
+which for a two-dimensional code is a quadratic in the Bloch vector: its
+minimum on the sphere is found exactly (with a multiplier certifying
+optimality), while larger codes use seeded random-restart projected gradient
+descent, an upper bound on the minimum. Optimizer outputs always carry the
+witness state at which the reported value was re-evaluated.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, validate_superoperator
-from .codes import QuantumCode
+from .codes import QuantumCode, _error_images
 from .config import DEFAULT_FIDELITY, DEFAULT_TOL, FidelityConfig
 from .errors import NotSuperoperatorError
 from .linalg import PureState, dagger, orthonormalize, random_unitary
+from .recovery import RecoveryOperator
 
 #: Numerical slack granted to optimizer-derived quantities in bound checks.
 BOUND_SLACK = 1e-6
@@ -74,9 +77,11 @@ class BoundCheckReport:
     tight: bool
 
 
-def pure_fidelity(state, ensemble: OperatorEnsemble) -> float:
-    """sum_a |<psi|A_a|psi>|^2, the survival probability under the family.
+def pure_fidelity(state, ensemble: OperatorEnsemble, recovery: RecoveryOperator | None = None) -> float:
+    """sum_{r,a} |<psi|R_r A_a|psi>|^2, the survival probability under the family.
 
+    Computed as ||V^dag U||_F^2 with U = [A_a psi] and V = [R_r^dag psi]
+    (V = psi without a recovery), so no composite R_r A_a is formed.
     Accepts a ``PureState`` or a raw amplitude vector; raw vectors must be
     normalized.
     """
@@ -86,21 +91,29 @@ def pure_fidelity(state, ensemble: OperatorEnsemble) -> float:
         psi = np.asarray(state, dtype=np.complex128).reshape(-1)
         if abs(float(np.linalg.norm(psi)) - 1.0) > DEFAULT_TOL.norm:
             raise ValueError("state is not normalized")
-    if ensemble.dim != psi.size:
+    if ensemble.dim != psi.size or (recovery is not None and recovery.dim != psi.size):
         raise ValueError(f"dimension mismatch: ensemble {ensemble.dim}, state {psi.size}")
-    total = 0.0
-    for a in ensemble:
-        amp = np.vdot(psi, a @ psi)
-        total += float(abs(amp) ** 2)
-    return total
+    rows = psi.conj()[None] if recovery is None else np.stack([psi.conj() @ r for r in recovery.ensemble])
+    return float(np.linalg.norm(rows @ np.column_stack([a @ psi for a in ensemble])) ** 2)
 
 
-def _compress(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
-    """Code-frame compressions M_a = B^dag A_a B, stacked (m, k, k)."""
-    if ensemble.dim != code.n:
-        raise ValueError(f"dimension mismatch: ensemble {ensemble.dim}, code {code.n}")
-    b = code.matrix
-    return np.stack([dagger(b) @ a @ b for a in ensemble])
+def _logical(code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOperator | None = None):
+    """Code-frame compression of recovery after channel, read off the error images.
+
+    Returns the (m_R m_A, k, k) stack M[r, a] = (R_r^dag B)^dag (A_a B),
+    r-major like ``compose``, and the k x k Gram sum_a (A_a B)^dag (A_a B)
+    of the channel's images. Without a recovery the left factor is B
+    itself. Every fidelity quantity depends on the code and the composite
+    only through these, so no n x n composite is ever formed.
+    """
+    if recovery is not None and recovery.dim != code.n:
+        raise ValueError(f"dimension mismatch: recovery {recovery.dim}, code {code.n}")
+    images = _error_images(code, ensemble)  # (n, m_A, k)
+    n, m, k = images.shape
+    bh = dagger(code.matrix)
+    rows = bh if recovery is None else np.concatenate([bh @ r for r in recovery.ensemble])
+    stack = (rows @ images.reshape(n, m * k)).reshape(-1, k, m, k).transpose(0, 2, 1, 3)
+    return stack.reshape(-1, k, k), np.tensordot(images.conj(), images, axes=([0, 1], [0, 1]))
 
 
 def _bloch_point(theta: float, phi: float) -> np.ndarray:
@@ -222,27 +235,36 @@ def _fidelity_objective(m_ops: np.ndarray):
     return value, grad, quartic
 
 
-def min_fidelity(
-    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY
-) -> FidelityReport:
-    """Worst-case pure-state fidelity over the code subspace.
+def _witness(code: QuantumCode, c: np.ndarray) -> PureState:
+    psi = code.matrix @ c
+    return PureState(psi / np.linalg.norm(psi), code.shape)
 
-    k = 1 is closed form; k = 2 is the exact Bloch-sphere minimum; larger
-    codes use random restarts. The returned value is re-evaluated at the
-    witness state, so report.value == pure_fidelity(report.argmin_state).
-    """
-    value, grad, quartic = _fidelity_objective(_compress(code, ensemble))
+
+def _fidelity_report(code, m_ops, ensemble, recovery, cfg: FidelityConfig) -> FidelityReport:
+    """Worst case of the pure fidelity from the compression, re-evaluated at its witness."""
+    value, grad, quartic = _fidelity_objective(m_ops)
     c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
-
-    psi = code.matrix @ c_best
-    psi /= np.linalg.norm(psi)
-    witness = PureState(psi, code.shape)
+    witness = _witness(code, c_best)
     return FidelityReport(
-        value=pure_fidelity(witness, ensemble),
+        value=pure_fidelity(witness, ensemble, recovery),
         argmin_state=witness,
         optimizer_trace={"method": method, **trace},
         method=method,
     )
+
+
+def min_fidelity(
+    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY, recovery: RecoveryOperator | None = None
+) -> FidelityReport:
+    """Worst-case pure-state fidelity over the code subspace.
+
+    ``recovery``, when given, is applied after the channel. k = 1 is closed
+    form; k = 2 is the exact Bloch-sphere minimum; larger codes use random
+    restarts. The returned value is re-evaluated at the witness state, so
+    report.value == pure_fidelity(report.argmin_state, ensemble, recovery).
+    """
+    m_ops, _ = _logical(code, ensemble, recovery)
+    return _fidelity_report(code, m_ops, ensemble, recovery, cfg)
 
 
 def code_error(
@@ -250,47 +272,29 @@ def code_error(
 ) -> FidelityReport:
     """Worst-case deviation sum_m ||(B_m - <B_m>) |psi>||^2 over code states.
 
-    For trace-preserving composites this equals 1 minus the worst-case
-    fidelity; that identity is cross-checked and a contradiction raises.
-    The witness maximizes the deviation (the report field name follows the
-    fidelity report; here it is an arg-max).
+    The deviation is <psi|sum_m B_m^dag B_m|psi> minus the pure fidelity, so
+    for trace-preserving composites it equals 1 minus the worst-case
+    fidelity. The witness maximizes the deviation (the report field name
+    follows the fidelity report; here it is an arg-max).
     """
-    m_ops = _compress(code, composite)
-    g_ops = np.stack([dagger(op) @ op for op in (a @ code.matrix for a in composite)])
+    m_ops, leak = _logical(code, composite)
     fid_value, fid_grad, fid_quartic = _fidelity_objective(m_ops)
 
     def value(c):  # negated deviation, so the shared minimizers apply
-        g = float(np.einsum("aij,i,j->", g_ops, c.conj(), c).real)
-        return fid_value(c) - g
+        return fid_value(c) - float(np.vdot(c, leak @ c).real)
 
     def grad(c):
-        return fid_grad(c) - np.einsum("aij,j->i", g_ops, c)
+        return fid_grad(c) - leak @ c
 
-    def quartic():  # <c|G|c> = sum G[j, i] rho_ij tr(rho)
-        return fid_quartic() - np.einsum("ji,lk->ijkl", g_ops.sum(axis=0), np.eye(code.k))
+    def quartic():  # <c|L|c> = sum L[j, i] rho_ij tr(rho)
+        return fid_quartic() - np.einsum("ji,lk->ijkl", leak, np.eye(code.k))
 
     c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
-
-    psi = code.matrix @ c_best
-    psi /= np.linalg.norm(psi)
-    deviation = 0.0
-    for op in composite:
-        image = op @ psi
-        deviation += float(np.linalg.norm(image - np.vdot(psi, image) * psi) ** 2)
-    trace = {"method": method, **trace}
-
-    if validate_superoperator(composite) < DEFAULT_TOL.check:
-        fid = min_fidelity(code, composite, cfg)
-        trace["min_fidelity"] = fid.value
-        if abs(deviation - (1.0 - fid.value)) > BOUND_SLACK:
-            raise RuntimeError(
-                "deviation and fidelity optimizers disagree for a trace-preserving composite: "
-                f"E={deviation:.9f}, 1-F={1.0 - fid.value:.9f}"
-            )
+    witness = _witness(code, c_best)
     return FidelityReport(
-        value=deviation,
-        argmin_state=PureState(psi, code.shape),
-        optimizer_trace=trace,
+        value=float(np.vdot(c_best, leak @ c_best).real) - pure_fidelity(witness, composite),
+        argmin_state=witness,
+        optimizer_trace={"method": method, **trace},
         method=method,
     )
 
@@ -333,7 +337,7 @@ def _cayley(h: np.ndarray) -> np.ndarray:
 
 
 def entangled_fidelity(
-    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY
+    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY, recovery: RecoveryOperator | None = None
 ) -> EntangledFidelityReport:
     """Fidelity when the coded system is entangled with an untouched bystander.
 
@@ -342,13 +346,14 @@ def entangled_fidelity(
     orthonormal frames {psi_i} in the code. The completely entangled state
     (uniform weights, any frame) is evaluated in closed form; the minimum is
     searched numerically (exact weight step, random frame perturbations) and
-    reported as an upper bound on the true minimum.
+    reported as an upper bound on the true minimum. ``recovery``, when
+    given, is applied after the channel.
     """
-    m_ops = _compress(code, ensemble)
+    m_ops, _ = _logical(code, ensemble, recovery)
     k = code.k
     max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / k) ** 2))
 
-    fid = min_fidelity(code, ensemble, cfg)
+    fid = _fidelity_report(code, m_ops, ensemble, recovery, cfg)
     f_pure = fid.value
 
     def frame_diagonals(u: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, OperatorEnsemble, build_channel, compose, e_error_family, tensor_power, validate_superoperator
+from .channels import ChannelSpec, OperatorEnsemble, build_channel, e_error_family, tensor_power, validate_superoperator
 from .codes import QuantumCode, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL
 from .errors import CapacityError, NotSuperoperatorError
@@ -250,8 +250,7 @@ def scaling_exponent_fit(m: int, gammas=None) -> ScalingFit:
         pm = build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": float(gamma)}))
         noise = tensor_power(pm, m)
         recovery = synthesize_recovery(code, e_error_family(pm, m, (m - 1) // 2))
-        composite = compose(recovery.ensemble, noise)
-        ys.append(1.0 - min_fidelity(code, composite).value)
+        ys.append(1.0 - min_fidelity(code, noise, recovery=recovery).value)
     slope, intercept = np.polyfit(np.log(np.asarray(gammas, dtype=float)), np.log(ys), 1)
     return ScalingFit(
         qubits=m,

@@ -146,9 +146,9 @@ def test_code_error_zero_for_perfect_recovery():
     perfect = compose(rec.ensemble, family)
     report = code_error(code, perfect)
     assert report.value < 1e-8
-    # the full channel composite is trace preserving: E = 1 - F is checked internally
+    # the full channel composite is trace preserving: E = 1 - F
     report_full = code_error(code, composite)
-    assert report_full.value == pytest.approx(1.0 - report_full.optimizer_trace["min_fidelity"], abs=1e-6)
+    assert report_full.value == pytest.approx(1.0 - min_fidelity(code, composite).value, abs=1e-6)
 
 
 def test_code_error_identity_composite():
