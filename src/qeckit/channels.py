@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator
 
@@ -18,36 +19,42 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CapacityError
-from .linalg import DIM_CAP, DensityMatrix, _as_matrix, dagger, kron_all
+from .linalg import DIM_CAP, ENSEMBLE_BYTE_CAP, DensityMatrix, _as_matrix, dagger, kron_all
 
 _ID2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-CHANNEL_KINDS = (
-    "decoherence",
-    "decoherence_pm_basis",
-    "spontaneous_emission",
-    "amplitude_damping",
-    "pauli_unitary_basis",
-    "measurement_basis",
-    "depolarizing_third",
-    "uniform_phase_flip",
-    "overlap_example",
-    "explicit",
-)
+_LIFT = ("qubits", "max_errors")
 
-# One-qubit kinds that may be extended with qubits= / max_errors= params.
-_EXTENSIBLE = {
-    "decoherence",
-    "decoherence_pm_basis",
-    "spontaneous_emission",
-    "amplitude_damping",
-    "pauli_unitary_basis",
-    "measurement_basis",
-    "depolarizing_third",
+# The parameters each kind reads; a kind that reads qubits= and max_errors=
+# lifts its one-qubit operators to a register (explicit ones only when they
+# act on one qubit).
+_PARAMS = {
+    "decoherence": ("gamma", *_LIFT),
+    "decoherence_pm_basis": ("gamma", *_LIFT),
+    "spontaneous_emission": ("p", *_LIFT),
+    "amplitude_damping": ("p", *_LIFT),
+    "pauli_unitary_basis": _LIFT,
+    "measurement_basis": _LIFT,
+    "depolarizing_third": _LIFT,
+    "uniform_phase_flip": ("p", "qubits"),
+    "overlap_example": ("q",),
+    "explicit": _LIFT,
 }
+
+CHANNEL_KINDS = tuple(_PARAMS)
+
+
+def _check_family_bytes(count: int, dim: int) -> None:
+    """Refuse a family of ``count`` dense dim x dim operators above ``ENSEMBLE_BYTE_CAP``."""
+    need = count * dim * dim * 16
+    if need > ENSEMBLE_BYTE_CAP:
+        raise CapacityError(
+            f"{count} operators of dimension {dim} need {need / 2**30:.3g} GiB, "
+            f"above the {ENSEMBLE_BYTE_CAP / 2**30:.3g} GiB cap"
+        )
 
 
 def _sum_adag_a(ops) -> np.ndarray:
@@ -65,13 +72,12 @@ class OperatorEnsemble:
     By convention, slot 0 holds the identity-like (dominant) element for
     channels that have one; the error-counting machinery keys off it.
     ``completeness_residual`` is the max-norm deviation of sum A^dag A from
-    the identity, computed once at construction.
+    the identity, computed on first read and kept.
     """
 
     operators: tuple[np.ndarray, ...]
     label: str = ""
     tol: InitVar[ToleranceConfig] = DEFAULT_TOL
-    completeness_residual: float = field(init=False)
     _superop_tol: float = field(init=False, repr=False)
 
     def __post_init__(self, tol: ToleranceConfig):
@@ -85,10 +91,12 @@ class OperatorEnsemble:
             a.setflags(write=False)
         if dim > DIM_CAP:
             raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
-        residual = float(np.max(np.abs(_sum_adag_a(ops) - np.eye(dim))))
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "completeness_residual", residual)
         object.__setattr__(self, "_superop_tol", tol.check)
+
+    @cached_property
+    def completeness_residual(self) -> float:
+        return float(np.max(np.abs(_sum_adag_a(self.operators) - np.eye(self.dim))))
 
     @property
     def dim(self) -> int:
@@ -125,6 +133,11 @@ class ChannelSpec:
             raise ValueError(f"unknown channel kind {self.kind!r}; known: {CHANNEL_KINDS}")
         params = {str(k): float(v) for k, v in dict(self.params).items()}
         object.__setattr__(self, "params", params)
+        unread = sorted(set(params) - set(_PARAMS[self.kind]))
+        if unread:
+            raise ValueError(
+                f"channel kind {self.kind!r} does not read parameter(s) {unread}; it reads {list(_PARAMS[self.kind])}"
+            )
 
         def need(name, lo=None, hi=None, strict_lo=False, strict_hi=False):
             if name not in params:
@@ -259,16 +272,14 @@ def build_channel(spec: ChannelSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Oper
     base = OperatorEnsemble(tuple(ops), label=f"{kind}({suffix})" if suffix else kind, tol=tol)
 
     qubits = int(params.get("qubits", 1))
-    if kind in _EXTENSIBLE or (kind == "explicit" and base.dim == 2 and qubits > 1):
-        max_errors = params.get("max_errors")
-        if qubits > 1 and max_errors is not None:
+    max_errors = params.get("max_errors")
+    if "max_errors" in _PARAMS[kind] and (kind != "explicit" or base.dim == 2):
+        if max_errors is not None:
             return e_error_family(base, qubits, int(max_errors), tol=tol)
         if qubits > 1:
             return tensor_power(base, qubits, tol=tol)
-        if max_errors is not None:
-            return e_error_family(base, 1, int(max_errors), tol=tol)
-    elif "qubits" in params and kind not in ("uniform_phase_flip",):
-        raise ValueError(f"channel kind {kind!r} does not support the qubits parameter")
+    elif kind == "explicit" and ("qubits" in params or max_errors is not None):
+        raise ValueError("explicit operators lift to a register only when they act on one qubit")
     return base
 
 
@@ -307,6 +318,7 @@ def tensor_product(
     """All pairwise tensor products {A_i (x) B_j}, ordered lexicographically."""
     if a.dim * b.dim > DIM_CAP:
         raise CapacityError(f"dimension {a.dim * b.dim} exceeds the cap {DIM_CAP}")
+    _check_family_bytes(len(a) * len(b), a.dim * b.dim)
     ops = tuple(np.kron(x, y) for x in a for y in b)
     return OperatorEnsemble(ops, label=f"{a.label}(x){b.label}", tol=tol)
 
@@ -319,6 +331,7 @@ def tensor_power(
         raise ValueError(f"tensor power needs r >= 1, got {r}")
     if ensemble.dim**r > DIM_CAP:
         raise CapacityError(f"dimension {ensemble.dim ** r} exceeds the cap {DIM_CAP}")
+    _check_family_bytes(len(ensemble) ** r, ensemble.dim**r)
     out = ensemble
     for _ in range(r - 1):
         out = tensor_product(out, ensemble, tol=tol)
@@ -342,6 +355,7 @@ def e_error_family(
         raise CapacityError(f"dimension {d ** r} exceeds the cap {DIM_CAP}")
     if e < 0 or e > r:
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
+    _check_family_bytes(sum(math.comb(r, j) * (len(ops) - 1) ** j for j in range(e + 1)), d**r)
     a0 = ops[0]
     c = a0[0, 0]
     if np.max(np.abs(a0 - c * np.eye(d))) > tol.check * max(1.0, abs(c)):
@@ -371,5 +385,6 @@ def compose(
     """Composite family {R_r A_a} of applying ``inner`` then ``outer``."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
+    _check_family_bytes(len(outer) * len(inner), outer.dim)
     ops = tuple(r @ a for r in outer for a in inner)
     return OperatorEnsemble(ops, label=f"{outer.label}*{inner.label}", tol=tol)

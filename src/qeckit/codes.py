@@ -104,10 +104,21 @@ def _image_gram(images: np.ndarray) -> np.ndarray:
     return (dagger(flat) @ flat).reshape(m, k, m, k).transpose(0, 2, 1, 3)
 
 
-def _first_max(values: np.ndarray) -> tuple[int, ...]:
-    """First index (C order) within rounding of the maximum, so exact ties give one witness."""
-    first = int(np.flatnonzero(values >= values.max() * (1.0 - 1e-12))[0])
-    return tuple(int(x) for x in np.unravel_index(first, values.shape))
+def _slice_max(k: int, values) -> tuple[float, tuple[int, int, int, int]]:
+    """Maximum of V[a, b, i, j] = values(i, j)[a, b] over all four indices, one (i, j) slice at a time.
+
+    The witness is the first index in C order within rounding of the
+    maximum, so exact ties give one witness whatever order the Gram was
+    summed in.
+    """
+    maxima = np.array([[values(i, j).max() for j in range(k)] for i in range(k)])
+    top = float(maxima.max())
+    floor = top * (1.0 - 1e-12)
+    witnesses = []
+    for i, j in np.argwhere(maxima >= floor):  # only these slices hold a candidate
+        v = values(i, j)
+        witnesses.append((*np.unravel_index(int(np.flatnonzero(v >= floor)[0]), v.shape), i, j))
+    return top, tuple(int(x) for x in min(witnesses))
 
 
 def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: float = 1e-9) -> KLReport:
@@ -119,19 +130,16 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: float = 1e-9) -> 
     within ``tol`` (absolute; the inputs are unit vectors). G as an (mk) x
     (mk) matrix over k, and sum_i G[:, :, i, i] / k, carry the spectra of the
     corrupted mixed and entangled codeword states (``entropy_test``, quant-ph/9604022).
+    Violations are reduced one m x m logical slice at a time, so no second
+    array of the Gram's size is formed.
     """
     gram = _image_gram(_error_images(code, errors))
-    k = code.k
-    off = np.abs(gram)
+    m, k = gram.shape[0], code.k
     idx = np.arange(k)
-    off[:, :, idx, idx] = 0.0
-    max_off = float(off.max()) if k > 1 else 0.0
-    off_witness = _first_max(off)
-
     diags = gram[:, :, idx, idx]  # (m, m, k)
-    spread = np.abs(diags[:, :, :, None] - diags[:, :, None, :])  # (m, m, k, k)
-    max_diag = float(spread.max()) if k > 1 else 0.0
-    diag_witness = _first_max(spread)
+    zero = np.zeros((m, m))
+    max_off, off_witness = _slice_max(k, lambda i, j: np.abs(gram[:, :, i, j]) if i != j else zero)
+    max_diag, diag_witness = _slice_max(k, lambda i, j: np.abs(diags[:, :, i] - diags[:, :, j]))
 
     passed = max_off < tol and max_diag < tol
     witness = None

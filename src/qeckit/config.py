@@ -31,10 +31,10 @@ DEFAULT_TOL = ToleranceConfig()
 class FidelityConfig:
     """Settings for the worst-case fidelity optimizers.
 
-    Worst cases over codes of dimension 1 and 2 are exact and read neither
-    field. Larger codes use ``restarts`` projected-gradient descents from
-    random starts drawn with ``seed``; the entangled-fidelity frame search
-    draws its random starts from both as well.
+    Worst cases over codes of dimension 1 and 2 and the entangled-state
+    minimum are exact (or certified by a reported gap) and read neither
+    field. Larger codes' pure-state worst cases use ``restarts``
+    projected-gradient descents from random starts drawn with ``seed``.
     """
 
     restarts: int = 32

@@ -8,7 +8,9 @@ composite R_r A_a is formed. The objective is a quartic in the amplitudes,
 which for a two-dimensional code is a quadratic in the Bloch vector: its
 minimum on the sphere is found exactly (with a multiplier certifying
 optimality), while larger codes use seeded random-restart projected gradient
-descent, an upper bound on the minimum. Optimizer outputs always carry the
+descent, an upper bound on the minimum. Over mixed code states the same
+objective is convex; its minimum is the entangled-state fidelity and, for
+k > 2, a lower bound on the pure one. Optimizer outputs always carry the
 witness state at which the reported value was re-evaluated.
 """
 
@@ -23,7 +25,7 @@ from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, validate_supe
 from .codes import QuantumCode, _error_images
 from .config import DEFAULT_FIDELITY, DEFAULT_TOL, FidelityConfig
 from .errors import NotSuperoperatorError
-from .linalg import PureState, dagger, orthonormalize, random_unitary
+from .linalg import PureState, dagger
 from .recovery import RecoveryOperator
 
 #: Numerical slack granted to optimizer-derived quantities in bound checks.
@@ -31,6 +33,12 @@ BOUND_SLACK = 1e-6
 
 #: Smallest line-search step of the random-restart descent.
 _STEP_FLOOR = 1e-10
+
+#: Frank-Wolfe gap at which the state solve for codes with k > 2 stops.
+_GAP_TOL = 1e-12
+
+#: Most projected-gradient steps that state solve takes before reporting its gap.
+_MAX_STEPS = 10_000
 
 #: Relative size below which an eigenvalue gap or a linear coefficient counts
 #: as zero when the sphere minimizer decides between its two cases.
@@ -54,9 +62,10 @@ class EntangledFidelityReport:
     """Entangled-state fidelity summary.
 
     ``max_entangled_value`` is the closed-form fidelity of the completely
-    entangled codeword state; ``min_value`` is a numerical upper bound on
-    the true minimum over Schmidt weights and frames. ``bound_check`` is
-    the tuple (pure fidelity, 1 - 3*eps/2, satisfied).
+    entangled codeword state; ``min_value`` is the minimum over Schmidt
+    weights and frames, exact for k <= 2 and within the Frank-Wolfe gap
+    ``optimizer_trace["gap"]`` above the true minimum for k > 2.
+    ``bound_check`` is the tuple (pure fidelity, 1 - 3*eps/2, satisfied).
     """
 
     max_entangled_value: float
@@ -218,21 +227,28 @@ def _worst_case(k: int, q, value, grad, cfg: FidelityConfig):
     return c, "random_restart", trace
 
 
+def _state_objective(m_ops: np.ndarray, rho: np.ndarray) -> tuple[float, np.ndarray]:
+    """F(rho) = sum_a |tr(M_a rho)|^2 and its gradient G, with dF = tr(G d rho)."""
+    w = np.einsum("aij,ji->a", m_ops, rho)
+    p = np.tensordot(w.conj(), m_ops, axes=1)
+    return float(np.sum(np.abs(w) ** 2)), p + dagger(p)
+
+
 def _fidelity_objective(m_ops: np.ndarray):
+    """The pure fidelity F(|c><c|) of code coordinates c, its gradient G c, and its quartic."""
+
     def value(c: np.ndarray) -> float:
-        w = np.einsum("aij,i,j->a", m_ops, c.conj(), c)
-        return float(np.sum(np.abs(w) ** 2))
+        return _state_objective(m_ops, np.outer(c, c.conj()))[0]
 
     def grad(c: np.ndarray) -> np.ndarray:
-        w = np.einsum("aij,i,j->a", m_ops, c.conj(), c)
-        mc = np.einsum("aij,j->ai", m_ops, c)
-        mdc = np.einsum("aji,j->ai", m_ops.conj(), c)
-        return np.einsum("a,ai->i", w.conj(), mc) + np.einsum("a,ai->i", w, mdc)
+        return _state_objective(m_ops, np.outer(c, c.conj()))[1] @ c
 
-    def quartic() -> np.ndarray:
-        return np.einsum("aji,alk->ijkl", m_ops, m_ops.conj())
+    return value, grad, lambda: _quartic(m_ops)
 
-    return value, grad, quartic
+
+def _quartic(m_ops: np.ndarray) -> np.ndarray:
+    """q[i, j, k, l] with sum_a |tr(M_a rho)|^2 = sum q[i, j, k, l] rho_ij rho_lk (see ``_bloch_form``)."""
+    return np.einsum("aji,alk->ijkl", m_ops, m_ops.conj())
 
 
 def _witness(code: QuantumCode, c: np.ndarray) -> PureState:
@@ -260,11 +276,18 @@ def min_fidelity(
 
     ``recovery``, when given, is applied after the channel. k = 1 is closed
     form; k = 2 is the exact Bloch-sphere minimum; larger codes use random
-    restarts. The returned value is re-evaluated at the witness state, so
+    restarts, an upper bound, and add the certified lower bound
+    ``optimizer_trace["lower_bound"]``, the minimum over mixed code states
+    less its Frank-Wolfe gap. The returned value is re-evaluated at the
+    witness state, so
     report.value == pure_fidelity(report.argmin_state, ensemble, recovery).
     """
     m_ops, _ = _logical(code, ensemble, recovery)
-    return _fidelity_report(code, m_ops, ensemble, recovery, cfg)
+    report = _fidelity_report(code, m_ops, ensemble, recovery, cfg)
+    if code.k > 2:  # the minimum over mixed states is at most the pure one
+        _, value, solve = _min_over_states(m_ops)
+        report.optimizer_trace["lower_bound"] = value - solve["gap"]
+    return report
 
 
 def code_error(
@@ -308,32 +331,45 @@ def _project_simplex(p: np.ndarray) -> np.ndarray:
     return np.maximum(p - theta, 0.0)
 
 
-def _best_weights(diag_elems: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize sum_a |sum_i p_i d_{a,i}|^2 over the probability simplex."""
-    k = diag_elems.shape[1]
-    gram = np.real(diag_elems.conj().T @ diag_elems)  # (k, k), PSD
+def _min_over_states(m_ops: np.ndarray) -> tuple[np.ndarray, float, dict]:
+    """Minimum of the convex F(rho) = sum_a |tr(M_a rho)|^2 over k x k density matrices.
+
+    Returns (rho, F(rho), trace). k = 1 is closed form. k = 2 is exact on
+    the Bloch ball: the sphere minimizer is the ball's when its multiplier
+    is <= 0 (More and Sorensen; within rounding of 0, as ``_min_on_sphere``
+    decides its hard case); otherwise the minimum is interior, at the
+    stationary point r = -Q^-1 b of the convex quadratic. Larger codes run
+    projected gradient from I/k with step 1/L, L the largest curvature of F,
+    projecting through the eigenvalues onto the simplex. They stop when the
+    Frank-Wolfe gap tr(G rho) - lambda_min(G) = 2 F(rho) - lambda_min(G),
+    which bounds F(rho) - min F by convexity, reaches ``_GAP_TOL`` (or
+    after ``_MAX_STEPS`` steps), and report that gap.
+    """
+    k = m_ops.shape[1]
     if k == 1:
-        return np.array([1.0]), float(gram[0, 0])
-    if k == 2:
-        # p = (t, 1-t): quadratic in t with nonnegative leading coefficient
-        a = gram[0, 0] - 2.0 * gram[0, 1] + gram[1, 1]
-        bcoef = 2.0 * (gram[0, 1] - gram[1, 1])
-        t = 0.5 if a <= 0 else min(max(-bcoef / (2.0 * a), 0.0), 1.0)
-        cands = [t, 0.0, 1.0]
-        vals = [a * t * t + bcoef * t + gram[1, 1] for t in cands]
-        i = int(np.argmin(vals))
-        return np.array([cands[i], 1.0 - cands[i]]), float(vals[i])
-    p = np.full(k, 1.0 / k)
-    lam = float(np.max(np.linalg.eigvalsh(gram))) + 1e-12
-    for _ in range(300):
-        p = _project_simplex(p - (gram @ p) / lam)
-    return p, float(p @ gram @ p)
-
-
-def _cayley(h: np.ndarray) -> np.ndarray:
-    """Unitary (I - iH/2)(I + iH/2)^-1 from a hermitian generator."""
-    eye = np.eye(h.shape[0])
-    return np.linalg.solve(eye + 0.5j * h, eye - 0.5j * h)
+        rho, trace = np.ones((1, 1), dtype=np.complex128), {"method": "closed_form"}
+    elif k == 2:
+        t = _bloch_form(_quartic(m_ops))
+        c, trace = _min_on_sphere(t)
+        rho, radius = np.outer(c, c.conj()), 1.0
+        if trace["multiplier"] > _HARD_CASE_TOL * max(1.0, float(np.max(np.abs(t)))):
+            r = np.linalg.solve(t[1:, 1:], -t[1:, 0])  # positive definite: Q >= multiplier > 0
+            rho, radius = np.tensordot(np.concatenate([[1.0], r]), _PAULIS, axes=1) / 2.0, float(np.linalg.norm(r))
+        trace = {"method": "bloch_ball", **trace, "radius": radius}
+    else:
+        mh = m_ops.conj().transpose(0, 2, 1)
+        herm = np.concatenate([m_ops + mh, 1j * (mh - m_ops)]).reshape(2 * len(m_ops), k * k) / 2.0
+        curvature = 2.0 * np.linalg.norm(herm, 2) ** 2  # F's Hessian is 2 herm^dag herm on hermitian rho
+        rho = np.eye(k, dtype=np.complex128) / k
+        for steps in range(_MAX_STEPS + 1):
+            value, grad = _state_objective(m_ops, rho)
+            gap = max(0.0, 2.0 * value - float(np.linalg.eigvalsh(grad)[0]))
+            if gap <= _GAP_TOL or steps == _MAX_STEPS:
+                break
+            lam, vecs = np.linalg.eigh(rho - grad / curvature)
+            rho = (vecs * _project_simplex(lam)) @ dagger(vecs)
+        trace = {"method": "projected_gradient", "gap": gap, "steps": steps}
+    return rho, _state_objective(m_ops, rho)[0], trace
 
 
 def entangled_fidelity(
@@ -341,66 +377,28 @@ def entangled_fidelity(
 ) -> EntangledFidelityReport:
     """Fidelity when the coded system is entangled with an untouched bystander.
 
-    In the Schmidt form the objective reduces to
-    sum_a |sum_i p_i <psi_i|A_a|psi_i>|^2 over weights p on the simplex and
-    orthonormal frames {psi_i} in the code. The completely entangled state
-    (uniform weights, any frame) is evaluated in closed form; the minimum is
-    searched numerically (exact weight step, random frame perturbations) and
-    reported as an upper bound on the true minimum. ``recovery``, when
-    given, is applied after the channel.
+    In the Schmidt form the objective is sum_a |sum_i p_i <psi_i|A_a|psi_i>|^2
+    over weights p on the simplex and orthonormal frames {psi_i} in the code,
+    i.e. the convex F(rho) = sum_a |tr(M_a rho)|^2 over code density matrices
+    rho = sum_i p_i |psi_i><psi_i| (Schumacher's entanglement fidelity). The
+    completely entangled state rho = I/k is evaluated in closed form; the
+    minimum is exact for k <= 2 and, for larger codes, within the Frank-Wolfe
+    gap reported in ``optimizer_trace["gap"]``. ``recovery``, when given, is
+    applied after the channel.
     """
     m_ops, _ = _logical(code, ensemble, recovery)
-    k = code.k
-    max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / k) ** 2))
-
-    fid = _fidelity_report(code, m_ops, ensemble, recovery, cfg)
-    f_pure = fid.value
-
-    def frame_diagonals(u: np.ndarray) -> np.ndarray:
-        return np.einsum("ji,ajl,li->ai", u.conj(), m_ops, u)
-
-    def optimize_frame(u: np.ndarray, rng: np.random.Generator) -> tuple[float, np.ndarray, np.ndarray]:
-        best_p, best_v = _best_weights(frame_diagonals(u))
-        delta = 0.3
-        for _ in range(60):
-            h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            h = (h + dagger(h)) * (delta / 2.0)
-            cand = u @ _cayley(h)
-            p2, v2 = _best_weights(frame_diagonals(cand))
-            if v2 < best_v - 1e-15:
-                u, best_p, best_v = cand, p2, v2
-                delta = min(delta * 1.2, 0.5)
-            else:
-                delta *= 0.8
-        return best_v, best_p, u
-
-    rng = np.random.default_rng(cfg.seed)
-    # Deterministic starts: the identity frame (contains the completely
-    # entangled state) and a frame whose first vector is the pure-state
-    # fidelity witness (contains the degenerate p_1 = 1 case).
-    witness_coords = dagger(code.matrix) @ fid.argmin_state.amplitudes
-    witness_coords /= np.linalg.norm(witness_coords)
-    frame_basis, _, _ = orthonormalize(
-        [witness_coords] + [np.eye(k, dtype=np.complex128)[:, j] for j in range(k)],
-        rank_tol=1e-8,
-    )
-    starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
-    starts += [random_unitary(k, rng) for _ in range(max(cfg.restarts // 4, 2))]
-
-    best_v, best_p = math.inf, None
-    for u in starts:
-        v, p, _ = optimize_frame(u, rng)
-        if v < best_v:
-            best_v, best_p = v, p
-    min_value = max(0.0, min(best_v, max_entangled, f_pure))
+    max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / code.k) ** 2))
+    f_pure = _fidelity_report(code, m_ops, ensemble, recovery, cfg).value
+    rho, value, solve = _min_over_states(m_ops)
+    # I/k and the pure witness are states too, so rounding never lifts the minimum above them
+    min_value = max(0.0, min(value, max_entangled, f_pure))
 
     eps = 1.0 - f_pure
     bound = 1.0 - 1.5 * eps
     satisfied = min_value >= bound - BOUND_SLACK
     trace = {
-        "starts": len(starts),
-        "seed": cfg.seed,
-        "weights": [float(x) for x in best_p],
+        **solve,
+        "weights": [float(x) for x in np.linalg.eigvalsh(rho)[::-1]],
         "pure_fidelity": f_pure,
     }
     return EntangledFidelityReport(

@@ -20,6 +20,10 @@ from .errors import NotAStateError
 #: Dense-algebra policy cap: coding spaces above 2**8 are refused.
 DIM_CAP = 2**8
 
+#: Byte budget for one family of dense operators (count * dim**2 complex
+#: entries); larger families are refused before any operator is built.
+ENSEMBLE_BYTE_CAP = 4 * 2**30
+
 
 def _as_matrix(m) -> np.ndarray:
     mat = np.asarray(m, dtype=np.complex128)

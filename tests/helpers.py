@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from qeckit import OperatorEnsemble, PureState
+from qeckit.fidelity import _project_simplex
+from qeckit.linalg import orthonormalize, random_unitary
 
 
 def random_superoperator(dim, num_ops, rng):
@@ -73,6 +75,27 @@ def einsum_gram(stack):
     return np.einsum("ani,bnj->abij", stack.conj(), stack)
 
 
+def _first_max(values):
+    """First index (C order) within rounding of the maximum."""
+    first = int(np.flatnonzero(values >= values.max() * (1.0 - 1e-12))[0])
+    return tuple(int(x) for x in np.unravel_index(first, values.shape))
+
+
+def dense_kl_violations(gram):
+    """Oracle for kl_check's reduction over whole (m, m, k, k) arrays: (max_off, max_diag, witness).
+
+    Forms |G| with its i == j entries zeroed and the spread
+    |G[a, b, i, i] - G[a, b, j, j]|, each as one array the size of G.
+    """
+    idx = np.arange(gram.shape[2])
+    off = np.abs(gram)
+    off[:, :, idx, idx] = 0.0
+    diags = gram[:, :, idx, idx]
+    spread = np.abs(diags[:, :, :, None] - diags[:, :, None, :])
+    max_off, max_diag = float(off.max()), float(spread.max())
+    return max_off, max_diag, _first_max(off) if max_off >= max_diag else _first_max(spread)
+
+
 def _entangled_codeword(code):
     """n x n matrix of sum_i |i_L>|i_L>; axis 0 is the bystander copy."""
     b = code.matrix
@@ -126,3 +149,71 @@ def pairwise_verification(code, errors, recovery):
             lam[r, a] = np.vdot(b[:, 0], image[:, 0])
             worst = max(worst, float(np.max(np.linalg.norm(image - lam[r, a] * b, axis=0))))
     return lam, worst
+
+
+def _best_weights(diag_elems):
+    """Minimize sum_a |sum_i p_i d_{a,i}|^2 over the probability simplex: (p, value)."""
+    k = diag_elems.shape[1]
+    gram = np.real(diag_elems.conj().T @ diag_elems)  # (k, k), PSD
+    if k == 1:
+        return np.array([1.0]), float(gram[0, 0])
+    if k == 2:
+        # p = (t, 1-t): quadratic in t with nonnegative leading coefficient
+        a = gram[0, 0] - 2.0 * gram[0, 1] + gram[1, 1]
+        bcoef = 2.0 * (gram[0, 1] - gram[1, 1])
+        t = 0.5 if a <= 0 else min(max(-bcoef / (2.0 * a), 0.0), 1.0)
+        cands = [t, 0.0, 1.0]
+        vals = [a * t * t + bcoef * t + gram[1, 1] for t in cands]
+        i = int(np.argmin(vals))
+        return np.array([cands[i], 1.0 - cands[i]]), float(vals[i])
+    p = np.full(k, 1.0 / k)
+    lam = float(np.max(np.linalg.eigvalsh(gram))) + 1e-12
+    for _ in range(300):
+        p = _project_simplex(p - (gram @ p) / lam)
+    return p, float(p @ gram @ p)
+
+
+def _cayley(h):
+    """Unitary (I - iH/2)(I + iH/2)^-1 from a hermitian generator."""
+    eye = np.eye(h.shape[0])
+    return np.linalg.solve(eye + 0.5j * h, eye - 0.5j * h)
+
+
+def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
+    """Upper-bound oracle for the entangled minimum: (value, weights).
+
+    Searches sum_a |sum_i p_i <u_i|M_a|u_i>|^2 over code frames u, with the
+    exact best weights p per frame and 60 random Cayley perturbations per
+    start. The starts are the identity frame (it holds the completely
+    entangled state), the frame led by ``witness`` (code coordinates of the
+    pure-state worst case) and max(restarts // 4, 2) random unitaries drawn
+    with ``seed``. Non-convex, so it may stop above the minimum.
+    """
+    k = m_ops.shape[1]
+    rng = np.random.default_rng(seed)
+
+    def frame_diagonals(u):
+        return np.einsum("ji,ajl,li->ai", u.conj(), m_ops, u)
+
+    def optimize_frame(u):
+        best_p, best_v = _best_weights(frame_diagonals(u))
+        delta = 0.3
+        for _ in range(60):
+            h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            h = (h + h.conj().T) * (delta / 2.0)
+            cand = u @ _cayley(h)
+            p2, v2 = _best_weights(frame_diagonals(cand))
+            if v2 < best_v - 1e-15:
+                u, best_p, best_v = cand, p2, v2
+                delta = min(delta * 1.2, 0.5)
+            else:
+                delta *= 0.8
+        return best_v, best_p
+
+    witness = witness / np.linalg.norm(witness)
+    frame_basis, _, _ = orthonormalize(
+        [witness] + [np.eye(k, dtype=np.complex128)[:, j] for j in range(k)], rank_tol=1e-8
+    )
+    starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
+    starts += [random_unitary(k, rng) for _ in range(max(restarts // 4, 2))]
+    return min((optimize_frame(u) for u in starts), key=lambda vp: vp[0])

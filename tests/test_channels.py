@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qeckit import (
     tensor_product,
     validate_superoperator,
 )
+from qeckit import channels
 from qeckit.channels import SIGMA_X, SIGMA_Z
 from helpers import random_superoperator
 
@@ -262,3 +264,66 @@ def test_compose_superoperators():
 def test_ensemble_dim_mismatch_rejected():
     with pytest.raises(ValueError, match="equal dimension"):
         OperatorEnsemble((I2.copy(), np.eye(4, dtype=complex)))
+
+
+def test_completeness_residual_is_computed_on_first_read(monkeypatch):
+    calls = []
+    real = channels._sum_adag_a
+    monkeypatch.setattr(channels, "_sum_adag_a", lambda ops: calls.append(len(ops)) or real(ops))
+    pauli = build_channel(ChannelSpec("pauli_unitary_basis", {}))
+    family = e_error_family(pauli, 6, 2)
+    assert calls == []  # building the 154-operator family never sums A^dag A
+    dense = sum(a.conj().T @ a for a in family)
+    assert family.completeness_residual == np.max(np.abs(dense - np.eye(64)))
+    assert not family.is_superoperator
+    assert calls == [len(family)]  # computed once, then kept
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("decoherence", {"gamma": 0.1, "qbits": 3}),
+    ("overlap_example", {"q": 0.25, "max_errors": 1}),
+    ("uniform_phase_flip", {"p": 0.1, "qubits": 3, "max_errors": 1}),
+    ("depolarizing_third", {"p": 0.1}),
+])
+def test_channel_spec_rejects_parameters_its_kind_does_not_read(kind, params):
+    with pytest.raises(ValueError, match="does not read"):
+        ChannelSpec(kind, params)
+
+
+def test_explicit_lift_needs_one_qubit_operators():
+    flips = (I2.copy(), SIGMA_X.copy())
+    assert len(build_channel(ChannelSpec("explicit", {"max_errors": 1}, explicit_operators=flips))) == 2
+    assert len(build_channel(ChannelSpec("explicit", {"qubits": 3, "max_errors": 1}, explicit_operators=flips))) == 4
+    with pytest.raises(ValueError, match="one qubit"):
+        build_channel(ChannelSpec("explicit", {"max_errors": 1}, explicit_operators=(np.eye(4),)))
+
+
+def test_family_byte_budget_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(channels, "ENSEMBLE_BYTE_CAP", 2**20)
+    pauli = build_channel(ChannelSpec("pauli_unitary_basis", {}))
+    assert len(e_error_family(pauli, 4, 2)) == 67  # 67 operators of 16 x 16: 0.27 MiB
+    two, three = tensor_power(pauli, 2), tensor_power(pauli, 3)
+    eyes = OperatorEnsemble((np.eye(16, dtype=complex),) * 30)
+
+    def no_kron(*args):
+        raise AssertionError("an operator was built before the refusal")
+
+    monkeypatch.setattr(channels, "kron_all", no_kron)
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(CapacityError, match="19 operators of dimension 64"):
+        e_error_family(pauli, 6, 1)  # 1.19 MiB
+    with pytest.raises(CapacityError, match="1024 operators of dimension 32"):
+        tensor_power(pauli, 5)  # 16 MiB, refused before its first pairwise product
+    with pytest.raises(CapacityError, match="1024 operators of dimension 32"):
+        tensor_product(two, three)
+    with pytest.raises(CapacityError, match="900 operators of dimension 16"):
+        compose(eyes, eyes)  # 3.5 MiB
+
+
+def test_pauli_basis_at_eight_qubits_is_refused_before_allocating():
+    # 4**8 = 65,536 operators of 256 x 256 would take 64 GiB
+    pauli = build_channel(ChannelSpec("pauli_unitary_basis", {}))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="64 GiB"):
+        tensor_power(pauli, 8)
+    assert time.perf_counter() - start < 1.0

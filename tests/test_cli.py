@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -210,3 +211,20 @@ def test_non_finite_tol_env_is_input_error(files, capsys, monkeypatch, value):
     monkeypatch.setenv("QEC_TOL", value)
     assert main(["check", files["code"], files["good"]]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel", [
+    "decoherence:gamma=0.1,qbits=3",
+    "overlap_example:q=0.25,max_errors=1",
+    "uniform_phase_flip:p=0.1,qubits=3,max_errors=1",
+])
+def test_info_rejects_parameters_the_kind_does_not_read(capsys, channel):
+    assert main(["info", channel]) == 2
+    assert "does not read" in capsys.readouterr().err
+
+
+def test_info_refuses_a_64_gib_family_before_allocating(capsys):
+    start = time.perf_counter()
+    assert main(["info", "pauli_unitary_basis:qubits=8"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "64 GiB" in capsys.readouterr().err

@@ -1,0 +1,67 @@
+"""Golden CLI outputs: sha256 digests of reports, recovery files and CSVs.
+
+The digests pin the byte-deterministic CLI output for phase3 and phase5
+under dephasing at gamma = 0.1 (the e = (m - 1)/2 family for check and
+synthesize, the full channel after the recovery for fidelity and memory),
+all with ``--seed 3``. They were recorded with numpy 2.4.6 on OpenBLAS
+0.3.31 (x86-64); another BLAS or numpy may round the last bit differently,
+so a mismatch there calls for a look at the diff, not necessarily a bug.
+Every path is relative to the working directory, because reports embed
+the paths they were given.
+"""
+
+import hashlib
+
+import pytest
+
+from qeckit.cli import main
+
+GOLDEN = {
+    3: {
+        "check": "fddf0c4850856c6d3ed2a61fcfc6088786e23a9cfbd69d986829e94a7e4a253c",
+        "synthesize": "dd68a06dbab72f337cb487764c3bd0d8d62bb09787acbd43b874711535e90125",
+        "recovery": "78221829ef175f8c60a02cf837aa51e5347201c944d2939d686917f0f938163d",
+        "fidelity": "e0d7dfae80bcffa3933da507f174b6fbef79bd247cd7c1c73ffda74c0c17607a",
+        "memory": "314a9c260c9c834c12ab3934665bb9a4c45546c35326b07862ffc79814b30a5f",
+        "compare": "da15bf5d40bccbf314369b5a49345c14dab653e21bb28be4f53c94922d7e0a7d",
+    },
+    5: {
+        "check": "ba32bf25242269a245ba9bfb4af4a274c34fc8b36acc2568af5923802f89cfe9",
+        "synthesize": "bbb87e43c18e43cd03d8ce3278630175a84118acd10c89b4f1d927b0525e6480",
+        "recovery": "2502aca30f771aa5cfcd12ae482cbfa36baf0cab8d30435782ad99055b403243",
+        "fidelity": "633cb52291102c955135b6b0a1fc494a7ddc32f41a77717ae92f22d2b7b8f884",
+        "memory": "e17c221104ac17cedbfaaff491cb86b25447ce447364281aca07971ac8d50d31",
+        "compare": "da15bf5d40bccbf314369b5a49345c14dab653e21bb28be4f53c94922d7e0a7d",
+    },
+}
+
+
+def _run(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+def cli_outputs(m, capsys):
+    """Bytes of every golden output for phase<m>, written in the current directory."""
+    family = f"decoherence_pm_basis:gamma=0.1,qubits={m},max_errors={(m - 1) // 2}"
+    noise = f"decoherence_pm_basis:gamma=0.1,qubits={m}"
+    code, rec = f"phase{m}", f"recovery{m}.json"
+    out = {
+        "check": _run(["check", code, family, "--seed", "3"], capsys),
+        "synthesize": _run(["synthesize", code, family, "--seed", "3", "--out", rec], capsys),
+    }
+    with open(rec, "rb") as fh:
+        out["recovery"] = fh.read()
+    out["fidelity"] = _run(["fidelity", code, noise, "--recovery", rec, "--seed", "3"], capsys)
+    out["memory"] = _run(["memory", code, noise, "--recovery", rec, "--cycles", "5", "--seed", "3"], capsys)
+    out["compare"] = _run(
+        ["memory", code, "--compare", "--gamma", "0.05", "--cycles", "5", "--seed", "3"], capsys
+    )
+    return out
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN))
+def test_cli_output_matches_golden_digest(m, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in cli_outputs(m, capsys).items()}
+    assert digests == GOLDEN[m]

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     dense_entangled_residual,
     dense_entropies,
+    dense_kl_violations,
     einsum_gram,
     pairwise_verification,
     random_superoperator,
@@ -98,6 +99,31 @@ def test_kl_check_verdict_and_witness_match_einsum_gram(code, errors, superop, m
     assert abs(fast.max_offdiag_violation - dense.max_offdiag_violation) < 1e-12
     assert abs(fast.max_diag_violation - dense.max_diag_violation) < 1e-12
     assert np.max(np.abs(fast.lambda_matrix - dense.lambda_matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("code,errors,superop", ALL_CASES, ids=_ids(ALL_CASES))
+def test_kl_check_slices_match_the_whole_array_reduction(code, errors, superop):
+    # exact ties (mirrored entries, Pauli products) must give the same C-order witness
+    report = kl_check(code, errors)
+    max_off, max_diag, witness = dense_kl_violations(codes._image_gram(codes._error_images(code, errors)))
+    assert report.max_offdiag_violation == max_off
+    assert report.max_diag_violation == max_diag
+    assert report.witness == (None if report.passed else witness)
+
+
+def test_kl_check_peak_stays_near_the_gram():
+    # helpers.dense_kl_violations, reducing whole (m, m, k, k) arrays, peaks at about 2.6 times this
+    code = random_code(256, 4, seed=5)
+    errors = _pauli_family(256, 2)
+    m, k = len(errors), code.k
+    tracemalloc.start()
+    try:
+        report = kl_check(code, errors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * (m * m * k * k + code.n * m * k)
+    assert report.witness == (2, 167, 1, 3)
 
 
 SUPEROPERATOR_CASES = [c for c in ALL_CASES if c[2]]
