@@ -47,14 +47,15 @@ _PARAMS = {
 CHANNEL_KINDS = tuple(_PARAMS)
 
 
+def _check_bytes(need: int, what: str) -> None:
+    """Refuse ``need`` bytes of dense arrays (described by ``what``) above ``ENSEMBLE_BYTE_CAP``."""
+    if need > ENSEMBLE_BYTE_CAP:
+        raise CapacityError(f"{what} need {need / 2**30:.3g} GiB, above the {ENSEMBLE_BYTE_CAP / 2**30:.3g} GiB cap")
+
+
 def _check_family_bytes(count: int, dim: int) -> None:
     """Refuse a family of ``count`` dense dim x dim operators above ``ENSEMBLE_BYTE_CAP``."""
-    need = count * dim * dim * 16
-    if need > ENSEMBLE_BYTE_CAP:
-        raise CapacityError(
-            f"{count} operators of dimension {dim} need {need / 2**30:.3g} GiB, "
-            f"above the {ENSEMBLE_BYTE_CAP / 2**30:.3g} GiB cap"
-        )
+    _check_bytes(count * dim * dim * 16, f"{count} operators of dimension {dim}")
 
 
 def _sum_adag_a(ops) -> np.ndarray:

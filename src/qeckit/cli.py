@@ -27,7 +27,7 @@ from .config import FidelityConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, entangled_fidelity, min_fidelity
 from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
-from .recovery import synthesize_recovery, verify_recovery
+from .recovery import RecoveryOperator, synthesize_recovery, verify_recovery
 from . import serialize as ser
 
 
@@ -55,6 +55,13 @@ def _resolve_code(arg: str) -> QuantumCode:
         return builtin_code(arg)
     except ValueError as exc:
         raise _InputError(str(exc))
+
+
+def _load_recovery(path: str) -> RecoveryOperator:
+    try:
+        return ser.recovery_from_json(_load_json_file(path))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _InputError(f"{path}: {exc}")
 
 
 def _parse_channel_shorthand(arg: str) -> ChannelSpec:
@@ -215,7 +222,7 @@ def _cmd_fidelity(args) -> int:
     channel = _resolve_channel(args.channel)
     rec = None
     if args.recovery:
-        rec = ser.recovery_from_json(_load_json_file(args.recovery))
+        rec = _load_recovery(args.recovery)
         if rec.dim != channel.dim:
             raise _InputError("recovery and channel dimensions do not match")
     cfg = FidelityConfig(seed=args.seed)
@@ -244,7 +251,7 @@ def _cmd_memory(args) -> int:
         code = _resolve_code(args.code)
         channel = _resolve_channel(args.channel)
         if args.recovery:
-            rec = ser.recovery_from_json(_load_json_file(args.recovery))
+            rec = _load_recovery(args.recovery)
         else:
             try:
                 rec = synthesize_recovery(code, channel, tol, seed=args.seed)

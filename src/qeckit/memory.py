@@ -5,6 +5,17 @@ channel and the recovery superoperator on its density matrix, and records
 the overlap with the initial state after every cycle. The optional
 worst-case mode re-minimizes the fidelity over the whole code at every
 cycle (two-dimensional codes only, solved exactly on the Bloch sphere).
+
+Every cycle runs in one orthonormal frame W, a basis of the range of
+``B B^dag + sum_r R_r R_r^dag``: it holds the code and every recovery
+output, so after any number of cycles the state is ``W sigma W^dag`` for
+a d x d matrix sigma. A synthesized recovery maps every degraded state
+back into the code plus the unreached complement, so d = k +
+``complement_dim`` (d = 2 for the phase repetition codes); a full-rank
+recovery gives d = n. One cycle is two pairs of matrix products on the
+stacked frame images ``A_a W`` (n x m_A d) and ``W^dag R_r`` (m_R d x n),
+about n^2 d (m_A + m_R) multiply-adds, with no per-operator loop and no
+n x n product per operator.
 """
 
 from __future__ import annotations
@@ -14,16 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, OperatorEnsemble, build_channel, e_error_family, tensor_power, validate_superoperator
-from .codes import QuantumCode, builtin_code, repetition_phase_code
+from .channels import ChannelSpec, OperatorEnsemble, _check_bytes, build_channel, e_error_family, tensor_power, validate_superoperator
+from .codes import QuantumCode, _images, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL
-from .errors import CapacityError, NotSuperoperatorError
+from .errors import NotSuperoperatorError
 from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound, min_fidelity
 from .linalg import PureState, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
 
 CYCLE_CAP = 10_000
-TRAJECTORY_DIM_CAP = 2**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +46,12 @@ class MemoryRun:
     heuristic, only the single-cycle value is a proven bound.
     ``worst_case_fidelity`` holds per-cycle minima over the code when the
     run was asked for them. ``monotone`` records (without asserting)
-    whether the trajectory never increased.
+    whether the trajectory never increased. ``min_eigenvalue`` is the
+    smallest eigenvalue of any cycle's state (1.0 for zero cycles); the
+    state has exact zeros outside its frame, so it is at most 0 when the
+    frame is smaller than the space. ``frame_dim`` is the frame's dimension
+    d and ``frame_residual`` the largest ``||R_r - W W^dag R_r||_F``, the
+    part of a recovery element that leaves the frame.
     """
 
     cycles: int
@@ -49,6 +64,8 @@ class MemoryRun:
     max_trace_deviation: float
     min_eigenvalue: float
     monotone: bool
+    frame_dim: int
+    frame_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,20 +81,36 @@ class MemoryComparison:
     crossover_cycle: int | None
 
 
-def _apply_raw(ops: OperatorEnsemble, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for a in ops:
-        out = out + a @ mat @ dagger(a)
-    return out
-
-
-def _worst_case_values(code: QuantumCode, sector_images: list[np.ndarray]) -> float:
-    """Minimum of <psi| T^t(|psi><psi|) |psi> over the code, from the evolved sector images."""
+def _frame(code: QuantumCode, recovery: RecoveryOperator) -> np.ndarray:
+    """Orthonormal n x d basis of the range of B B^dag + sum_r R_r R_r^dag, cut at numerical rank."""
     b = code.matrix
-    k = code.k
-    q = np.array(
-        [[dagger(b) @ sector_images[i * k + j] @ b for j in range(k)] for i in range(k)]
-    )  # (k, k, k, k): q[i, j, kk, ll]
+    span = b @ dagger(b)
+    for r in recovery.ensemble:
+        span += r @ dagger(r)
+    vals, vecs = np.linalg.eigh(span)
+    return vecs[:, vals > vals[-1] * code.n * np.finfo(float).eps]
+
+
+def _cycle(x: np.ndarray, xh: np.ndarray, y: np.ndarray, yh: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """One channel-then-recovery cycle on an (s, d, d) batch of frame matrices.
+
+    ``x`` is the (n, m_A, d) stack of channel images A_a W and ``y`` the
+    (d, m_R, n) stack of W^dag R_r; ``xh`` and ``yh`` are their flattened
+    adjoints.
+    """
+    n, m, d = x.shape
+    noisy = (x.reshape(n * m, d) @ batch).reshape(-1, n, m * d) @ xh  # sum_a X_a s X_a^dag, (s, n, n)
+    return (y.reshape(-1, n) @ noisy).reshape(-1, d, yh.shape[0]) @ yh  # sum_r Y_r (.) Y_r^dag
+
+
+def _worst_case_values(v: np.ndarray, sectors: np.ndarray) -> float:
+    """Minimum of <psi| T^t(|psi><psi|) |psi> over the code, from the evolved sector matrices.
+
+    ``v`` holds the code basis in frame coordinates (d x k) and
+    ``sectors[i * k + j]`` the evolved image of |i_L><j_L|.
+    """
+    k = v.shape[1]
+    q = (dagger(v) @ sectors @ v).reshape(k, k, k, k)  # q[i, j, kk, ll]
     if k == 1:
         return float(q[0, 0, 0, 0].real)
     c, _ = _min_on_sphere(_bloch_form(q))
@@ -97,12 +130,17 @@ def run_memory(
 
     Both the channel and the recovery must be trace preserving, and the
     initial state must lie in the code subspace. ``bound_params = (r, e, p)``
-    attaches the compounded tail-bound curve.
+    attaches the compounded tail-bound curve. The state is carried as the
+    d x d matrix sigma in the frame W of the module docstring, so a cycle
+    costs about n^2 d (m_A + m_R) multiply-adds; with ``worst_case`` the k^2
+    sector matrices |i_L><j_L| ride along in the same batch. The frame
+    arrays (about 2 n d (m_A + m_R) entries, plus the cycle's temporaries)
+    are refused above ``ENSEMBLE_BYTE_CAP`` with ``CapacityError``; a
+    recovery element with a part outside the frame above
+    ``DEFAULT_TOL.check`` (``frame_residual``) raises ``ValueError``.
     """
     if cycles < 0 or cycles > CYCLE_CAP:
         raise ValueError(f"cycles must be in 0..{CYCLE_CAP}, got {cycles}")
-    if code.n > TRAJECTORY_DIM_CAP:
-        raise CapacityError(f"trajectory runs are capped at dimension {TRAJECTORY_DIM_CAP}")
     if channel.dim != code.n or recovery.dim != code.n:
         raise ValueError("dimension mismatch between code, channel and recovery")
     for name, ens in (("channel", channel), ("recovery", recovery.ensemble)):
@@ -118,28 +156,41 @@ def run_memory(
     if worst_case and code.k > 2:
         raise ValueError("worst-case trajectories are implemented for codes of dimension <= 2")
 
-    rho = np.outer(psi, psi.conj())
+    w = _frame(code, recovery)
+    n, d = w.shape
+    m_a, m_r, s = len(channel), len(recovery.ensemble), 1 + (code.k**2 if worst_case else 0)
+    # x, y and their adjoints, plus one cycle's temporaries for the s-matrix batch
+    need = 16 * (2 * n * d * (m_a + m_r) + s * (n * d * max(m_a, m_r) + n * n))
+    _check_bytes(need, f"memory frame arrays ({n} x {d})")
+    wh = dagger(w)
+    x = _images(channel, w)  # (n, m_A, d)
+    xh = dagger(x.reshape(n, -1))
+    y = np.stack([wh @ r for r in recovery.ensemble], axis=1)  # (d, m_R, n)
+    yh = dagger(y.reshape(d, -1))
+    frame_residual = max(float(np.linalg.norm(r - w @ y[:, i, :])) for i, r in enumerate(recovery.ensemble))
+    if frame_residual > DEFAULT_TOL.check:
+        raise ValueError(f"recovery output leaves its numerical range by {frame_residual:.3e}; the frame would drop it")
+
+    u = wh @ psi
+    v = wh @ code.matrix
+    states = [np.outer(u, u.conj())]
+    if worst_case:
+        states += [np.outer(v[:, i], v[:, j].conj()) for i in range(code.k) for j in range(code.k)]
+    batch = np.stack(states)
     fidelities = [1.0]
     max_trace_dev = 0.0
     min_eig = 1.0
-    b = code.matrix
-    sector_images = None
-    worst_values = None
-    if worst_case:
-        sector_images = [np.outer(b[:, i], b[:, j].conj()) for i in range(code.k) for j in range(code.k)]
-        worst_values = [_worst_case_values(code, sector_images)]
+    worst_values = [_worst_case_values(v, batch[1:])] if worst_case else None
 
     for _ in range(cycles):
-        rho = _apply_raw(recovery.ensemble, _apply_raw(channel, rho))
-        rho = (rho + dagger(rho)) / 2.0
-        fidelities.append(float(np.vdot(psi, rho @ psi).real))
-        max_trace_dev = max(max_trace_dev, abs(float(np.trace(rho).real) - 1.0))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(rho))))
+        batch = _cycle(x, xh, y, yh, batch)
+        sigma = batch[0] = (batch[0] + dagger(batch[0])) / 2.0
+        fidelities.append(float(np.vdot(u, sigma @ u).real))
+        max_trace_dev = max(max_trace_dev, abs(float(np.trace(sigma).real) - 1.0))
+        lowest = float(np.linalg.eigvalsh(sigma)[0])
+        min_eig = min(min_eig, lowest if d == n else min(lowest, 0.0))
         if worst_case:
-            sector_images = [
-                _apply_raw(recovery.ensemble, _apply_raw(channel, m)) for m in sector_images
-            ]
-            worst_values.append(_worst_case_values(code, sector_images))
+            worst_values.append(_worst_case_values(v, batch[1:]))
 
     bound = None
     if bound_params is not None:
@@ -157,6 +208,8 @@ def run_memory(
         max_trace_deviation=max_trace_dev,
         min_eigenvalue=min_eig,
         monotone=monotone,
+        frame_dim=d,
+        frame_residual=frame_residual,
     )
 
 

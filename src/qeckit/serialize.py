@@ -29,20 +29,38 @@ def pair_to_complex(pair) -> complex:
     return complex(float(re), float(im))
 
 
+def _to_pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs, one level per axis of ``a``."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+
+
+def _from_pairs(data, ndim: int) -> np.ndarray:
+    """Decode ``ndim`` levels of nested [re, im] pairs; ragged, non-numeric or non-finite input raises."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.size == 0 and arr.ndim <= ndim:  # empty rows hold no pairs
+        return np.zeros(arr.shape, dtype=np.complex128)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValueError(f"expected {ndim}-dimensional nesting of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # numpy reads null as NaN
+        raise ValueError("null or non-finite entry in [re, im] pairs")
+    return arr.view(np.complex128)[..., 0]
+
+
 def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v).reshape(-1)]
+    return _to_pairs(np.asarray(v).reshape(-1))
 
 
 def vector_from_json(data) -> np.ndarray:
-    return np.array([pair_to_complex(p) for p in data], dtype=np.complex128)
+    return _from_pairs(data, 1)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+    return _to_pairs(m)
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[pair_to_complex(p) for p in row] for row in rows], dtype=np.complex128)
+    return _from_pairs(rows, 2)
 
 
 def channel_spec_to_json(spec: ChannelSpec) -> dict:

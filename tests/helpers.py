@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qeckit import OperatorEnsemble, PureState
-from qeckit.fidelity import _project_simplex
+from qeckit.fidelity import _bloch_form, _min_on_sphere, _project_simplex
 from qeckit.linalg import orthonormalize, random_unitary
 
 
@@ -217,3 +217,42 @@ def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
     starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
     starts += [random_unitary(k, rng) for _ in range(max(restarts // 4, 2))]
     return min((optimize_frame(u) for u in starts), key=lambda vp: vp[0])
+
+
+def _apply_raw(ops, mat):
+    out = np.zeros_like(mat)
+    for a in ops:
+        out = out + a @ mat @ a.conj().T
+    return out
+
+
+def dense_memory_run(code, channel, recovery, initial, cycles, worst_case=False):
+    """Dense oracle for run_memory: (fidelities, worst_values, max_trace_dev, min_eig).
+
+    Pushes the n x n density matrix, and with ``worst_case`` the k^2 n x n
+    sector images |i_L><j_L|, through every channel and recovery operator
+    on every cycle.
+    """
+    psi = initial.amplitudes
+    b, k = code.matrix, code.k
+
+    def worst(images):
+        q = np.array([[b.conj().T @ images[i * k + j] @ b for j in range(k)] for i in range(k)])
+        if k == 1:
+            return float(q[0, 0, 0, 0].real)
+        return quartic_value(q, _min_on_sphere(_bloch_form(q))[0])
+
+    rho = np.outer(psi, psi.conj())
+    fidelities, max_trace_dev, min_eig = [1.0], 0.0, 1.0
+    images = [np.outer(b[:, i], b[:, j].conj()) for i in range(k) for j in range(k)]
+    worst_values = [worst(images)] if worst_case else None
+    for _ in range(cycles):
+        rho = _apply_raw(recovery.ensemble, _apply_raw(channel, rho))
+        rho = (rho + rho.conj().T) / 2.0
+        fidelities.append(float(np.vdot(psi, rho @ psi).real))
+        max_trace_dev = max(max_trace_dev, abs(float(np.trace(rho).real) - 1.0))
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(rho))))
+        if worst_case:
+            images = [_apply_raw(recovery.ensemble, _apply_raw(channel, m)) for m in images]
+            worst_values.append(worst(images))
+    return fidelities, worst_values, max_trace_dev, min_eig

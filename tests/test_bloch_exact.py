@@ -116,12 +116,10 @@ def test_memory_worst_cases_match_oracle(monkeypatch):
     checked = []
     exact = memory._worst_case_values
 
-    def checking(code, sector_images):
-        value = exact(code, sector_images)
-        b, k = code.matrix, code.k
-        q = np.array(
-            [[b.conj().T @ sector_images[i * k + j] @ b for j in range(k)] for i in range(k)]
-        )
+    def checking(v, sectors):
+        value = exact(v, sectors)
+        k = v.shape[1]
+        q = np.array([[v.conj().T @ sectors[i * k + j] @ v for j in range(k)] for i in range(k)])
         _, trace = _min_on_sphere(_bloch_form(q))
         assert_certified(trace)
         oracle, _ = grid_refine_minimum(q)

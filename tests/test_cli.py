@@ -228,3 +228,15 @@ def test_info_refuses_a_64_gib_family_before_allocating(capsys):
     assert main(["info", "pauli_unitary_basis:qubits=8"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "64 GiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["[1, null]", "[1, \"x\"]", "[0]", "null"])
+def test_malformed_recovery_file_exits_2(entry, tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    rec.write_text(
+        '{"dim": 2, "label": "x", "operators": [[[[1, 0], [0, 0]], [[0, 0], ' + entry + ']]],'
+        ' "syndrome_dim": 1, "complement_dim": 0, "syndrome_coefficients": []}'
+    )
+    for command in ("memory", "fidelity"):
+        assert main([command, "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec)]) == 2
+        assert "rec.json" in capsys.readouterr().err

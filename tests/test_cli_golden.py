@@ -22,16 +22,16 @@ GOLDEN = {
         "synthesize": "dd68a06dbab72f337cb487764c3bd0d8d62bb09787acbd43b874711535e90125",
         "recovery": "78221829ef175f8c60a02cf837aa51e5347201c944d2939d686917f0f938163d",
         "fidelity": "e0d7dfae80bcffa3933da507f174b6fbef79bd247cd7c1c73ffda74c0c17607a",
-        "memory": "314a9c260c9c834c12ab3934665bb9a4c45546c35326b07862ffc79814b30a5f",
-        "compare": "da15bf5d40bccbf314369b5a49345c14dab653e21bb28be4f53c94922d7e0a7d",
+        "memory": "0bc3aa4f797b7595a972d95e1261f39819e30ef830800bbf67bf4c3ebd968d51",
+        "compare": "a05cedeed21356703242465632d84c7311b73268aae66e8dd518035f10d1b3d6",
     },
     5: {
         "check": "ba32bf25242269a245ba9bfb4af4a274c34fc8b36acc2568af5923802f89cfe9",
         "synthesize": "bbb87e43c18e43cd03d8ce3278630175a84118acd10c89b4f1d927b0525e6480",
         "recovery": "2502aca30f771aa5cfcd12ae482cbfa36baf0cab8d30435782ad99055b403243",
         "fidelity": "633cb52291102c955135b6b0a1fc494a7ddc32f41a77717ae92f22d2b7b8f884",
-        "memory": "e17c221104ac17cedbfaaff491cb86b25447ce447364281aca07971ac8d50d31",
-        "compare": "da15bf5d40bccbf314369b5a49345c14dab653e21bb28be4f53c94922d7e0a7d",
+        "memory": "a4c3b5f11939e6467cf3823c9565374befe97404be1f2621c66e04241e4915f5",
+        "compare": "a05cedeed21356703242465632d84c7311b73268aae66e8dd518035f10d1b3d6",
     },
 }
 

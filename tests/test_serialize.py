@@ -90,3 +90,60 @@ def test_canonical_dumps_is_deterministic():
 def test_channel_spec_requires_kind():
     with pytest.raises(ValueError, match="kind"):
         channel_spec_from_json({"params": {}})
+
+
+def _pairwise_rows(m):
+    """Per-element reference encoding: one complex_to_pair call per entry."""
+    from qeckit.serialize import complex_to_pair
+
+    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+
+
+def test_codec_matches_pairwise_reference_bit_exact():
+    import json
+
+    from qeckit.serialize import vector_from_json, vector_to_json
+
+    rng = np.random.default_rng(211)
+    m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    for a in (m, m.T, m.real, np.zeros((3, 0), dtype=complex), np.eye(2, dtype=int)):
+        text = json.dumps(matrix_to_json(a))
+        assert text == json.dumps(_pairwise_rows(a))
+        back = matrix_from_json(json.loads(text))
+        assert back.shape == np.shape(a)
+        assert back.tobytes() == np.asarray(a, dtype=np.complex128).tobytes()  # keeps the sign of -0.0
+    v = m[:, 0]
+    assert vector_to_json(v) == _pairwise_rows(v[None])[0]
+    assert vector_from_json(vector_to_json(v)).tobytes() == v.tobytes()
+    assert matrix_from_json([]).shape == (0,) and vector_from_json([]).shape == (0,)
+    assert matrix_from_json([[], []]).shape == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[1, 2]], []],  # ragged rows
+        [[[1, 2, 3]]],  # pair of the wrong length
+        [[[1]]],
+        [[["a", 1]]],  # non-numeric entries
+        [[[None, 1]]],
+        [[[float("nan"), 1]]],  # non-finite entries
+        [[[1, float("inf")]]],
+        [[[{}, 1]]],
+        [[1, 2]],  # a vector where a matrix is expected
+        [[[[1, 2], [3, 4]]]],
+    ],
+)
+def test_matrix_decode_rejects_malformed(rows):
+    with pytest.raises((ValueError, TypeError)):
+        matrix_from_json(rows)
+
+
+def test_recovery_with_empty_coefficients_keeps_shape():
+    code = builtin_code("pair")
+    rec = synthesize_recovery(code, build_channel(ChannelSpec("overlap_example", {"q": 0.25})))
+    data = recovery_to_json(rec)
+    for empty in ([], [[]] * rec.syndrome_dim):
+        data["syndrome_coefficients"] = empty
+        assert recovery_from_json(data).syndrome_coefficients.shape == (rec.syndrome_dim, 0)
