@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import CapacityError
+from .errors import CapacityError, NotSuperoperatorError
 from .linalg import DIM_CAP, ENSEMBLE_BYTE_CAP, DensityMatrix, _as_matrix, dagger, kron_all
 
 _ID2 = np.eye(2, dtype=np.complex128)
@@ -287,6 +287,13 @@ def build_channel(spec: ChannelSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Oper
 def validate_superoperator(ensemble: OperatorEnsemble) -> float:
     """Max-norm residual of the completeness relation sum A^dag A = I."""
     return ensemble.completeness_residual
+
+
+def _require_superoperator(ensemble: OperatorEnsemble, what: str, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Refuse (``NotSuperoperatorError``) a family whose completeness residual exceeds ``tol.check``."""
+    residual = validate_superoperator(ensemble)
+    if residual > tol.check:
+        raise NotSuperoperatorError(f"{what} needs a trace-preserving family (completeness residual {residual:.3e})")
 
 
 def apply_channel(

@@ -15,15 +15,15 @@ version, tolerance and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import __version__
 from .channels import ChannelSpec, OperatorEnsemble, build_channel
 from .codes import QuantumCode, builtin_code, kl_check, naive_counting_bound, qubit_lower_bound
-from .config import FidelityConfig
+from .config import DEFAULT_TOL, FidelityConfig, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, entangled_fidelity, min_fidelity
 from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
@@ -45,21 +45,21 @@ def _load_json_file(path: str) -> dict:
         raise _InputError(f"{path}: {exc}")
 
 
-def _resolve_code(arg: str) -> QuantumCode:
+def _resolve_code(arg: str, tol: ToleranceConfig) -> QuantumCode:
     if os.path.exists(arg):
         try:
-            return ser.code_from_json(_load_json_file(arg))
+            return ser.code_from_json(_load_json_file(arg), tol)
         except (ValueError, KeyError, TypeError) as exc:
             raise _InputError(f"{arg}: {exc}")
     try:
-        return builtin_code(arg)
+        return builtin_code(arg, tol)
     except ValueError as exc:
         raise _InputError(str(exc))
 
 
-def _load_recovery(path: str) -> RecoveryOperator:
+def _load_recovery(path: str, tol: ToleranceConfig) -> RecoveryOperator:
     try:
-        return ser.recovery_from_json(_load_json_file(path))
+        return ser.recovery_from_json(_load_json_file(path), tol)
     except (ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"{path}: {exc}")
 
@@ -82,41 +82,40 @@ def _parse_channel_shorthand(arg: str) -> ChannelSpec:
         raise _InputError(str(exc))
 
 
-def _resolve_channel(arg: str) -> OperatorEnsemble:
+def _resolve_channel(arg: str, tol: ToleranceConfig) -> OperatorEnsemble:
     if os.path.exists(arg):
         data = _load_json_file(arg)
         try:
             if "kind" in data:
-                return build_channel(ser.channel_spec_from_json(data))
-            return ser.ensemble_from_json(data)
+                return build_channel(ser.channel_spec_from_json(data), tol)
+            return ser.ensemble_from_json(data, tol)
         except (ValueError, KeyError, TypeError, CapacityError) as exc:
             raise _InputError(f"{arg}: {exc}")
     try:
-        return build_channel(_parse_channel_shorthand(arg))
+        return build_channel(_parse_channel_shorthand(arg), tol)
     except (ValueError, CapacityError) as exc:
         raise _InputError(str(exc))
 
 
-def _tolerance(args) -> float:
+def _tolerance(args) -> ToleranceConfig:
+    """The command's one tolerance object: ``--tol``, else ``QEC_TOL``, sets its ``check`` field."""
     env = os.environ.get("QEC_TOL")
     try:
-        tol = 1e-9 if env is None else float(env)
+        check = DEFAULT_TOL.check if env is None else float(env)
     except ValueError:
         raise _InputError(f"QEC_TOL must be numeric, got {env!r}")
     if args.tol is not None:
-        tol = args.tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise _InputError(f"tolerance must be positive and finite, got {tol}")
-    return tol
+        check = args.tol
+    return dataclasses.replace(DEFAULT_TOL, check=check)
 
 
-def _envelope(args, command: str, tol: float) -> dict:
+def _envelope(args, command: str, tol: ToleranceConfig) -> dict:
     return {
         "tool": "qeckit",
         "version": __version__,
         "command": command,
         "seed": args.seed,
-        "tolerance": tol,
+        "tolerance": tol.check,
         "format": args.format,
     }
 
@@ -170,8 +169,8 @@ def _emit(report: dict, args) -> None:
 
 def _cmd_check(args) -> int:
     tol = _tolerance(args)
-    code = _resolve_code(args.code)
-    channel = _resolve_channel(args.channel)
+    code = _resolve_code(args.code, tol)
+    channel = _resolve_channel(args.channel, tol)
     report = kl_check(code, channel, tol)
     out = _envelope(args, "check", tol)
     out["inputs"] = {"code": args.code, "channel": args.channel}
@@ -182,8 +181,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     tol = _tolerance(args)
-    code = _resolve_code(args.code)
-    channel = _resolve_channel(args.channel)
+    code = _resolve_code(args.code, tol)
+    channel = _resolve_channel(args.channel, tol)
     try:
         rec = synthesize_recovery(code, channel, tol, seed=args.seed)
     except NotCorrectableError as exc:
@@ -218,11 +217,11 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_fidelity(args) -> int:
     tol = _tolerance(args)
-    code = _resolve_code(args.code)
-    channel = _resolve_channel(args.channel)
+    code = _resolve_code(args.code, tol)
+    channel = _resolve_channel(args.channel, tol)
     rec = None
     if args.recovery:
-        rec = _load_recovery(args.recovery)
+        rec = _load_recovery(args.recovery, tol)
         if rec.dim != channel.dim:
             raise _InputError("recovery and channel dimensions do not match")
     cfg = FidelityConfig(seed=args.seed)
@@ -242,16 +241,16 @@ def _cmd_memory(args) -> int:
     if args.compare:
         if args.gamma is None:
             raise _InputError("--compare requires --gamma")
-        _resolve_code(args.code)  # validated but the comparison pipeline is fixed
+        _resolve_code(args.code, tol)  # validated; the comparison pipeline is fixed and runs at the defaults
         cmp = compare_coded_uncoded(args.gamma, args.cycles)
         text = comparison_csv(cmp)
     else:
         if args.channel is None:
             raise _InputError("memory requires a channel (or --compare)")
-        code = _resolve_code(args.code)
-        channel = _resolve_channel(args.channel)
+        code = _resolve_code(args.code, tol)
+        channel = _resolve_channel(args.channel, tol)
         if args.recovery:
-            rec = _load_recovery(args.recovery)
+            rec = _load_recovery(args.recovery, tol)
         else:
             try:
                 rec = synthesize_recovery(code, channel, tol, seed=args.seed)
@@ -262,7 +261,7 @@ def _cmd_memory(args) -> int:
         if args.p is not None:
             r = len(code.shape) if code.shape else 1
             bound_params = (r, args.e, args.p)
-        run = run_memory(code, channel, rec, code.basis[0], args.cycles, bound_params=bound_params)
+        run = run_memory(code, channel, rec, code.basis[0], args.cycles, bound_params=bound_params, tol=tol)
         text = trajectory_csv(run)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -291,10 +290,10 @@ def _cmd_info(args) -> int:
     out = _envelope(args, "info", tol)
     out["inputs"] = {"name": args.name}
     try:
-        code = builtin_code(args.name)
+        code = builtin_code(args.name, tol)
         out["result"] = {"type": "code", **ser.code_to_json(code)}
     except ValueError:
-        channel = _resolve_channel(args.name)
+        channel = _resolve_channel(args.name, tol)
         out["result"] = {
             "type": "channel",
             **ser.ensemble_to_json(channel),

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import OperatorEnsemble
+from .channels import OperatorEnsemble, _check_bytes
 from .config import DEFAULT_TOL, ToleranceConfig
 from .linalg import DensityMatrix, PureState, QubitSubset, dagger, kron_all, orthonormalize, partial_trace
 
@@ -103,8 +103,9 @@ def _error_images(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
 
 
 def _image_gram(images: np.ndarray) -> np.ndarray:
-    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the stacked images."""
+    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the stacked images, refused before it is formed."""
     n, m, k = images.shape
+    _check_bytes(16 * (m * k) ** 2, f"image Gram ({m * k} x {m * k})")
     flat = images.reshape(n, m * k)
     return (dagger(flat) @ flat).reshape(m, k, m, k).transpose(0, 2, 1, 3)
 
@@ -126,13 +127,13 @@ def _slice_max(k: int, values) -> tuple[float, tuple[int, int, int, int]]:
     return top, tuple(int(x) for x in min(witnesses))
 
 
-def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: float = 1e-9) -> KLReport:
+def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig = DEFAULT_TOL) -> KLReport:
     """Check the correctability conditions for ``code`` against ``errors``.
 
     Computes every G[a, b, i, j] = <i_L|A_a^dag A_b|j_L>, the Gram matrix of
     the error images A_a|i_L>. The check passes iff all i != j entries
     vanish and the diagonal entries do not depend on the logical index, both
-    within ``tol`` (absolute; the inputs are unit vectors). G as an (mk) x
+    within ``tol.check`` (absolute; the inputs are unit vectors). G as an (mk) x
     (mk) matrix over k, and sum_i G[:, :, i, i] / k, carry the spectra of the
     corrupted mixed and entangled codeword states (``entropy_test``, quant-ph/9604022).
     Violations are reduced one m x m logical slice at a time, so no second
@@ -146,7 +147,7 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: float = 1e-9) -> 
     max_off, off_witness = _slice_max(k, lambda i, j: np.abs(gram[:, :, i, j]) if i != j else zero)
     max_diag, diag_witness = _slice_max(k, lambda i, j: np.abs(diags[:, :, i] - diags[:, :, j]))
 
-    passed = max_off < tol and max_diag < tol
+    passed = max_off < tol.check and max_diag < tol.check
     witness = None
     if not passed:
         witness = off_witness if max_off >= max_diag else diag_witness
@@ -156,7 +157,7 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: float = 1e-9) -> 
         max_diag_violation=max_diag,
         lambda_matrix=diags.mean(axis=2),
         witness=witness,
-        tol=tol,
+        tol=tol.check,
     )
 
 
@@ -177,8 +178,8 @@ class ReducedDMReport:
     tol: float
 
 
-def reduced_dm_check(code: QuantumCode, e: int, tol: float = 1e-9) -> ReducedDMReport:
-    """e-error correction criterion via reduced density matrices."""
+def reduced_dm_check(code: QuantumCode, e: int, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedDMReport:
+    """e-error correction criterion via reduced density matrices, both residuals within ``tol.check``."""
     if code.shape is None or any(f != 2 for f in code.shape):
         raise ValueError("reduced-density-matrix check requires an all-qubit register shape")
     r = len(code.shape)
@@ -207,14 +208,14 @@ def reduced_dm_check(code: QuantumCode, e: int, tol: float = 1e-9) -> ReducedDMR
                 if overlap > max_overlap:
                     max_overlap, witness_subset, witness_pair = overlap, QubitSubset(u), (i, j)
 
-    passed = max_mismatch < tol and max_overlap < tol
+    passed = max_mismatch < tol.check and max_overlap < tol.check
     return ReducedDMReport(
         passed=passed,
         max_marginal_mismatch=max_mismatch,
         max_support_overlap=max_overlap,
         witness_subset=None if passed else witness_subset,
         witness_pair=None if passed else witness_pair,
-        tol=tol,
+        tol=tol.check,
     )
 
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, validate_superoperator
+from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_images
 from .config import DEFAULT_FIDELITY, DEFAULT_TOL, FidelityConfig
-from .errors import NotSuperoperatorError
 from .linalg import PureState, dagger
 from .recovery import RecoveryOperator
 
@@ -418,11 +417,7 @@ def entangled_bound_check(
     Only meaningful for trace-preserving families (the bound's derivation
     uses the completeness relation), so others are refused.
     """
-    residual = validate_superoperator(ensemble)
-    if residual > DEFAULT_TOL.check:
-        raise NotSuperoperatorError(
-            f"bound check needs a superoperator (completeness residual {residual:.3e})"
-        )
+    _require_superoperator(ensemble, "bound check")
     report = entangled_fidelity(code, ensemble, cfg)
     f_pure, bound, satisfied = report.bound_check
     return BoundCheckReport(

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, OperatorEnsemble, _check_bytes, build_channel, e_error_family, tensor_power, validate_superoperator
+from .channels import ChannelSpec, OperatorEnsemble, _check_bytes, _require_superoperator, build_channel, e_error_family, tensor_power
 from .codes import QuantumCode, _images, builtin_code, repetition_phase_code
-from .config import DEFAULT_TOL
-from .errors import NotSuperoperatorError
+from .config import DEFAULT_TOL, ToleranceConfig
 from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound, min_fidelity
 from .linalg import PureState, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
@@ -125,33 +124,33 @@ def run_memory(
     cycles: int,
     bound_params: tuple[int, int, float] | None = None,
     worst_case: bool = False,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MemoryRun:
     """Iterate rho -> recovery(channel(rho)) and track fidelity per cycle.
 
-    Both the channel and the recovery must be trace preserving, and the
-    initial state must lie in the code subspace. ``bound_params = (r, e, p)``
-    attaches the compounded tail-bound curve. The state is carried as the
-    d x d matrix sigma in the frame W of the module docstring, so a cycle
-    costs about n^2 d (m_A + m_R) multiply-adds; with ``worst_case`` the k^2
+    Both the channel and the recovery must be trace preserving (within
+    ``tol.check``), and the initial state must lie in the code subspace
+    (within ``tol.norm``). ``bound_params = (r, e, p)`` attaches the
+    compounded tail-bound curve. The state is carried as the d x d matrix
+    sigma in the frame W of the module docstring, so a cycle costs about
+    n^2 d (m_A + m_R) multiply-adds; with ``worst_case`` the k^2
     sector matrices |i_L><j_L| ride along in the same batch. The frame
     arrays (about 2 n d (m_A + m_R) entries, plus the cycle's temporaries)
     are refused above ``ENSEMBLE_BYTE_CAP`` with ``CapacityError``; a
-    recovery element with a part outside the frame above
-    ``DEFAULT_TOL.check`` (``frame_residual``) raises ``ValueError``.
+    recovery element with a part outside the frame above ``tol.check``
+    (``frame_residual``) raises ``ValueError``.
     """
     if cycles < 0 or cycles > CYCLE_CAP:
         raise ValueError(f"cycles must be in 0..{CYCLE_CAP}, got {cycles}")
     if channel.dim != code.n or recovery.dim != code.n:
         raise ValueError("dimension mismatch between code, channel and recovery")
-    for name, ens in (("channel", channel), ("recovery", recovery.ensemble)):
-        residual = validate_superoperator(ens)
-        if residual > DEFAULT_TOL.check:
-            raise NotSuperoperatorError(f"{name} is not trace preserving (residual {residual:.3e})")
+    _require_superoperator(channel, "memory channel", tol)
+    _require_superoperator(recovery.ensemble, "memory recovery", tol)
     psi = initial.amplitudes
     if psi.size != code.n:
         raise ValueError("initial state dimension does not match the code")
     outside = float(np.linalg.norm(psi - code.projector() @ psi))
-    if outside > 1e-8:
+    if outside > tol.norm:
         raise ValueError(f"initial state is outside the code subspace (residual {outside:.3e})")
     if worst_case and code.k > 2:
         raise ValueError("worst-case trajectories are implemented for codes of dimension <= 2")
@@ -168,7 +167,7 @@ def run_memory(
     y = np.stack([wh @ r for r in recovery.ensemble], axis=1)  # (d, m_R, n)
     yh = dagger(y.reshape(d, -1))
     frame_residual = max(float(np.linalg.norm(r - w @ y[:, i, :])) for i, r in enumerate(recovery.ensemble))
-    if frame_residual > DEFAULT_TOL.check:
+    if frame_residual > tol.check:
         raise ValueError(f"recovery output leaves its numerical range by {frame_residual:.3e}; the frame would drop it")
 
     u = wh @ psi

@@ -16,16 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import OperatorEnsemble, validate_superoperator
+from .channels import OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_images, _image_gram, kl_check
-from .config import DEFAULT_TOL
-from .errors import NotCorrectableError, NotSuperoperatorError
-from .linalg import dagger, orthonormalize, random_unitary, von_neumann_entropy
+from .config import DEFAULT_TOL, ToleranceConfig
+from .errors import NotCorrectableError
+from .linalg import _complete_frame, dagger, orthonormalize, random_unitary, von_neumann_entropy
 
 # Construction residuals above this indicate the coefficient-replay step
 # broke down (inputs violate the correctability conditions more than the
 # kl tolerance admitted, or the syndrome frames are too ill-conditioned).
 _CONSTRUCTION_TOL = 1e-7
+
+# The entropy route's gap is in bits, not a residual: -x log2 x is not Lipschitz
+# at 0, so round-off in small eigenvalues moves it far more than a residual.
+_ENTROPY_GAP_BITS = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +123,14 @@ def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, rank_tol: floa
 def synthesize_recovery(
     code: QuantumCode,
     errors: OperatorEnsemble,
-    tol: float = 1e-9,
-    rank_tol: float = DEFAULT_TOL.rank,
+    tol: ToleranceConfig = DEFAULT_TOL,
     seed: int | None = None,
 ) -> RecoveryOperator:
     """Construct a recovery superoperator for a correctable (code, errors) pair.
 
     Raises ``NotCorrectableError`` (carrying the ``KLReport``) when the
-    correctability check fails. ``seed`` rotates the syndrome-frame basis by
+    correctability check fails within ``tol.check``; the syndrome frames
+    are cut at ``tol.rank``. ``seed`` rotates the syndrome-frame basis by
     a common random unitary; the recovery is non-unique and any such choice
     verifies identically.
     """
@@ -137,7 +141,7 @@ def synthesize_recovery(
             f"(offdiag {report.max_offdiag_violation:.3e}, diag {report.max_diag_violation:.3e})",
             report=report,
         )
-    frames, coeff, rank, frame_res, factor_res = _syndrome_frames(code, errors, rank_tol)
+    frames, coeff, rank, frame_res, factor_res = _syndrome_frames(code, errors, tol.rank)
     if max(frame_res, factor_res) > _CONSTRUCTION_TOL:
         raise NotCorrectableError(
             f"syndrome-frame construction is inconsistent (residual {max(frame_res, factor_res):.3e})"
@@ -162,7 +166,7 @@ def synthesize_recovery(
     complement = (complement + dagger(complement)) / 2.0
 
     ensemble = OperatorEnsemble(
-        (complement, *elements), label=f"recovery[{code.label or 'code'}|{errors.label}]"
+        (complement, *elements), label=f"recovery[{code.label or 'code'}|{errors.label}]", tol=tol
     )
     return RecoveryOperator(
         ensemble=ensemble,
@@ -176,14 +180,14 @@ def verify_recovery(
     code: QuantumCode,
     errors: OperatorEnsemble,
     recovery: RecoveryOperator,
-    tol: float = 1e-9,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> VerificationReport:
     """Check that every composite R_r A_a is a scalar on the code.
 
     The scalar lambda[r, a] is fitted from the first logical state only and
     then validated against every basis state, so a genuine failure cannot
     average away. The report's residual is the worst norm of
-    (R_r A_a - lambda I) applied to a logical state.
+    (R_r A_a - lambda I) applied to a logical state, passing below ``tol.check``.
     """
     if recovery.dim != code.n or errors.dim != code.n:
         raise ValueError("dimension mismatch between code, errors and recovery")
@@ -201,21 +205,21 @@ def verify_recovery(
     return VerificationReport(
         lambda_values=lam,
         max_identity_residual=worst,
-        passed=worst < tol,
+        passed=worst < tol.check,
         route="composite-proportionality",
-        tol=tol,
+        tol=tol.check,
     )
 
 
 def entangled_state_test(
-    code: QuantumCode, composite: OperatorEnsemble, tol: float = 1e-9
+    code: QuantumCode, composite: OperatorEnsemble, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
     """Zero-error test on one state: I (x) A must fix the fully entangled codeword sum.
 
     Each composite element A must map sum_i |i_L>|i_L> on a doubled space to
-    a multiple of itself; equivalent to the proportionality route.
+    a multiple of itself (within ``tol.check``); equivalent to the proportionality route.
     """
-    return _entangled_residual(code, composite) < tol
+    return _entangled_residual(code, composite) < tol.check
 
 
 def _entangled_residual(code: QuantumCode, composite: OperatorEnsemble) -> float:
@@ -234,38 +238,32 @@ def _entangled_residual(code: QuantumCode, composite: OperatorEnsemble) -> float
 def syndrome_decomposition(
     code: QuantumCode,
     errors: OperatorEnsemble,
-    tol: float = 1e-9,
-    rank_tol: float = DEFAULT_TOL.rank,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SyndromeDecomposition:
     """Exhibit the coding space as (code x syndrome space) + unreached rest.
 
     The construction is attempted directly from the error images and
     validated numerically (frame unitarity and the factorization
-    A_a|i_L> = iso(|i_L> (x) |E(a)>)); if the residuals exceed ``tol`` the
-    decomposition does not exist and ``NotCorrectableError`` is raised. The
-    code is flagged ``perfect`` when nothing is unreached and the syndrome
-    vectors span the syndrome space.
+    A_a|i_L> = iso(|i_L> (x) |E(a)>)); residuals above ``tol.check`` (and
+    ``_CONSTRUCTION_TOL``) mean it does not exist: ``NotCorrectableError``.
+    The code is flagged ``perfect`` when nothing is unreached and the
+    syndrome vectors span the syndrome space (ranks cut at ``tol.rank``).
     """
-    frames, coeff, rank, frame_res, factor_res = _syndrome_frames(code, errors, rank_tol)
+    frames, coeff, rank, frame_res, factor_res = _syndrome_frames(code, errors, tol.rank)
     residual = max(frame_res, factor_res)
-    if residual > max(tol, _CONSTRUCTION_TOL):
+    if residual > max(tol.check, _CONSTRUCTION_TOL):
         raise NotCorrectableError(
             f"no code-times-syndrome decomposition: construction residual {residual:.3e}"
         )
     n, k = code.n, code.k
     nu_columns = [frames[i][:, r] for i in range(k) for r in range(rank)]
-    full, _, total = orthonormalize(
-        nu_columns + [np.eye(n, dtype=np.complex128)[:, j] for j in range(n)], rank_tol=1e-8
-    )
-    if total != n:  # pragma: no cover - completion always spans
-        raise NotCorrectableError("failed to complete the frame basis")
-    complement = tuple(full[k * rank:])
+    complement = tuple(_complete_frame(nu_columns, n))
     iso = np.column_stack(nu_columns + list(complement)) if nu_columns or complement else np.eye(n)
     unitarity = float(np.max(np.abs(dagger(iso) @ iso - np.eye(n))))
-    if unitarity > max(tol, _CONSTRUCTION_TOL):
+    if unitarity > max(tol.check, _CONSTRUCTION_TOL):
         raise NotCorrectableError(f"syndrome map is not unitary (residual {unitarity:.3e})")
 
-    spanned = int(np.linalg.matrix_rank(coeff, tol=rank_tol * max(1.0, float(np.max(np.abs(coeff)) if coeff.size else 0.0))))
+    spanned = int(np.linalg.matrix_rank(coeff, tol=tol.rank * max(1.0, float(np.max(np.abs(coeff)) if coeff.size else 0.0))))
     perfect = (n - k * rank) == 0 and spanned == rank
     return SyndromeDecomposition(
         iso_map=iso,
@@ -282,8 +280,7 @@ def syndrome_decomposition(
 def entropy_test(
     code: QuantumCode,
     errors: OperatorEnsemble,
-    tol: float = 1e-6,
-    superop_tol: float = DEFAULT_TOL.check,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> EntropyReport:
     """Information-theoretic route: correctability iff the entropy gap is log2(k).
 
@@ -294,23 +291,20 @@ def entropy_test(
     the mixed state sum_a A_a P A_a^dag / k has the nonzero spectrum of G as
     an (mk) x (mk) matrix over k, and the entangled image sum_a |y_a><y_a|,
     |y_a> = sum_i |i_L> (x) A_a|i_L> / sqrt(k), that of its m x m Gram
-    sum_i G[:, :, i, i] / k. Only defined for trace-preserving families;
-    incomplete ones are refused rather than silently renormalized.
+    sum_i G[:, :, i, i] / k. Families that are not trace preserving within
+    ``tol.check`` are refused, not silently renormalized; the gap passes
+    within ``_ENTROPY_GAP_BITS`` (the report's ``tol``).
     """
-    residual = validate_superoperator(errors)
-    if residual > superop_tol:
-        raise NotSuperoperatorError(
-            f"entropy route needs a superoperator (completeness residual {residual:.3e})"
-        )
+    _require_superoperator(errors, "entropy route", tol)
     m, k = len(errors), code.k
     gram = _image_gram(_error_images(code, errors))
-    s_mixed = von_neumann_entropy(gram.transpose(0, 2, 1, 3).reshape(m * k, m * k) / k)
-    s_entangled = von_neumann_entropy(np.trace(gram, axis1=2, axis2=3) / k)
+    s_mixed = von_neumann_entropy(gram.transpose(0, 2, 1, 3).reshape(m * k, m * k) / k, tol)
+    s_entangled = von_neumann_entropy(np.trace(gram, axis1=2, axis2=3) / k, tol)
     diff = s_mixed - s_entangled
     return EntropyReport(
         difference_bits=diff,
-        passed=abs(diff - np.log2(k)) < tol,
+        passed=abs(diff - np.log2(k)) < _ENTROPY_GAP_BITS,
         mixed_codeword_entropy=s_mixed,
         entangled_image_entropy=s_entangled,
-        tol=tol,
+        tol=_ENTROPY_GAP_BITS,
     )

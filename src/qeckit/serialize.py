@@ -24,11 +24,6 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def pair_to_complex(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
 def _to_pairs(a: np.ndarray) -> list:
     """Nested lists of [re, im] pairs, one level per axis of ``a``."""
     a = np.ascontiguousarray(a, dtype=np.complex128)

@@ -1,8 +1,10 @@
-"""The functions the benchmark's traced run wraps by name must keep existing."""
+"""Public API surface: the functions the benchmark traces by name keep existing, and every tolerance is a `ToleranceConfig`."""
 
+import inspect
 from pathlib import Path
 
 import qeckit
+from qeckit import ToleranceConfig, channels, codes, fidelity, memory, recovery
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,3 +16,17 @@ def test_every_traced_target_exists(monkeypatch):
     _, targets = layers.targets(qeckit)
     missing = [name for module, attr, name, _ in targets if not callable(getattr(module, attr, None))]
     assert not missing, f"traced functions missing from qeckit: {missing}"
+
+
+def test_every_tolerance_parameter_is_a_config():
+    bare = []
+    for module in (channels, codes, recovery, fidelity, memory):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn, eval_str=True).parameters.values():
+                if param.name in ("rank_tol", "superop_tol") or (
+                    param.name == "tol" and param.annotation is not ToleranceConfig
+                ):
+                    bare.append(f"{module.__name__}.{name}({param.name})")
+    assert not bare, f"tolerances that bypass ToleranceConfig: {bare}"

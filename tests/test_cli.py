@@ -240,3 +240,16 @@ def test_malformed_recovery_file_exits_2(entry, tmp_path, capsys):
     for command in ("memory", "fidelity"):
         assert main([command, "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec)]) == 2
         assert "rec.json" in capsys.readouterr().err
+
+
+def test_tol_reaches_the_memory_refusals(tmp_path, capsys, monkeypatch):
+    # one operator (1 + 5e-9) I: completeness residual 1e-8, between the default and 1e-7
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps({"kind": "explicit", "operators": [[[[1 + 5e-9, 0], [0, 0]], [[0, 0], [1 + 5e-9, 0]]]]}))
+    argv = ["memory", "trivial:2", str(loose), "--cycles", "1"]
+    assert main(argv) == 2
+    assert "trace-preserving" in capsys.readouterr().err
+    assert main(argv + ["--tol", "1e-7"]) == 0
+    assert capsys.readouterr().out.startswith("cycle,fidelity,bound\n0,1,")
+    monkeypatch.setenv("QEC_TOL", "1e-7")
+    assert main(argv) == 0

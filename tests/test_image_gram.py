@@ -23,11 +23,13 @@ from helpers import (
     stacked_images,
 )
 from qeckit import (
+    CapacityError,
     ChannelSpec,
     NotCorrectableError,
     OperatorEnsemble,
     build_channel,
     compose,
+    e_error_family,
     entangled_state_test,
     entropy_test,
     kl_check,
@@ -37,7 +39,7 @@ from qeckit import (
     tensor_power,
     verify_recovery,
 )
-from qeckit import codes
+from qeckit import channels, codes
 from qeckit.catalog import catalogue
 from qeckit.recovery import RecoveryOperator, _entangled_residual
 
@@ -203,3 +205,20 @@ def test_entropy_route_memory_under_full_dephasing_at_seven_qubits():
     assert peak < 32 * 2**20
     assert not report.passed
     assert 0.0 < report.difference_bits < 1.0
+
+
+def test_image_gram_refused_before_it_is_formed(monkeypatch):
+    monkeypatch.setattr(channels, "ENSEMBLE_BYTE_CAP", 2**20)
+    code = random_code(16, 4, seed=3)
+    pauli = e_error_family(build_channel(ChannelSpec("pauli_unitary_basis", {})), 4, 2)
+    assert len(pauli) == 67  # family 0.27 MB; its (67*4)^2 Gram is 1.15 MB
+    channel = OperatorEnsemble(tuple(a / math.sqrt(67) for a in pauli))  # trace preserving
+
+    def no_product(*args):
+        raise AssertionError("the Gram was formed before the refusal")
+
+    monkeypatch.setattr(codes, "dagger", no_product)
+    with pytest.raises(CapacityError, match="image Gram"):
+        kl_check(code, pauli)
+    with pytest.raises(CapacityError, match="image Gram"):
+        entropy_test(code, channel)

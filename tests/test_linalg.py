@@ -8,6 +8,7 @@ from qeckit import (
     NotAStateError,
     PureState,
     QubitSubset,
+    ToleranceConfig,
     kron,
     kron_all,
     orthonormalize,
@@ -251,3 +252,10 @@ def test_kron_all_builds_register_operators():
     op = kron_all([SZ, I2, I2])
     assert op.shape == (8, 8)
     assert np.array_equal(np.diag(op), np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=complex))
+
+
+@pytest.mark.parametrize("field", ["rank", "check", "norm", "entropy_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceConfig(**{field: value})
