@@ -38,7 +38,7 @@ class _InputError(Exception):
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return ser.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except OSError as exc:
@@ -84,8 +84,8 @@ def _parse_channel_shorthand(arg: str) -> ChannelSpec:
 
 def _resolve_channel(arg: str, tol: ToleranceConfig) -> OperatorEnsemble:
     if os.path.exists(arg):
-        data = _load_json_file(arg)
         try:
+            data = _load_json_file(arg)
             if "kind" in data:
                 return build_channel(ser.channel_spec_from_json(data), tol)
             return ser.ensemble_from_json(data, tol)

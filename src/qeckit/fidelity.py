@@ -297,7 +297,12 @@ def code_error(
     The deviation is <psi|sum_m B_m^dag B_m|psi> minus the pure fidelity, so
     for trace-preserving composites it equals 1 minus the worst-case
     fidelity. The witness maximizes the deviation (the report field name
-    follows the fidelity report; here it is an arg-max).
+    follows the fidelity report; here it is an arg-max). For k > 2 the
+    random restarts give only a lower bound on the maximum, and
+    ``optimizer_trace["upper_bound"]`` certifies it from above:
+    lambda_max(sum_m B_m^dag B_m on the code) less the certified minimum
+    of the fidelity over mixed code states, which is exactly 1 minus
+    ``min_fidelity``'s ``lower_bound`` for trace-preserving composites.
     """
     m_ops, leak = _logical(code, composite)
     fid_value, fid_grad, fid_quartic = _fidelity_objective(m_ops)
@@ -313,6 +318,9 @@ def code_error(
 
     c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
     witness = _witness(code, c_best)
+    if code.k > 2:
+        _, f_min, solve = _min_over_states(m_ops)
+        trace["upper_bound"] = float(np.linalg.eigvalsh(leak)[-1]) - (f_min - solve["gap"])
     return FidelityReport(
         value=float(np.vdot(c_best, leak @ c_best).real) - pure_fidelity(witness, composite),
         argmin_state=witness,

@@ -2,20 +2,24 @@
 
 Complex numbers are always encoded as ``[re, im]`` pairs and matrices as
 row-major arrays of such pairs. Floats pass through Python's repr, so
-explicit operator lists round-trip bit exactly.
+explicit operator lists round-trip bit exactly. ``loads`` reads files in
+the canonical layout ``dumps_canonical`` writes with their dense
+``operators`` block parsed straight into float64 arrays.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
 from .channels import ChannelSpec, OperatorEnsemble
 from .codes import KLReport, QuantumCode, ReducedDMReport
 from .config import DEFAULT_TOL, ToleranceConfig
+from .errors import CapacityError
 from .fidelity import BoundCheckReport, EntangledFidelityReport, FidelityReport
-from .linalg import PureState
+from .linalg import DIM_CAP, PureState
 from .recovery import EntropyReport, RecoveryOperator, VerificationReport
 
 
@@ -32,7 +36,10 @@ def _to_pairs(a: np.ndarray) -> list:
 
 def _from_pairs(data, ndim: int) -> np.ndarray:
     """Decode ``ndim`` levels of nested [re, im] pairs; ragged, non-numeric or non-finite input raises."""
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError("null or non-finite entry in [re, im] pairs") from None
     if arr.size == 0 and arr.ndim <= ndim:  # empty rows hold no pairs
         return np.zeros(arr.shape, dtype=np.complex128)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
@@ -86,7 +93,10 @@ def ensemble_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Operat
     if "operators" not in data:
         raise ValueError("ensemble JSON requires an 'operators' field")
     ops = tuple(matrix_from_json(rows) for rows in data["operators"])
-    return OperatorEnsemble(ops, label=str(data.get("label", "")), tol=tol)
+    ensemble = OperatorEnsemble(ops, label=str(data.get("label", "")), tol=tol)
+    if "dim" in data and data["dim"] != ensemble.dim:
+        raise ValueError(f"ensemble JSON declares dim {data['dim']!r}, but its operators are {ensemble.dim}x{ensemble.dim}")
+    return ensemble
 
 
 def code_to_json(code: QuantumCode) -> dict:
@@ -217,3 +227,131 @@ def bound_check_to_json(rep: BoundCheckReport) -> dict:
 def dumps_canonical(data: dict) -> str:
     """Deterministic JSON encoding (sorted keys, fixed separators)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_OPERATORS_KEY = '"operators":'
+_NUMBER_BYTES = b"0123456789+-.eE"
+# Character classes of a dense operator's text, every other byte being class 0. "[" and ","
+# come first and the digits last, so that ``<= _C`` and ``>= _Z`` select them.
+_L, _C, _R, _M, _P, _T, _X, _Z, _N = range(1, 10)
+_CLASS_MEMBERS = {_L: b"[", _C: b",", _R: b"]", _M: b"-", _P: b"+", _T: b".", _X: b"eE", _Z: b"0", _N: b"123456789"}
+_CLASSES = bytes(next((c for c, members in _CLASS_MEMBERS.items() if byte in members), 0) for byte in range(256))
+_DIGITS = (_Z, _N)
+# Adjacent class pairs, coded 10 * left + right, that JSON's number grammar allows inside a
+# canonical operator. A leading zero passes; ``_read_operator`` refuses it separately.
+_FOLLOWERS = {
+    _L: (_L, _M, *_DIGITS),
+    _C: (_L, _M, *_DIGITS),
+    _R: (_R, _C),
+    _M: _DIGITS,
+    _P: _DIGITS,
+    _T: _DIGITS,
+    _X: (_M, _P, *_DIGITS),
+    _Z: (*_DIGITS, _T, _X, _C, _R),
+    _N: (*_DIGITS, _T, _X, _C, _R),
+}
+_ALLOWED_PAIRS = bytes(10 * a + b for a, followers in _FOLLOWERS.items() for b in followers)
+# Stands in for the operators block while the rest of the document is parsed.
+_BLOCK = object()
+
+
+def _row_skeleton(d: int) -> bytes:
+    """A canonical row of d [re, im] pairs with its numbers deleted: ``[[,],...]``."""
+    return b"[" + b",".join([b"[,]"] * d) + b"]"
+
+
+def _read_operator(piece: str, d: int, skeleton: bytes) -> np.ndarray | None:
+    """One canonical operator as a (d, d, 2) float64 array, or None unless every number is JSON's."""
+    try:
+        raw = piece.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, _NUMBER_BYTES) != skeleton:
+        return None
+    classes = np.frombuffer(raw.translate(_CLASSES), dtype=np.uint8)
+    if (classes[:-1] * 10 + classes[1:]).tobytes().translate(None, _ALLOWED_PAIRS):
+        return None
+    # A number may not start with a 0 followed by a digit, and a lone "-0" is JSON's integer 0,
+    # which np.fromstring would read as -0.0. A 0 starts a number after "[" or ",", or after a
+    # "-" that does. The pair check put "[", "," or "e" before every "-", and a digit, ".", "e",
+    # "," or "]" after every 0.
+    before, after = classes[1:-2], classes[3:]
+    signed = (before == _M) & (classes[:-3] != _X)
+    if np.any((classes[2:-1] == _Z) & ((before <= _C) | signed) & ((after >= _Z) | (signed & (after <= _R)))):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy < 2 warns, and stops early, where numpy 2 raises
+        try:  # a token the checks above let through, such as "1.5.5", ends the parse early
+            values = np.fromstring(raw.translate(None, b"[]"), sep=",")
+        except (ValueError, Warning):
+            return None
+    return values.reshape(d, d, 2) if values.size == 2 * d * d else None
+
+
+def _loads_canonical(text: str) -> dict | None:
+    """``json.loads(text)`` with the top-level ``operators`` read as arrays, or None unless canonical.
+
+    Applies when the text's first ``"operators":`` key is the top-level
+    one ``json.loads`` keeps and its value is in the dense layout
+    ``dumps_canonical`` writes. The rest of the document is parsed by
+    ``json.loads`` with a placeholder where the block was, which also
+    settles where the key sits. The block is then read one operator at a
+    time, so none of its numbers becomes a Python float and at most one
+    operator's text is copied at once.
+    """
+    key = text.find(_OPERATORS_KEY)
+    start = key + len(_OPERATORS_KEY)
+    if key < 0 or not text.startswith("[[[[", start):
+        return None
+    pieces = []  # (first, past-the-end) of each operator
+    pos = start + 1
+    while True:
+        stop = text.find("]]]", pos) + 3
+        if stop < 3:
+            return None
+        pieces.append((pos, stop))
+        after = text[stop : stop + 1]
+        if after == "]":
+            break
+        if after != ",":
+            return None
+        pos = stop + 1
+    end = stop + 1
+    if text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:  # the placeholder must be the only NaN
+        return None
+    try:
+        data = json.loads(text[:start] + "NaN" + text[end:], parse_constant=lambda c: _BLOCK if c == "NaN" else float(c))
+    except ValueError:
+        return None
+    if type(data) is not dict or data.get("operators") is not _BLOCK:
+        return None
+    first_row = text[start + 2 : text.find("]]", start) + 2]
+    d = first_row.count("],[") + 1
+    if first_row.encode("ascii", "replace").translate(None, _NUMBER_BYTES) != _row_skeleton(d):
+        return None
+    if d > DIM_CAP:  # refused before any of the block's numbers is parsed
+        raise CapacityError(f"dimension {d} exceeds the cap {DIM_CAP}")
+    skeleton = b"[" + b",".join([_row_skeleton(d)] * d) + b"]"
+    ops = []
+    for first, stop in pieces:
+        op = _read_operator(text[first:stop], d, skeleton)
+        if op is None:
+            return None
+        ops.append(op)
+    data["operators"] = ops
+    return data
+
+
+def loads(text: str) -> dict:
+    """Decode a JSON document; the inverse of ``dumps_canonical``.
+
+    The result is ``json.loads(text)``, except that a top-level
+    ``operators`` block in the canonical dense layout comes back as a
+    list of (d, d, 2) float64 arrays of [re, im] pairs, bit-identical to
+    the floats ``json.loads`` reads. Any other text, including every
+    invalid document, goes through ``json.loads`` unchanged, with its
+    errors. Raises ``CapacityError`` when a canonical block's first row
+    holds more than ``DIM_CAP`` pairs, before parsing its numbers.
+    """
+    data = _loads_canonical(text)
+    return json.loads(text) if data is None else data

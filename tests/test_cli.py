@@ -253,3 +253,44 @@ def test_tol_reaches_the_memory_refusals(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("cycle,fidelity,bound\n0,1,")
     monkeypatch.setenv("QEC_TOL", "1e-7")
     assert main(argv) == 0
+
+
+def _identity_recovery_text(dim_field):
+    return dumps_canonical({
+        "dim": dim_field, "label": "x", "operators": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        "syndrome_dim": 1, "complement_dim": 0, "syndrome_coefficients": [],
+    })
+
+
+def test_declared_dim_mismatch_exits_2_naming_the_file(tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    rec.write_text(_identity_recovery_text(7))
+    channel = tmp_path / "channel.json"
+    channel.write_text(dumps_canonical({"dim": 7, "label": "", "operators": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}))
+    for command in ("fidelity", "memory"):
+        assert main([command, "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec)]) == 2
+        err = capsys.readouterr().err
+        assert "rec.json" in err and "dim 7" in err
+        assert main([command, "trivial:2", str(channel)]) == 2
+        err = capsys.readouterr().err
+        assert "channel.json" in err and "dim 7" in err
+    rec.write_text(_identity_recovery_text(2))
+    assert main(["memory", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec), "--cycles", "1"]) == 0
+
+
+def test_recovery_wider_than_the_cap_is_refused_before_parsing(tmp_path, capsys):
+    # one 512 x 512 operator: the refusal reads only its first row
+    row = "[" + ",".join(["[0.0,0.0]"] * 512) + "]"
+    rec = tmp_path / "wide.json"
+    rec.write_text(
+        '{"complement_dim":0,"dim":512,"label":"","operators":[[' + ",".join([row] * 512) + "]],"
+        '"syndrome_coefficients":[],"syndrome_dim":1}\n'
+    )
+    for command in ("fidelity", "memory"):
+        start = time.perf_counter()
+        assert main([command, "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "dimension 512 exceeds the cap 256" in capsys.readouterr().err
+    # read as a channel, the refusal names the file, as the ensemble check always has
+    assert main(["fidelity", "trivial:2", str(rec)]) == 2
+    assert "wide.json: dimension 512 exceeds the cap 256" in capsys.readouterr().err

@@ -164,6 +164,23 @@ def test_code_error_positive_without_recovery():
     assert "min_fidelity" not in report.optimizer_trace  # family is not a channel
 
 
+@pytest.mark.parametrize("n, seed", [(8, 0), (8, 1), (12, 2)])
+def test_code_error_upper_bound_for_three_dimensional_codes(n, seed):
+    rng = np.random.default_rng(4100 + seed)
+    code = random_code(n, 3, seed=seed)
+    composite = random_superoperator(n, 4, rng)
+    report = code_error(code, composite)
+    assert report.value <= report.optimizer_trace["upper_bound"]
+    # trace preserving: the bracket's top is 1 minus the certified fidelity floor
+    lower = min_fidelity(code, composite).optimizer_trace["lower_bound"]
+    assert report.optimizer_trace["upper_bound"] == pytest.approx(1.0 - lower, abs=1e-12)
+    # a lossy composite (sum B^dag B = 0.6 I + 0.3 P) keeps the deviation under the bound
+    proj = np.diag(rng.integers(0, 2, size=n)).astype(complex)
+    lossy = OperatorEnsemble(tuple(np.sqrt(0.6) * b for b in composite) + (np.sqrt(0.3) * proj,))
+    lossy_report = code_error(code, lossy)
+    assert lossy_report.value <= lossy_report.optimizer_trace["upper_bound"]
+
+
 def test_entangled_fidelity_depolarizing():
     dep = build_channel(ChannelSpec("depolarizing_third", {}))
     report = entangled_fidelity(QUBIT, dep)

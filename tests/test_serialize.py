@@ -147,3 +147,14 @@ def test_recovery_with_empty_coefficients_keeps_shape():
     for empty in ([], [[]] * rec.syndrome_dim):
         data["syndrome_coefficients"] = empty
         assert recovery_from_json(data).syndrome_coefficients.shape == (rec.syndrome_dim, 0)
+
+
+def test_declared_dim_must_match_the_operators():
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    data = {"dim": 7, "label": "", "operators": [identity]}
+    with pytest.raises(ValueError, match="dim 7"):
+        ensemble_from_json(data)
+    with pytest.raises(ValueError, match="dim 7"):
+        recovery_from_json({**data, "syndrome_dim": 1, "complement_dim": 0, "syndrome_coefficients": []})
+    assert ensemble_from_json({**data, "dim": 2}).dim == 2
+    assert ensemble_from_json({"operators": [identity]}).dim == 2  # dim is optional
