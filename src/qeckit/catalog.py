@@ -21,7 +21,6 @@ from .channels import (
     tensor_power,
 )
 from .codes import QuantumCode, builtin_code, repetition_phase_code
-from .config import DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +70,7 @@ def catalogue(gamma: float = 0.1, q: float = 0.25, flip_p: float = 0.3) -> tuple
         CataloguedPair(
             "trivial2-identity",
             trivial2,
-            OperatorEnsemble((np.eye(2, dtype=np.complex128),), label="identity", tol=DEFAULT_TOL),
+            OperatorEnsemble((np.eye(2, dtype=np.complex128),), label="identity"),
             True,
             True,
         ),

@@ -27,7 +27,7 @@ from .config import DEFAULT_TOL, FidelityConfig, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, entangled_fidelity, min_fidelity
 from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
-from .recovery import RecoveryOperator, synthesize_recovery, verify_recovery
+from .recovery import synthesize_recovery, verify_recovery
 from . import serialize as ser
 
 
@@ -45,23 +45,21 @@ def _load_json_file(path: str) -> dict:
         raise _InputError(f"{path}: {exc}")
 
 
+def _read_file(path: str, decode):
+    """``decode`` of the JSON file at ``path``; every refusal, the size cap's included, names the file."""
+    try:
+        return decode(_load_json_file(path))
+    except (ValueError, KeyError, TypeError, CapacityError) as exc:
+        raise _InputError(f"{path}: {exc}")
+
+
 def _resolve_code(arg: str, tol: ToleranceConfig) -> QuantumCode:
     if os.path.exists(arg):
-        try:
-            return ser.code_from_json(_load_json_file(arg), tol)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _InputError(f"{arg}: {exc}")
+        return _read_file(arg, lambda data: ser.code_from_json(data, tol))
     try:
         return builtin_code(arg, tol)
     except ValueError as exc:
         raise _InputError(str(exc))
-
-
-def _load_recovery(path: str, tol: ToleranceConfig) -> RecoveryOperator:
-    try:
-        return ser.recovery_from_json(_load_json_file(path), tol)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"{path}: {exc}")
 
 
 def _parse_channel_shorthand(arg: str) -> ChannelSpec:
@@ -83,14 +81,13 @@ def _parse_channel_shorthand(arg: str) -> ChannelSpec:
 
 
 def _resolve_channel(arg: str, tol: ToleranceConfig) -> OperatorEnsemble:
+    def decode(data):
+        if "kind" in data:
+            return build_channel(ser.channel_spec_from_json(data), tol)
+        return ser.ensemble_from_json(data)
+
     if os.path.exists(arg):
-        try:
-            data = _load_json_file(arg)
-            if "kind" in data:
-                return build_channel(ser.channel_spec_from_json(data), tol)
-            return ser.ensemble_from_json(data, tol)
-        except (ValueError, KeyError, TypeError, CapacityError) as exc:
-            raise _InputError(f"{arg}: {exc}")
+        return _read_file(arg, decode)
     try:
         return build_channel(_parse_channel_shorthand(arg), tol)
     except (ValueError, CapacityError) as exc:
@@ -221,7 +218,7 @@ def _cmd_fidelity(args) -> int:
     channel = _resolve_channel(args.channel, tol)
     rec = None
     if args.recovery:
-        rec = _load_recovery(args.recovery, tol)
+        rec = _read_file(args.recovery, ser.recovery_from_json)
         if rec.dim != channel.dim:
             raise _InputError("recovery and channel dimensions do not match")
     cfg = FidelityConfig(seed=args.seed)
@@ -250,7 +247,7 @@ def _cmd_memory(args) -> int:
         code = _resolve_code(args.code, tol)
         channel = _resolve_channel(args.channel, tol)
         if args.recovery:
-            rec = _load_recovery(args.recovery, tol)
+            rec = _read_file(args.recovery, ser.recovery_from_json)
         else:
             try:
                 rec = synthesize_recovery(code, channel, tol, seed=args.seed)

@@ -15,9 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import OperatorEnsemble, _check_bytes
+from .channels import OperatorEnsemble
 from .config import DEFAULT_TOL, ToleranceConfig
-from .linalg import DensityMatrix, PureState, QubitSubset, dagger, kron_all, orthonormalize, partial_trace
+from .linalg import DensityMatrix, PureState, QubitSubset, _check_bytes, dagger, kron_all, orthonormalize, partial_trace
 
 
 @dataclass(frozen=True, eq=False)

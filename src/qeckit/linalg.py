@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import NotAStateError
+from .errors import CapacityError, NotAStateError
 
 #: Dense-algebra policy cap: coding spaces above 2**8 are refused.
 DIM_CAP = 2**8
@@ -23,6 +23,18 @@ DIM_CAP = 2**8
 #: Byte budget for one family of dense operators (count * dim**2 complex
 #: entries); larger families are refused before any operator is built.
 ENSEMBLE_BYTE_CAP = 4 * 2**30
+
+
+def _check_dim(dim: int) -> None:
+    """Refuse (``CapacityError``) a dimension above ``DIM_CAP``."""
+    if dim > DIM_CAP:
+        raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
+
+
+def _check_bytes(need: int, what: str) -> None:
+    """Refuse ``need`` bytes of dense arrays (described by ``what``) above ``ENSEMBLE_BYTE_CAP``."""
+    if need > ENSEMBLE_BYTE_CAP:
+        raise CapacityError(f"{what} need {need / 2**30:.3g} GiB, above the {ENSEMBLE_BYTE_CAP / 2**30:.3g} GiB cap")
 
 
 def _as_matrix(m) -> np.ndarray:

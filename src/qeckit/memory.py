@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, OperatorEnsemble, _check_bytes, _require_superoperator, build_channel, e_error_family, tensor_power
+from .channels import ChannelSpec, OperatorEnsemble, _require_superoperator, build_channel, e_error_family, tensor_power
 from .codes import QuantumCode, _images, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL, ToleranceConfig
 from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound, min_fidelity
-from .linalg import PureState, dagger
+from .linalg import PureState, _check_bytes, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
 
 CYCLE_CAP = 10_000

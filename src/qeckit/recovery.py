@@ -166,7 +166,7 @@ def synthesize_recovery(
     complement = (complement + dagger(complement)) / 2.0
 
     ensemble = OperatorEnsemble(
-        (complement, *elements), label=f"recovery[{code.label or 'code'}|{errors.label}]", tol=tol
+        (complement, *elements), label=f"recovery[{code.label or 'code'}|{errors.label}]"
     )
     return RecoveryOperator(
         ensemble=ensemble,
@@ -258,7 +258,7 @@ def syndrome_decomposition(
     n, k = code.n, code.k
     nu_columns = [frames[i][:, r] for i in range(k) for r in range(rank)]
     complement = tuple(_complete_frame(nu_columns, n))
-    iso = np.column_stack(nu_columns + list(complement)) if nu_columns or complement else np.eye(n)
+    iso = np.column_stack(nu_columns + list(complement))
     unitarity = float(np.max(np.abs(dagger(iso) @ iso - np.eye(n))))
     if unitarity > max(tol.check, _CONSTRUCTION_TOL):
         raise NotCorrectableError(f"syndrome map is not unitary (residual {unitarity:.3e})")

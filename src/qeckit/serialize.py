@@ -17,9 +17,8 @@ import numpy as np
 from .channels import ChannelSpec, OperatorEnsemble
 from .codes import KLReport, QuantumCode, ReducedDMReport
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import CapacityError
 from .fidelity import BoundCheckReport, EntangledFidelityReport, FidelityReport
-from .linalg import DIM_CAP, PureState
+from .linalg import PureState, _check_dim
 from .recovery import EntropyReport, RecoveryOperator, VerificationReport
 
 
@@ -89,11 +88,11 @@ def ensemble_to_json(ensemble: OperatorEnsemble) -> dict:
     }
 
 
-def ensemble_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorEnsemble:
+def ensemble_from_json(data: dict) -> OperatorEnsemble:
     if "operators" not in data:
         raise ValueError("ensemble JSON requires an 'operators' field")
     ops = tuple(matrix_from_json(rows) for rows in data["operators"])
-    ensemble = OperatorEnsemble(ops, label=str(data.get("label", "")), tol=tol)
+    ensemble = OperatorEnsemble(ops, label=str(data.get("label", "")))
     if "dim" in data and data["dim"] != ensemble.dim:
         raise ValueError(f"ensemble JSON declares dim {data['dim']!r}, but its operators are {ensemble.dim}x{ensemble.dim}")
     return ensemble
@@ -134,8 +133,8 @@ def recovery_to_json(rec: RecoveryOperator) -> dict:
     return out
 
 
-def recovery_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryOperator:
-    ensemble = ensemble_from_json(data, tol=tol)
+def recovery_from_json(data: dict) -> RecoveryOperator:
+    ensemble = ensemble_from_json(data)
     for key in ("syndrome_dim", "complement_dim"):
         if key not in data:
             raise ValueError(f"recovery JSON requires a {key!r} field")
@@ -329,8 +328,7 @@ def _loads_canonical(text: str) -> dict | None:
     d = first_row.count("],[") + 1
     if first_row.encode("ascii", "replace").translate(None, _NUMBER_BYTES) != _row_skeleton(d):
         return None
-    if d > DIM_CAP:  # refused before any of the block's numbers is parsed
-        raise CapacityError(f"dimension {d} exceeds the cap {DIM_CAP}")
+    _check_dim(d)  # refused before any of the block's numbers is parsed
     skeleton = b"[" + b",".join([_row_skeleton(d)] * d) + b"]"
     ops = []
     for first, stop in pieces:

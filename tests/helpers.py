@@ -1,12 +1,13 @@
 """Shared test utilities."""
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 
-from qeckit import OperatorEnsemble, PureState
+from qeckit import OperatorEnsemble, PureState, tensor_product
 from qeckit.fidelity import _bloch_form, _min_on_sphere, _project_simplex
-from qeckit.linalg import orthonormalize, random_unitary
+from qeckit.linalg import kron_all, orthonormalize, random_unitary
 
 
 def random_superoperator(dim, num_ops, rng):
@@ -15,6 +16,32 @@ def random_superoperator(dim, num_ops, rng):
     q, _ = np.linalg.qr(g)
     ops = tuple(q[a * dim:(a + 1) * dim, :] for a in range(num_ops))
     return OperatorEnsemble(ops, label=f"random({dim},{num_ops})")
+
+
+def chained_tensor_power(ensemble, r):
+    """Oracle for tensor_power's members: r - 1 chained ``tensor_product`` calls."""
+    out = ensemble
+    for _ in range(r - 1):
+        out = tensor_product(out, ensemble)
+    return out.operators
+
+
+def weight_ordered_family(basis, r, e):
+    """Oracle for e_error_family's members: ``kron_all`` over every word with at most e non-slot-0 factors.
+
+    Words run by weight, then by the positions of the non-slot-0 factors,
+    then by which operators sit there.
+    """
+    ops = basis.operators
+    members = []
+    for m in range(e + 1):
+        for positions in combinations(range(r), m):
+            for choices in product(range(1, len(ops)), repeat=m):
+                factors = [ops[0]] * r
+                for pos, which in zip(positions, choices):
+                    factors[pos] = ops[which]
+                members.append(kron_all(factors))
+    return members
 
 
 def random_state(dim, rng, shape=None):

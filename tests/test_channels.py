@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qeckit import (
+    CHANNEL_KINDS,
+    DEFAULT_TOL,
     CapacityError,
     ChannelSpec,
     DensityMatrix,
@@ -20,7 +22,7 @@ from qeckit import (
     tensor_product,
     validate_superoperator,
 )
-from qeckit import channels
+from qeckit import channels, linalg
 from qeckit.channels import SIGMA_X, SIGMA_Z
 from helpers import random_superoperator
 
@@ -33,7 +35,7 @@ def test_decoherence_matrices():
     g = math.exp(-gamma)
     assert np.allclose(ch.operators[0], np.diag([1.0, g]), atol=1e-15)
     assert np.allclose(ch.operators[1], np.diag([0.0, math.sqrt(1 - g * g)]), atol=1e-15)
-    assert ch.is_superoperator
+    assert validate_superoperator(ch) < DEFAULT_TOL.check
 
 
 def test_decoherence_gamma_zero_second_operator_vanishes():
@@ -77,10 +79,10 @@ def test_spontaneous_emission_as_printed_and_damping_variant():
     p = 0.3
     se = build_channel(ChannelSpec("spontaneous_emission", {"p": p}))
     assert np.allclose(se.operators[1], np.diag([0.0, p]))
-    assert se.is_superoperator
+    assert validate_superoperator(se) < DEFAULT_TOL.check
     ad = build_channel(ChannelSpec("amplitude_damping", {"p": p}))
     assert abs(ad.operators[1][0, 1] - p) < 1e-15
-    assert ad.is_superoperator
+    assert validate_superoperator(ad) < DEFAULT_TOL.check
     # the damping variant moves population to |0>, the printed one does not
     one = PureState([0.0, 1.0]).density()
     assert apply_channel(ad, one).matrix[0, 0] > 0.0
@@ -100,7 +102,7 @@ def test_measurement_basis_sums_to_twice_identity():
     ch = build_channel(ChannelSpec("measurement_basis", {}))
     acc = sum(a.conj().T @ a for a in ch)
     assert np.max(np.abs(acc - 2 * I2)) < 1e-15
-    assert not ch.is_superoperator
+    assert validate_superoperator(ch) >= DEFAULT_TOL.check
 
 
 def test_overlap_channel_is_superoperator():
@@ -129,19 +131,25 @@ def test_explicit_channel_roundtrips_operators():
     assert np.array_equal(ch.operators[0], I2)
 
 
-def test_invalid_parameters_raise():
-    with pytest.raises(ValueError, match="gamma"):
-        ChannelSpec("decoherence", {"gamma": -0.1})
-    with pytest.raises(ValueError, match="p"):
-        ChannelSpec("spontaneous_emission", {"p": 1.5})
-    with pytest.raises(ValueError, match="q"):
-        ChannelSpec("overlap_example", {"q": 0.5})
-    with pytest.raises(ValueError, match="kind"):
-        ChannelSpec("nonsense", {})
-    with pytest.raises(ValueError, match="explicit_operators"):
-        ChannelSpec("explicit", {})
-    with pytest.raises(ValueError, match="max_errors"):
-        ChannelSpec("pauli_unitary_basis", {"qubits": 3, "max_errors": 4})
+@pytest.mark.parametrize("kind, params, message", [
+    ("decoherence", {"gamma": -0.1}, "parameter gamma=-0.1 violates gamma >= 0.0"),
+    ("decoherence", {}, "channel kind 'decoherence' requires parameter 'gamma'"),
+    ("spontaneous_emission", {"p": 1.5}, "parameter p=1.5 violates p <= 1.0"),
+    ("amplitude_damping", {"p": -1}, "parameter p=-1.0 violates p >= 0.0"),
+    ("uniform_phase_flip", {"qubits": 3}, "channel kind 'uniform_phase_flip' requires parameter 'p'"),
+    ("overlap_example", {"q": 0.5}, "parameter q=0.5 violates q < 0.5"),
+    ("overlap_example", {"q": 0.0}, "parameter q=0.0 violates q > 0.0"),
+    ("depolarizing_third", {"p": 0.1},
+     "channel kind 'depolarizing_third' does not read parameter(s) ['p']; it reads ['qubits', 'max_errors']"),
+    ("nonsense", {}, f"unknown channel kind 'nonsense'; known: {CHANNEL_KINDS}"),
+    ("explicit", {}, "explicit channel requires explicit_operators"),
+    ("pauli_unitary_basis", {"qubits": 2.5}, "qubits must be a positive integer, got 2.5"),
+    ("pauli_unitary_basis", {"qubits": 3, "max_errors": 4}, "max_errors must be an integer in 0..qubits, got 4.0"),
+])
+def test_invalid_parameters_raise(kind, params, message):
+    with pytest.raises(ValueError) as info:
+        ChannelSpec(kind, params)
+    assert str(info.value) == message
 
 
 def test_validate_superoperator_values():
@@ -184,6 +192,16 @@ def test_apply_incomplete_family_subnormalizes():
     out = apply_channel(only_plus, PureState([1.0, 0.0]).density())
     assert out.subnormalized
     assert out.trace == pytest.approx((1 + math.exp(-gamma)) / 2)
+
+
+def test_apply_channel_decides_trace_preservation_with_the_callers_tolerance():
+    # residual (1 + 5e-9)**2 - 1 = 1e-8: trace preserving at check=1e-7, not at the default 1e-9
+    nearly = OperatorEnsemble(((1 + 5e-9) * I2,))
+    rho = PureState([1.0, 0.0]).density()
+    loose = ToleranceConfig(check=1e-7, norm=1e-7)
+    assert not apply_channel(nearly, rho, tol=loose).subnormalized
+    with pytest.raises(ValueError, match="strength above 1"):
+        apply_channel(nearly, rho)
 
 
 def test_tensor_power_identity_and_completeness():
@@ -233,7 +251,7 @@ def test_strength_values():
     # splitting off the identity component of a superoperator leaves strength p
     remainder = OperatorEnsemble((math.sqrt(p) * SIGMA_X,))
     full = OperatorEnsemble((math.sqrt(1 - p) * I2, math.sqrt(p) * SIGMA_X))
-    assert full.is_superoperator
+    assert validate_superoperator(full) < DEFAULT_TOL.check
     assert strength(remainder) == pytest.approx(p)
 
 
@@ -275,7 +293,7 @@ def test_completeness_residual_is_computed_on_first_read(monkeypatch):
     assert calls == []  # building the 154-operator family never sums A^dag A
     dense = sum(a.conj().T @ a for a in family)
     assert family.completeness_residual == np.max(np.abs(dense - np.eye(64)))
-    assert not family.is_superoperator
+    assert validate_superoperator(family) >= DEFAULT_TOL.check
     assert calls == [len(family)]  # computed once, then kept
 
 
@@ -299,7 +317,7 @@ def test_explicit_lift_needs_one_qubit_operators():
 
 
 def test_family_byte_budget_refuses_before_building(monkeypatch):
-    monkeypatch.setattr(channels, "ENSEMBLE_BYTE_CAP", 2**20)
+    monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", 2**20)
     pauli = build_channel(ChannelSpec("pauli_unitary_basis", {}))
     assert len(e_error_family(pauli, 4, 2)) == 67  # 67 operators of 16 x 16: 0.27 MiB
     two, three = tensor_power(pauli, 2), tensor_power(pauli, 3)

@@ -294,3 +294,21 @@ def test_recovery_wider_than_the_cap_is_refused_before_parsing(tmp_path, capsys)
     # read as a channel, the refusal names the file, as the ensemble check always has
     assert main(["fidelity", "trivial:2", str(rec)]) == 2
     assert "wide.json: dimension 512 exceeds the cap 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["code", "recovery", "channel"])
+def test_a_file_over_the_size_cap_is_refused_naming_the_file(tmp_path, capsys, role):
+    # a canonical top-level operators block 512 wide, refused by the decoder whatever the file is read as
+    row = "[" + ",".join(["[0.0,0.0]"] * 512) + "]"
+    wide = tmp_path / "wide_rec.json"
+    wide.write_text(
+        '{"complement_dim":0,"dim":512,"label":"","operators":[[' + ",".join([row] * 512) + "]],"
+        '"syndrome_coefficients":[],"syndrome_dim":1}\n'
+    )
+    argv = {
+        "code": ["check", str(wide), "decoherence:gamma=0.1"],
+        "recovery": ["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(wide)],
+        "channel": ["fidelity", "trivial:2", str(wide)],
+    }[role]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {wide}: dimension 512 exceeds the cap 256\n"

@@ -39,7 +39,7 @@ from qeckit import (
     tensor_power,
     verify_recovery,
 )
-from qeckit import channels, codes
+from qeckit import codes, linalg
 from qeckit.catalog import catalogue
 from qeckit.recovery import RecoveryOperator, _entangled_residual
 
@@ -208,7 +208,7 @@ def test_entropy_route_memory_under_full_dephasing_at_seven_qubits():
 
 
 def test_image_gram_refused_before_it_is_formed(monkeypatch):
-    monkeypatch.setattr(channels, "ENSEMBLE_BYTE_CAP", 2**20)
+    monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", 2**20)
     code = random_code(16, 4, seed=3)
     pauli = e_error_family(build_channel(ChannelSpec("pauli_unitary_basis", {})), 4, 2)
     assert len(pauli) == 67  # family 0.27 MB; its (67*4)^2 Gram is 1.15 MB

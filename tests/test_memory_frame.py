@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qeckit import channels
+from qeckit import linalg
 from qeckit import (
     ChannelSpec,
     OperatorEnsemble,
@@ -144,7 +144,7 @@ def test_run_at_the_dimension_cap():
 
 def test_frame_arrays_are_refused_above_the_byte_cap(monkeypatch):
     code, noise, recovery = phase_setup(3)
-    monkeypatch.setattr(channels, "ENSEMBLE_BYTE_CAP", 2**14)
+    monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", 2**14)
     assert run_memory(code, noise, recovery, code.basis[0], 2).frame_dim == 2  # d = 2 fits
     with pytest.raises(CapacityError, match="memory frame arrays"):
         run_memory(code, noise, identity_recovery(8), code.basis[0], 2)  # d = n does not
