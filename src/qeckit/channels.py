@@ -97,9 +97,10 @@ class ChannelSpec:
 
     Supported params: ``gamma`` (dephasing rate, >= 0), ``p`` (probability
     in [0, 1]), ``q`` (overlap parameter in (0, 1/2)), and the structural
-    ints ``qubits`` / ``max_errors`` which lift a one-qubit kind to a
-    register (full tensor power, or the family inducing at most
+    finite integers ``qubits`` / ``max_errors`` which lift a one-qubit kind
+    to a register (full tensor power, or the family inducing at most
     ``max_errors`` errors). ``explicit`` carries its operators directly.
+    A NaN parameter is refused by name.
     """
 
     kind: str
@@ -115,6 +116,9 @@ class ChannelSpec:
         unread = sorted(set(params) - set(reads))
         if unread:
             raise ValueError(f"channel kind {self.kind!r} does not read parameter(s) {unread}; it reads {list(reads)}")
+        for name, v in params.items():
+            if math.isnan(v):
+                raise ValueError(f"parameter {name} must be a number, got nan")
         for name in (n for n in reads if n in _RANGES):
             if name not in params:
                 raise ValueError(f"channel kind {self.kind!r} requires parameter {name!r}")
@@ -131,12 +135,12 @@ class ChannelSpec:
 
         if "qubits" in params:
             r = params["qubits"]
-            if r != int(r) or r < 1:
+            if not r.is_integer() or r < 1:
                 raise ValueError(f"qubits must be a positive integer, got {r}")
         if "max_errors" in params:
             e = params["max_errors"]
             r = params.get("qubits", 1.0)
-            if e != int(e) or e < 0 or e > r:
+            if not e.is_integer() or e < 0 or e > r:
                 raise ValueError(f"max_errors must be an integer in 0..qubits, got {e}")
 
 

@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .channels import ChannelSpec, OperatorEnsemble, build_channel
 from .codes import QuantumCode, builtin_code, kl_check, naive_counting_bound, qubit_lower_bound
-from .config import DEFAULT_TOL, FidelityConfig, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, entangled_fidelity, min_fidelity
 from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
@@ -152,16 +152,19 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
-def _emit(report: dict, args) -> None:
-    if args.format == "json":
-        text = ser.dumps_canonical(report)
-    else:
-        text = "\n".join(_render_text(report)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, fmt: str, path: str | None) -> None:
+    """Write ``report`` as canonical JSON or indented text (``fmt``) to ``path``, or to stdout without one."""
+    text = ser.dumps_canonical(report) if fmt == "json" else "\n".join(_render_text(report)) + "\n"
+    _write(text, path)
 
 
 def _cmd_check(args) -> int:
@@ -172,7 +175,7 @@ def _cmd_check(args) -> int:
     out = _envelope(args, "check", tol)
     out["inputs"] = {"code": args.code, "channel": args.channel}
     out["result"] = ser.kl_report_to_json(report)
-    _emit(out, args)
+    _emit(out, args.format, args.out)
     return 0 if report.passed else 1
 
 
@@ -188,8 +191,7 @@ def _cmd_synthesize(args) -> int:
         out["error"] = str(exc)
         if exc.report is not None:
             out["result"] = ser.kl_report_to_json(exc.report)
-        args.out = None  # never write a recovery file for a failure
-        _emit(out, args)
+        _emit(out, args.format, None)  # never write a recovery file for a failure
         return 1
     verification = verify_recovery(code, channel, rec, tol)
     out = _envelope(args, "synthesize", tol)
@@ -201,14 +203,11 @@ def _cmd_synthesize(args) -> int:
     }
     recovery_json = ser.recovery_to_json(rec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(ser.dumps_canonical(recovery_json))
+        _write(ser.dumps_canonical(recovery_json), args.out)
         out["result"]["recovery_file"] = args.out
     else:
         out["result"]["recovery"] = recovery_json
-    saved_out, args.out = args.out, None  # report always goes to stdout
-    _emit(out, args)
-    args.out = saved_out
+    _emit(out, args.format, None)  # the report always goes to stdout
     return 0 if verification.passed else 1
 
 
@@ -221,15 +220,14 @@ def _cmd_fidelity(args) -> int:
         rec = _read_file(args.recovery, ser.recovery_from_json)
         if rec.dim != channel.dim:
             raise _InputError("recovery and channel dimensions do not match")
-    cfg = FidelityConfig(seed=args.seed)
-    report = min_fidelity(code, channel, cfg, recovery=rec)
+    report = min_fidelity(code, channel, recovery=rec)
     out = _envelope(args, "fidelity", tol)
     out["inputs"] = {"code": args.code, "channel": args.channel, "recovery": args.recovery}
     out["result"] = {"min_fidelity": ser.fidelity_report_to_json(report)}
     if args.entangled:
-        ent = entangled_fidelity(code, channel, cfg, recovery=rec)
+        ent = entangled_fidelity(code, channel, recovery=rec)
         out["result"]["entangled"] = ser.entangled_report_to_json(ent)
-    _emit(out, args)
+    _emit(out, args.format, args.out)
     return 0
 
 
@@ -260,11 +258,7 @@ def _cmd_memory(args) -> int:
             bound_params = (r, args.e, args.p)
         run = run_memory(code, channel, rec, code.basis[0], args.cycles, bound_params=bound_params, tol=tol)
         text = trajectory_csv(run)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -278,7 +272,7 @@ def _cmd_bounds(args) -> int:
         "binomial_fidelity_bound": binomial_fidelity_bound(args.r, args.e, args.p),
         "inputs": {"r": args.r, "e": args.e, "k": args.k, "p": args.p},
     }
-    _emit(out, args)
+    _emit(out, args.format, args.out)
     return 0
 
 
@@ -296,7 +290,7 @@ def _cmd_info(args) -> int:
             **ser.ensemble_to_json(channel),
             "completeness_residual": channel.completeness_residual,
         }
-    _emit(out, args)
+    _emit(out, args.format, args.out)
     return 0
 
 
@@ -307,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None, help="check tolerance (overrides QEC_TOL)")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports and optimizers")
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="seed recorded in reports; rotates synthesized syndrome frames (optimizers use a fixed seed)",
+        )
         p.add_argument("--out", default=None, help="output file (report, recovery JSON, or CSV)")
         p.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import OperatorEnsemble
 from .config import DEFAULT_TOL, ToleranceConfig
-from .linalg import DensityMatrix, PureState, QubitSubset, _check_bytes, dagger, kron_all, orthonormalize, partial_trace
+from .linalg import DensityMatrix, PureState, QubitSubset, _check_bytes, _check_dim, dagger, kron_all, orthonormalize, partial_trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +33,7 @@ class QuantumCode:
         if not states:
             raise ValueError("a code needs at least one basis state")
         dim = states[0].dim
+        _check_dim(dim)
         shape = states[0].shape
         for s in states:
             if s.dim != dim:
@@ -285,6 +286,7 @@ def builtin_code(name: str, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCode:
         d = int(rest) if rest else 2
         if d < 1:
             raise ValueError(f"trivial code dimension must be >= 1, got {d}")
+        _check_dim(d)
         shape = (2,) * int(math.log2(d)) if d & (d - 1) == 0 and d > 1 else None
         eye = np.eye(d, dtype=np.complex128)
         states = tuple(PureState(eye[:, i], shape, tol=tol) for i in range(d))

@@ -1,4 +1,4 @@
-"""Tolerance and optimizer configuration objects."""
+"""Tolerance configuration."""
 
 from __future__ import annotations
 
@@ -36,19 +36,3 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
-
-@dataclass(frozen=True)
-class FidelityConfig:
-    """Settings for the worst-case fidelity optimizers.
-
-    Worst cases over codes of dimension 1 and 2 and the entangled-state
-    minimum are exact (or certified by a reported gap) and read neither
-    field. Larger codes' pure-state worst cases use ``restarts``
-    projected-gradient descents from random starts drawn with ``seed``.
-    """
-
-    restarts: int = 32
-    seed: int = 0
-
-
-DEFAULT_FIDELITY = FidelityConfig()

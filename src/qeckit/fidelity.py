@@ -3,15 +3,20 @@
 The pure-state fidelity of |psi> under a family {A_a}, optionally followed
 by a recovery {R_r}, is sum |<psi|R_r A_a|psi>|^2; the fidelity of a code is
 its minimum over the code subspace. Every quantity here reads the k x k
-code-frame compression (R_r^dag B)^dag (A_a B) of the error images, so no
-composite R_r A_a is formed. The objective is a quartic in the amplitudes,
-which for a two-dimensional code is a quadratic in the Bloch vector: its
-minimum on the sphere is found exactly (with a multiplier certifying
-optimality), while larger codes use seeded random-restart projected gradient
-descent, an upper bound on the minimum. Over mixed code states the same
-objective is convex; its minimum is the entangled-state fidelity and, for
-k > 2, a lower bound on the pure one. Optimizer outputs always carry the
-witness state at which the reported value was re-evaluated.
+code-frame compression M = (R_r^dag B)^dag (A_a B) of the error images, so
+no composite R_r A_a is formed. In those coordinates every worst case is a
+minimum of one objective, F(rho) - tr(L rho) with the convex quartic
+F(rho) = sum_a |tr(M_a rho)|^2 and a k x k hermitian L: L = 0 for the
+pure-state and entangled-state fidelities, and the code-frame Gram
+sum_a (A_a B)^dag (A_a B) for the deviation ``code_error``. Two solvers
+minimize it. ``_min_pure`` works over pure code states: closed form for
+k = 1, exact on the Bloch sphere for k = 2 (with a multiplier certifying
+optimality), and fixed-seed random-restart projected gradient descent for
+larger codes, an upper bound on the minimum. ``_min_over_states`` works
+over mixed code states, where the objective is convex: its minimum is the
+entangled-state fidelity and, for k > 2, less its Frank-Wolfe gap, a
+certified bound on the pure one. Optimizer outputs always carry the witness
+state at which the reported value was re-evaluated.
 """
 
 from __future__ import annotations
@@ -23,12 +28,16 @@ import numpy as np
 
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_images
-from .config import DEFAULT_FIDELITY, DEFAULT_TOL, FidelityConfig
+from .config import DEFAULT_TOL
 from .linalg import PureState, dagger
 from .recovery import RecoveryOperator
 
 #: Numerical slack granted to optimizer-derived quantities in bound checks.
 BOUND_SLACK = 1e-6
+
+#: Random starts of the pure-state descent for codes with k > 2, and the seed they are drawn with.
+_RESTARTS = 32
+_SEED = 0
 
 #: Smallest line-search step of the random-restart descent.
 _STEP_FLOOR = 1e-10
@@ -176,17 +185,55 @@ def _min_on_sphere(t: np.ndarray) -> tuple[np.ndarray, dict]:
     return c, {"multiplier": float(lam[0] - delta), "min_curvature": float(lam[0])}
 
 
-def _minimize_sphere(value, grad, k: int, cfg: FidelityConfig):
-    """Seeded random-restart projected gradient descent on the unit sphere."""
-    rng = np.random.default_rng(cfg.seed)
+def _objective(m_ops: np.ndarray, leak: np.ndarray, rho: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """F(rho) - tr(L rho) with F(rho) = sum_a |tr(M_a rho)|^2, its gradient G - L, and tr(L rho).
+
+    The gradient is the hermitian matrix with d value = tr((G - L) d rho);
+    F is quadratic in rho, so tr(G rho) = 2 F(rho).
+    """
+    w = np.einsum("aij,ji->a", m_ops, rho)
+    p = np.tensordot(w.conj(), m_ops, axes=1)
+    lin = float(np.einsum("ij,ji->", leak, rho).real)
+    return float(np.sum(np.abs(w) ** 2)) - lin, p + dagger(p) - leak, lin
+
+
+def _quartic(m_ops: np.ndarray) -> np.ndarray:
+    """q[i, j, k, l] with sum_a |tr(M_a rho)|^2 = sum q[i, j, k, l] rho_ij rho_lk (see ``_bloch_form``)."""
+    return np.einsum("aji,alk->ijkl", m_ops, m_ops.conj())
+
+
+def _sphere_form(m_ops: np.ndarray, leak: np.ndarray) -> np.ndarray:
+    """``_bloch_form`` of F(rho) - tr(L rho) for k = 2, writing tr(L rho) as tr(L rho) tr(rho)."""
+    return _bloch_form(_quartic(m_ops) - np.einsum("ji,lk->ijkl", leak, np.eye(2)))
+
+
+def _min_pure(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, str, dict]:
+    """Minimize F(rho) - tr(L rho) over pure code states rho = |c><c|: (c, method, trace).
+
+    k = 1 is closed form and k = 2 exact on the Bloch sphere
+    (``_min_on_sphere``). Larger codes run ``_RESTARTS`` projected-gradient
+    descents on the unit sphere from random starts drawn with ``_SEED``;
+    their best value is only an upper bound on the minimum.
+    """
+    k = leak.shape[0]
+    if k == 1:
+        return np.array([1.0 + 0.0j]), "closed_form", {}
+    if k == 2:
+        c, trace = _min_on_sphere(_sphere_form(m_ops, leak))
+        return c, "bloch_exact", trace
+
+    def at(c):
+        return _objective(m_ops, leak, np.outer(c, c.conj()))
+
+    rng = np.random.default_rng(_SEED)
     best_c, best_v = None, math.inf
-    for _ in range(cfg.restarts):
+    for _ in range(_RESTARTS):
         c = rng.normal(size=k) + 1j * rng.normal(size=k)
         c /= np.linalg.norm(c)
-        fc = value(c)
+        fc, grad, _ = at(c)
         step = 0.5
         for _ in range(500):
-            g = grad(c)
+            g = grad @ c
             g = g - c * np.vdot(c, g)  # tangent projection
             if np.linalg.norm(g) < 1e-13:
                 break
@@ -194,9 +241,9 @@ def _minimize_sphere(value, grad, k: int, cfg: FidelityConfig):
             while step > _STEP_FLOOR:
                 cand = c - step * g
                 cand /= np.linalg.norm(cand)
-                fcand = value(cand)
+                fcand, gcand, _ = at(cand)
                 if fcand < fc - 1e-15:
-                    c, fc = cand, fcand
+                    c, fc, grad = cand, fcand, gcand
                     step *= 1.5
                     improved = True
                     break
@@ -205,49 +252,7 @@ def _minimize_sphere(value, grad, k: int, cfg: FidelityConfig):
                 break
         if fc < best_v:
             best_c, best_v = c, fc
-    trace = {"restarts": cfg.restarts, "seed": cfg.seed, "best_restart_value": best_v}
-    return best_c, best_v, trace
-
-
-def _worst_case(k: int, q, value, grad, cfg: FidelityConfig):
-    """Minimize an objective over unit code vectors: (coordinates, method, trace).
-
-    k = 1 is closed form; k = 2 is solved exactly on the Bloch sphere from
-    the tensor returned by the zero-argument callable ``q`` (see
-    ``_bloch_form``); larger codes use random restarts of ``value``/``grad``,
-    whose result is only an upper bound on the minimum.
-    """
-    if k == 1:
-        return np.array([1.0 + 0.0j]), "closed_form", {}
-    if k == 2:
-        c, trace = _min_on_sphere(_bloch_form(q()))
-        return c, "bloch_exact", trace
-    c, _, trace = _minimize_sphere(value, grad, k, cfg)
-    return c, "random_restart", trace
-
-
-def _state_objective(m_ops: np.ndarray, rho: np.ndarray) -> tuple[float, np.ndarray]:
-    """F(rho) = sum_a |tr(M_a rho)|^2 and its gradient G, with dF = tr(G d rho)."""
-    w = np.einsum("aij,ji->a", m_ops, rho)
-    p = np.tensordot(w.conj(), m_ops, axes=1)
-    return float(np.sum(np.abs(w) ** 2)), p + dagger(p)
-
-
-def _fidelity_objective(m_ops: np.ndarray):
-    """The pure fidelity F(|c><c|) of code coordinates c, its gradient G c, and its quartic."""
-
-    def value(c: np.ndarray) -> float:
-        return _state_objective(m_ops, np.outer(c, c.conj()))[0]
-
-    def grad(c: np.ndarray) -> np.ndarray:
-        return _state_objective(m_ops, np.outer(c, c.conj()))[1] @ c
-
-    return value, grad, lambda: _quartic(m_ops)
-
-
-def _quartic(m_ops: np.ndarray) -> np.ndarray:
-    """q[i, j, k, l] with sum_a |tr(M_a rho)|^2 = sum q[i, j, k, l] rho_ij rho_lk (see ``_bloch_form``)."""
-    return np.einsum("aji,alk->ijkl", m_ops, m_ops.conj())
+    return best_c, "random_restart", {"restarts": _RESTARTS, "seed": _SEED, "best_restart_value": best_v}
 
 
 def _witness(code: QuantumCode, c: np.ndarray) -> PureState:
@@ -255,10 +260,9 @@ def _witness(code: QuantumCode, c: np.ndarray) -> PureState:
     return PureState(psi / np.linalg.norm(psi), code.shape)
 
 
-def _fidelity_report(code, m_ops, ensemble, recovery, cfg: FidelityConfig) -> FidelityReport:
-    """Worst case of the pure fidelity from the compression, re-evaluated at its witness."""
-    value, grad, quartic = _fidelity_objective(m_ops)
-    c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
+def _fidelity_report(code, m_ops, ensemble, recovery) -> FidelityReport:
+    """Worst case of the pure fidelity (L = 0) from the compression, re-evaluated at its witness."""
+    c_best, method, trace = _min_pure(m_ops, np.zeros((code.k, code.k)))
     witness = _witness(code, c_best)
     return FidelityReport(
         value=pure_fidelity(witness, ensemble, recovery),
@@ -269,58 +273,47 @@ def _fidelity_report(code, m_ops, ensemble, recovery, cfg: FidelityConfig) -> Fi
 
 
 def min_fidelity(
-    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY, recovery: RecoveryOperator | None = None
+    code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOperator | None = None
 ) -> FidelityReport:
-    """Worst-case pure-state fidelity over the code subspace.
+    """Worst-case pure-state fidelity over the code subspace: the minimum of F with L = 0.
 
     ``recovery``, when given, is applied after the channel. k = 1 is closed
-    form; k = 2 is the exact Bloch-sphere minimum; larger codes use random
-    restarts, an upper bound, and add the certified lower bound
-    ``optimizer_trace["lower_bound"]``, the minimum over mixed code states
-    less its Frank-Wolfe gap. The returned value is re-evaluated at the
-    witness state, so
+    form; k = 2 is the exact Bloch-sphere minimum; larger codes use
+    fixed-seed random restarts, an upper bound, and add the certified lower
+    bound ``optimizer_trace["lower_bound"]``, the minimum over mixed code
+    states less its Frank-Wolfe gap. The returned value is re-evaluated at
+    the witness state, so
     report.value == pure_fidelity(report.argmin_state, ensemble, recovery).
     """
     m_ops, _ = _logical(code, ensemble, recovery)
-    report = _fidelity_report(code, m_ops, ensemble, recovery, cfg)
+    report = _fidelity_report(code, m_ops, ensemble, recovery)
     if code.k > 2:  # the minimum over mixed states is at most the pure one
-        _, value, solve = _min_over_states(m_ops)
+        _, value, solve = _min_over_states(m_ops, np.zeros((code.k, code.k)))
         report.optimizer_trace["lower_bound"] = value - solve["gap"]
     return report
 
 
-def code_error(
-    code: QuantumCode, composite: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY
-) -> FidelityReport:
+def code_error(code: QuantumCode, composite: OperatorEnsemble) -> FidelityReport:
     """Worst-case deviation sum_m ||(B_m - <B_m>) |psi>||^2 over code states.
 
-    The deviation is <psi|sum_m B_m^dag B_m|psi> minus the pure fidelity, so
-    for trace-preserving composites it equals 1 minus the worst-case
-    fidelity. The witness maximizes the deviation (the report field name
-    follows the fidelity report; here it is an arg-max). For k > 2 the
+    The deviation is <psi|L|psi> - F(|psi><psi|), with L the code-frame
+    Gram sum_m (B_m B)^dag (B_m B), so it is minus the shared objective and
+    its maximum is the pure solver's minimum of F - tr(L rho), negated. For
+    trace-preserving composites L = I and the deviation is 1 minus the
+    pure fidelity. The witness maximizes the deviation (the report field
+    name follows the fidelity report; here it is an arg-max). For k > 2 the
     random restarts give only a lower bound on the maximum, and
-    ``optimizer_trace["upper_bound"]`` certifies it from above:
-    lambda_max(sum_m B_m^dag B_m on the code) less the certified minimum
-    of the fidelity over mixed code states, which is exactly 1 minus
-    ``min_fidelity``'s ``lower_bound`` for trace-preserving composites.
+    ``optimizer_trace["upper_bound"]`` certifies it from above: minus the
+    minimum of F - tr(L rho) over mixed code states, less its Frank-Wolfe
+    gap. For trace-preserving composites that is 1 minus ``min_fidelity``'s
+    ``lower_bound``.
     """
     m_ops, leak = _logical(code, composite)
-    fid_value, fid_grad, fid_quartic = _fidelity_objective(m_ops)
-
-    def value(c):  # negated deviation, so the shared minimizers apply
-        return fid_value(c) - float(np.vdot(c, leak @ c).real)
-
-    def grad(c):
-        return fid_grad(c) - leak @ c
-
-    def quartic():  # <c|L|c> = sum L[j, i] rho_ij tr(rho)
-        return fid_quartic() - np.einsum("ji,lk->ijkl", leak, np.eye(code.k))
-
-    c_best, method, trace = _worst_case(code.k, quartic, value, grad, cfg)
+    c_best, method, trace = _min_pure(m_ops, leak)
     witness = _witness(code, c_best)
     if code.k > 2:
-        _, f_min, solve = _min_over_states(m_ops)
-        trace["upper_bound"] = float(np.linalg.eigvalsh(leak)[-1]) - (f_min - solve["gap"])
+        _, value, solve = _min_over_states(m_ops, leak)
+        trace["upper_bound"] = -(value - solve["gap"])
     return FidelityReport(
         value=float(np.vdot(c_best, leak @ c_best).real) - pure_fidelity(witness, composite),
         argmin_state=witness,
@@ -338,25 +331,26 @@ def _project_simplex(p: np.ndarray) -> np.ndarray:
     return np.maximum(p - theta, 0.0)
 
 
-def _min_over_states(m_ops: np.ndarray) -> tuple[np.ndarray, float, dict]:
-    """Minimum of the convex F(rho) = sum_a |tr(M_a rho)|^2 over k x k density matrices.
+def _min_over_states(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, float, dict]:
+    """Minimum of the convex F(rho) - tr(L rho) over k x k density matrices.
 
-    Returns (rho, F(rho), trace). k = 1 is closed form. k = 2 is exact on
-    the Bloch ball: the sphere minimizer is the ball's when its multiplier
-    is <= 0 (More and Sorensen; within rounding of 0, as ``_min_on_sphere``
-    decides its hard case); otherwise the minimum is interior, at the
-    stationary point r = -Q^-1 b of the convex quadratic. Larger codes run
-    projected gradient from I/k with step 1/L, L the largest curvature of F,
-    projecting through the eigenvalues onto the simplex. They stop when the
-    Frank-Wolfe gap tr(G rho) - lambda_min(G) = 2 F(rho) - lambda_min(G),
-    which bounds F(rho) - min F by convexity, reaches ``_GAP_TOL`` (or
-    after ``_MAX_STEPS`` steps), and report that gap.
+    Returns (rho, F(rho) - tr(L rho), trace). k = 1 is closed form. k = 2
+    is exact on the Bloch ball: the sphere minimizer is the ball's when its
+    multiplier is <= 0 (More and Sorensen; within rounding of 0, as
+    ``_min_on_sphere`` decides its hard case); otherwise the minimum is
+    interior, at the stationary point r = -Q^-1 b of the convex quadratic.
+    Larger codes run projected gradient from I/k with step 1/C, C the
+    largest curvature of F, projecting through the eigenvalues onto the
+    simplex. They stop when the Frank-Wolfe gap
+    tr((G - L) rho) - lambda_min(G - L) = 2 value + tr(L rho) - lambda_min(G - L),
+    which bounds value - min by convexity, reaches ``_GAP_TOL`` (or after
+    ``_MAX_STEPS`` steps), and report that gap.
     """
     k = m_ops.shape[1]
     if k == 1:
         rho, trace = np.ones((1, 1), dtype=np.complex128), {"method": "closed_form"}
     elif k == 2:
-        t = _bloch_form(_quartic(m_ops))
+        t = _sphere_form(m_ops, leak)
         c, trace = _min_on_sphere(t)
         rho, radius = np.outer(c, c.conj()), 1.0
         if trace["multiplier"] > _HARD_CASE_TOL * max(1.0, float(np.max(np.abs(t)))):
@@ -369,18 +363,18 @@ def _min_over_states(m_ops: np.ndarray) -> tuple[np.ndarray, float, dict]:
         curvature = 2.0 * np.linalg.norm(herm, 2) ** 2  # F's Hessian is 2 herm^dag herm on hermitian rho
         rho = np.eye(k, dtype=np.complex128) / k
         for steps in range(_MAX_STEPS + 1):
-            value, grad = _state_objective(m_ops, rho)
-            gap = max(0.0, 2.0 * value - float(np.linalg.eigvalsh(grad)[0]))
+            value, grad, lin = _objective(m_ops, leak, rho)
+            gap = max(0.0, 2.0 * value + lin - float(np.linalg.eigvalsh(grad)[0]))
             if gap <= _GAP_TOL or steps == _MAX_STEPS:
                 break
             lam, vecs = np.linalg.eigh(rho - grad / curvature)
             rho = (vecs * _project_simplex(lam)) @ dagger(vecs)
         trace = {"method": "projected_gradient", "gap": gap, "steps": steps}
-    return rho, _state_objective(m_ops, rho)[0], trace
+    return rho, _objective(m_ops, leak, rho)[0], trace
 
 
 def entangled_fidelity(
-    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY, recovery: RecoveryOperator | None = None
+    code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOperator | None = None
 ) -> EntangledFidelityReport:
     """Fidelity when the coded system is entangled with an untouched bystander.
 
@@ -395,8 +389,8 @@ def entangled_fidelity(
     """
     m_ops, _ = _logical(code, ensemble, recovery)
     max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / code.k) ** 2))
-    f_pure = _fidelity_report(code, m_ops, ensemble, recovery, cfg).value
-    rho, value, solve = _min_over_states(m_ops)
+    f_pure = _fidelity_report(code, m_ops, ensemble, recovery).value
+    rho, value, solve = _min_over_states(m_ops, np.zeros((code.k, code.k)))
     # I/k and the pure witness are states too, so rounding never lifts the minimum above them
     min_value = max(0.0, min(value, max_entangled, f_pure))
 
@@ -417,16 +411,14 @@ def entangled_fidelity(
     )
 
 
-def entangled_bound_check(
-    code: QuantumCode, ensemble: OperatorEnsemble, cfg: FidelityConfig = DEFAULT_FIDELITY
-) -> BoundCheckReport:
+def entangled_bound_check(code: QuantumCode, ensemble: OperatorEnsemble) -> BoundCheckReport:
     """Verify the linear bound F_entangled >= 1 - 3(1 - F_pure)/2.
 
     Only meaningful for trace-preserving families (the bound's derivation
     uses the completeness relation), so others are refused.
     """
     _require_superoperator(ensemble, "bound check")
-    report = entangled_fidelity(code, ensemble, cfg)
+    report = entangled_fidelity(code, ensemble)
     f_pure, bound, satisfied = report.bound_check
     return BoundCheckReport(
         pure_fidelity=f_pure,

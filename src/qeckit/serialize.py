@@ -113,6 +113,7 @@ def code_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCod
         if key not in data:
             raise ValueError(f"code JSON requires a {key!r} field")
     n, k = int(data["n"]), int(data["k"])
+    _check_dim(n)  # before any basis vector is decoded
     shape = tuple(int(f) for f in data["shape"]) if data.get("shape") else None
     basis = []
     for row in data["basis"]:

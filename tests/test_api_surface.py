@@ -1,4 +1,4 @@
-"""Public API surface: the functions the benchmark traces by name keep existing, and every tolerance is a `ToleranceConfig`."""
+"""Public API surface: every export resolves, the functions the benchmark traces by name keep existing, and every tolerance is a `ToleranceConfig`."""
 
 import inspect
 from pathlib import Path
@@ -7,6 +7,11 @@ import qeckit
 from qeckit import ToleranceConfig, channels, codes, fidelity, memory, recovery
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_export_resolves():
+    missing = [name for name in qeckit.__all__ if not hasattr(qeckit, name)]
+    assert not missing, f"names in qeckit.__all__ that qeckit does not define: {missing}"
 
 
 def test_every_traced_target_exists(monkeypatch):

@@ -145,6 +145,11 @@ def test_explicit_channel_roundtrips_operators():
     ("explicit", {}, "explicit channel requires explicit_operators"),
     ("pauli_unitary_basis", {"qubits": 2.5}, "qubits must be a positive integer, got 2.5"),
     ("pauli_unitary_basis", {"qubits": 3, "max_errors": 4}, "max_errors must be an integer in 0..qubits, got 4.0"),
+    ("pauli_unitary_basis", {"qubits": math.inf}, "qubits must be a positive integer, got inf"),
+    ("pauli_unitary_basis", {"qubits": 3, "max_errors": math.inf}, "max_errors must be an integer in 0..qubits, got inf"),
+    ("pauli_unitary_basis", {"qubits": math.nan}, "parameter qubits must be a number, got nan"),
+    ("decoherence", {"gamma": math.nan}, "parameter gamma must be a number, got nan"),
+    ("overlap_example", {"q": math.nan}, "parameter q must be a number, got nan"),
 ])
 def test_invalid_parameters_raise(kind, params, message):
     with pytest.raises(ValueError) as info:

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from qeckit import ChannelSpec, build_channel, builtin_code
+from qeckit import ChannelSpec, build_channel, builtin_code, random_code
 from qeckit.cli import main
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical
 
@@ -221,6 +221,44 @@ def test_non_finite_tol_env_is_input_error(files, capsys, monkeypatch, value):
 def test_info_rejects_parameters_the_kind_does_not_read(capsys, channel):
     assert main(["info", channel]) == 2
     assert "does not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel, message", [
+    ("pauli_unitary_basis:qubits=inf", "qubits must be a positive integer, got inf"),
+    ("pauli_unitary_basis:qubits=3,max_errors=inf", "max_errors must be an integer in 0..qubits, got inf"),
+    ("decoherence:gamma=nan", "parameter gamma must be a number, got nan"),
+])
+def test_non_finite_channel_parameters_exit_2_naming_the_parameter(capsys, channel, message):
+    assert main(["info", channel]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gamma_inf_is_full_dephasing(capsys):
+    assert main(["info", "decoherence:gamma=inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["completeness_residual"] == 0.0
+
+
+def test_a_code_above_the_cap_is_refused(capsys):
+    assert main(["info", "trivial(512)"]) == 2
+    assert capsys.readouterr().err == "error: dimension 512 exceeds the cap 256\n"
+
+
+def test_a_code_file_above_the_cap_is_refused_before_decoding(tmp_path, capsys):
+    path = tmp_path / "code512.json"
+    path.write_text('{"n": 512, "k": 1, "basis": [null]}')  # the basis would not decode
+    assert main(["check", str(path), "decoherence:gamma=0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: dimension 512 exceeds the cap 256\n"
+
+
+def test_entangled_fidelity_of_a_k3_code_ignores_seed(tmp_path, capsys):
+    path = tmp_path / "k3.json"
+    path.write_text(dumps_canonical(code_to_json(random_code(8, 3, seed=5, shape=(2, 2, 2)))))
+    results = []
+    for seed in ("0", "7"):
+        assert main(["fidelity", str(path), "decoherence:gamma=0.3,qubits=3", "--entangled", "--seed", seed]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0]["min_fidelity"]["method"] == "random_restart"
+    assert results[0] == results[1]
 
 
 def test_info_refuses_a_64_gib_family_before_allocating(capsys):

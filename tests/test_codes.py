@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qeckit import (
+    CapacityError,
     ChannelSpec,
     OperatorEnsemble,
     PureState,
@@ -16,6 +17,7 @@ from qeckit import (
     reduced_dm_check,
     repetition_phase_code,
 )
+from qeckit import linalg
 from qeckit.catalog import bit_flip_family, phase_error_family
 from qeckit.linalg import random_unitary
 
@@ -201,6 +203,15 @@ def test_code_orthonormality_enforced():
     w = np.array([1.0, 1.0, 0, 0], dtype=complex) / np.sqrt(2)
     with pytest.raises(ValueError, match="violation"):
         QuantumCode((PureState(v), PureState(w)))
+
+
+def test_codes_above_the_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(linalg, "DIM_CAP", 4)
+    with pytest.raises(CapacityError, match="dimension 8 exceeds the cap 4"):
+        builtin_code("trivial(8)")  # before its basis is allocated
+    with pytest.raises(CapacityError, match="dimension 8 exceeds the cap 4"):
+        random_code(8, 1, seed=0)  # through the QuantumCode constructor
+    assert builtin_code("trivial(4)").n == 4
 
 
 def test_four_qubit_sample_fails_quickly():

@@ -90,7 +90,7 @@ def test_minimum_is_below_every_feasible_value(name):
 def test_solved_state_matches_the_doubled_space_fidelity(name):
     code, noise, recovery = CASES[name]
     m_ops, _ = _logical(code, noise, recovery)
-    rho, value, _ = _min_over_states(m_ops)
+    rho, value, _ = _min_over_states(m_ops, np.zeros((code.k, code.k)))
     assert np.allclose(rho, rho.conj().T, atol=1e-14)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
@@ -101,7 +101,7 @@ def test_solved_state_matches_the_doubled_space_fidelity(name):
 def test_two_dimensional_minimum_is_certified_on_the_ball(name):
     code, noise, recovery = CASES[name]
     m_ops, _ = _logical(code, noise, recovery)
-    rho, value, trace = _min_over_states(m_ops)
+    rho, value, trace = _min_over_states(m_ops, np.zeros((code.k, code.k)))
     t = _bloch_form(_quartic(m_ops))
     q, b = t[1:, 1:], t[1:, 0]
     r = np.einsum("mij,ji->m", _PAULIS[1:], rho).real
@@ -126,7 +126,7 @@ def test_interior_branch_on_a_contracting_channel():
     # fully depolarizing noise: F = |r|^2 / 3 on the ball, minimized at the centre
     dep = build_channel(ChannelSpec("depolarizing_third", {}))
     m_ops, _ = _logical(random_code(2, 2, seed=1), dep)
-    rho, value, trace = _min_over_states(m_ops)
+    rho, value, trace = _min_over_states(m_ops, np.zeros((2, 2)))
     assert trace["multiplier"] > 0.0 and trace["radius"] <= 1e-12
     assert np.allclose(rho, np.eye(2) / 2.0, atol=1e-12)
     assert abs(value) <= 1e-15

@@ -5,7 +5,6 @@ import pytest
 
 from qeckit import (
     ChannelSpec,
-    FidelityConfig,
     NotSuperoperatorError,
     OperatorEnsemble,
     PureState,
@@ -117,10 +116,9 @@ def test_min_fidelity_random_restart_for_larger_codes():
     rng = np.random.default_rng(73)
     code = random_code(8, 3, seed=9, shape=(2, 2, 2))
     ch = random_superoperator(8, 2, rng)
-    cfg = FidelityConfig(restarts=8, seed=4)
-    report = min_fidelity(code, ch, cfg)
+    report = min_fidelity(code, ch)
     assert report.method == "random_restart"
-    again = min_fidelity(code, ch, cfg)
+    again = min_fidelity(code, ch)
     assert report.value == pytest.approx(again.value, abs=1e-12)  # deterministic given seed
     for _ in range(100):
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -164,10 +162,10 @@ def test_code_error_positive_without_recovery():
     assert "min_fidelity" not in report.optimizer_trace  # family is not a channel
 
 
-@pytest.mark.parametrize("n, seed", [(8, 0), (8, 1), (12, 2)])
-def test_code_error_upper_bound_for_three_dimensional_codes(n, seed):
+@pytest.mark.parametrize("n, k, seed", [(8, 3, 0), (8, 3, 1), (12, 3, 2), (8, 4, 3), (12, 4, 4)])
+def test_code_error_upper_bound_for_codes_above_two_dimensions(n, k, seed):
     rng = np.random.default_rng(4100 + seed)
-    code = random_code(n, 3, seed=seed)
+    code = random_code(n, k, seed=seed)
     composite = random_superoperator(n, 4, rng)
     report = code_error(code, composite)
     assert report.value <= report.optimizer_trace["upper_bound"]
@@ -179,6 +177,10 @@ def test_code_error_upper_bound_for_three_dimensional_codes(n, seed):
     lossy = OperatorEnsemble(tuple(np.sqrt(0.6) * b for b in composite) + (np.sqrt(0.3) * proj,))
     lossy_report = code_error(code, lossy)
     assert lossy_report.value <= lossy_report.optimizer_trace["upper_bound"]
+    # the convex relaxation of the deviation is no looser than lambda_max(L) - (F_min - gap)
+    leak = code.matrix.conj().T @ sum(b.conj().T @ b for b in lossy) @ code.matrix
+    separate = np.linalg.eigvalsh(leak)[-1] - min_fidelity(code, lossy).optimizer_trace["lower_bound"]
+    assert lossy_report.optimizer_trace["upper_bound"] <= separate + 1e-12
 
 
 def test_entangled_fidelity_depolarizing():

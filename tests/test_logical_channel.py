@@ -16,7 +16,6 @@ import pytest
 from helpers import grid_refine_minimum, random_state, random_superoperator
 from qeckit import (
     ChannelSpec,
-    FidelityConfig,
     OperatorEnsemble,
     PureState,
     build_channel,
@@ -92,9 +91,8 @@ def test_phase7_matches_compose_and_binomial_tail():
 
 @pytest.mark.parametrize("code, noise, recovery", RANDOM_CASES)
 def test_random_codes_match_compose(code, noise, recovery):
-    cfg = FidelityConfig(restarts=8, seed=5)
-    report = min_fidelity(code, noise, cfg, recovery=recovery)
-    dense = min_fidelity(code, compose(recovery.ensemble, noise), cfg)
+    report = min_fidelity(code, noise, recovery=recovery)
+    dense = min_fidelity(code, compose(recovery.ensemble, noise))
     assert report.method == dense.method
     assert abs(report.value - dense.value) <= (1e-12 if code.k <= 2 else 1e-7)
     assert report.value == pure_fidelity(report.argmin_state, noise, recovery)
