@@ -21,11 +21,11 @@ import os
 import sys
 
 from . import __version__
-from .channels import ChannelSpec, OperatorEnsemble, build_channel
+from .channels import CHANNEL_KINDS, ChannelSpec, OperatorEnsemble, build_channel
 from .codes import QuantumCode, builtin_code, kl_check, naive_counting_bound, qubit_lower_bound
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
-from .fidelity import binomial_fidelity_bound, entangled_fidelity, min_fidelity
+from .fidelity import binomial_fidelity_bound, min_fidelity
 from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
 from .recovery import synthesize_recovery, verify_recovery
 from . import serialize as ser
@@ -224,9 +224,8 @@ def _cmd_fidelity(args) -> int:
     out = _envelope(args, "fidelity", tol)
     out["inputs"] = {"code": args.code, "channel": args.channel, "recovery": args.recovery}
     out["result"] = {"min_fidelity": ser.fidelity_report_to_json(report)}
-    if args.entangled:
-        ent = entangled_fidelity(code, channel, recovery=rec)
-        out["result"]["entangled"] = ser.entangled_report_to_json(ent)
+    if args.entangled:  # read off the same pass; no second solve
+        out["result"]["entangled"] = ser.entangled_report_to_json(report.entangled)
     _emit(out, args.format, args.out)
     return 0
 
@@ -280,16 +279,16 @@ def _cmd_info(args) -> int:
     tol = _tolerance(args)
     out = _envelope(args, "info", tol)
     out["inputs"] = {"name": args.name}
-    try:
-        code = builtin_code(args.name, tol)
-        out["result"] = {"type": "code", **ser.code_to_json(code)}
-    except ValueError:
+    # a file or a channel kind's shorthand names a channel; anything else must be a builtin code
+    if os.path.exists(args.name) or args.name.partition(":")[0].strip() in CHANNEL_KINDS:
         channel = _resolve_channel(args.name, tol)
         out["result"] = {
             "type": "channel",
             **ser.ensemble_to_json(channel),
             "completeness_residual": channel.completeness_residual,
         }
+    else:
+        out["result"] = {"type": "code", **ser.code_to_json(_resolve_code(args.name, tol))}
     _emit(out, args.format, args.out)
     return 0
 

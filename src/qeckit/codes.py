@@ -283,7 +283,10 @@ def builtin_code(name: str, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCode:
         )
     if key.startswith("trivial"):
         rest = key[len("trivial"):].strip("():")
-        d = int(rest) if rest else 2
+        try:
+            d = int(rest) if rest else 2
+        except ValueError:
+            raise ValueError(f"trivial code dimension must be an integer, got {rest!r}") from None
         if d < 1:
             raise ValueError(f"trivial code dimension must be >= 1, got {d}")
         _check_dim(d)

@@ -16,7 +16,9 @@ larger codes, an upper bound on the minimum. ``_min_over_states`` works
 over mixed code states, where the objective is convex: its minimum is the
 entangled-state fidelity and, for k > 2, less its Frank-Wolfe gap, a
 certified bound on the pure one. Optimizer outputs always carry the witness
-state at which the reported value was re-evaluated.
+state at which the reported value was re-evaluated. ``min_fidelity`` runs
+each solver once and its report carries the entangled-state report, which
+``entangled_fidelity`` and ``entangled_bound_check`` read.
 """
 
 from __future__ import annotations
@@ -56,16 +58,6 @@ _PAULIS = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @dataclass(frozen=True, eq=False)
-class FidelityReport:
-    """Extremal fidelity (or deviation) value with its witness state."""
-
-    value: float
-    argmin_state: PureState
-    optimizer_trace: dict
-    method: str
-
-
-@dataclass(frozen=True, eq=False)
 class EntangledFidelityReport:
     """Entangled-state fidelity summary.
 
@@ -81,6 +73,21 @@ class EntangledFidelityReport:
     bound_check: tuple[float, float, bool]
     tight: bool
     optimizer_trace: dict
+
+
+@dataclass(frozen=True, eq=False)
+class FidelityReport:
+    """Extremal fidelity (or deviation) value with its witness state.
+
+    ``entangled`` is the entangled-state report of the same solves:
+    ``min_fidelity`` sets it, ``code_error`` leaves it None.
+    """
+
+    value: float
+    argmin_state: PureState
+    optimizer_trace: dict
+    method: str
+    entangled: EntangledFidelityReport | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,37 +267,49 @@ def _witness(code: QuantumCode, c: np.ndarray) -> PureState:
     return PureState(psi / np.linalg.norm(psi), code.shape)
 
 
-def _fidelity_report(code, m_ops, ensemble, recovery) -> FidelityReport:
-    """Worst case of the pure fidelity (L = 0) from the compression, re-evaluated at its witness."""
-    c_best, method, trace = _min_pure(m_ops, np.zeros((code.k, code.k)))
-    witness = _witness(code, c_best)
-    return FidelityReport(
-        value=pure_fidelity(witness, ensemble, recovery),
-        argmin_state=witness,
-        optimizer_trace={"method": method, **trace},
-        method=method,
-    )
-
-
 def min_fidelity(
     code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOperator | None = None
 ) -> FidelityReport:
-    """Worst-case pure-state fidelity over the code subspace: the minimum of F with L = 0.
+    """Worst-case pure-state fidelity over the code, carrying the entangled report of the same pass.
 
-    ``recovery``, when given, is applied after the channel. k = 1 is closed
-    form; k = 2 is the exact Bloch-sphere minimum; larger codes use
-    fixed-seed random restarts, an upper bound, and add the certified lower
-    bound ``optimizer_trace["lower_bound"]``, the minimum over mixed code
-    states less its Frank-Wolfe gap. The returned value is re-evaluated at
-    the witness state, so
+    Compresses once and minimizes F with L = 0 once over pure code states
+    and once over mixed ones, whatever k; ``report.entangled`` is the
+    ``entangled_fidelity`` report of those solves. ``recovery``, when
+    given, is applied after the channel. k = 1 is closed form; k = 2 is
+    the exact Bloch-sphere minimum; larger codes use fixed-seed random
+    restarts, an upper bound, and add the certified lower bound
+    ``optimizer_trace["lower_bound"]``, the minimum over mixed code states
+    less its Frank-Wolfe gap. The returned value is re-evaluated at the
+    witness state, so
     report.value == pure_fidelity(report.argmin_state, ensemble, recovery).
     """
     m_ops, _ = _logical(code, ensemble, recovery)
-    report = _fidelity_report(code, m_ops, ensemble, recovery)
+    zero = np.zeros((code.k, code.k))
+    c_best, method, trace = _min_pure(m_ops, zero)
+    witness = _witness(code, c_best)
+    f_pure = pure_fidelity(witness, ensemble, recovery)
+    rho, value, solve = _min_over_states(m_ops, zero)
     if code.k > 2:  # the minimum over mixed states is at most the pure one
-        _, value, solve = _min_over_states(m_ops, np.zeros((code.k, code.k)))
-        report.optimizer_trace["lower_bound"] = value - solve["gap"]
-    return report
+        trace["lower_bound"] = value - solve["gap"]
+    max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / code.k) ** 2))
+    # I/k and the pure witness are states too, so rounding never lifts the minimum above them
+    min_value = max(0.0, min(value, max_entangled, f_pure))
+    bound = 1.0 - 1.5 * (1.0 - f_pure)
+    weights = [float(x) for x in np.linalg.eigvalsh(rho)[::-1]]
+    entangled = EntangledFidelityReport(
+        max_entangled_value=max_entangled,
+        min_value=min_value,
+        bound_check=(f_pure, bound, min_value >= bound - BOUND_SLACK),
+        tight=abs(min_value - bound) <= BOUND_SLACK,
+        optimizer_trace={**solve, "weights": weights, "pure_fidelity": f_pure},
+    )
+    return FidelityReport(
+        value=f_pure,
+        argmin_state=witness,
+        optimizer_trace={"method": method, **trace},
+        method=method,
+        entangled=entangled,
+    )
 
 
 def code_error(code: QuantumCode, composite: OperatorEnsemble) -> FidelityReport:
@@ -385,30 +404,10 @@ def entangled_fidelity(
     completely entangled state rho = I/k is evaluated in closed form; the
     minimum is exact for k <= 2 and, for larger codes, within the Frank-Wolfe
     gap reported in ``optimizer_trace["gap"]``. ``recovery``, when given, is
-    applied after the channel.
+    applied after the channel. This is ``min_fidelity(...).entangled``: the
+    pure fidelity in the bound check comes from the same pass.
     """
-    m_ops, _ = _logical(code, ensemble, recovery)
-    max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / code.k) ** 2))
-    f_pure = _fidelity_report(code, m_ops, ensemble, recovery).value
-    rho, value, solve = _min_over_states(m_ops, np.zeros((code.k, code.k)))
-    # I/k and the pure witness are states too, so rounding never lifts the minimum above them
-    min_value = max(0.0, min(value, max_entangled, f_pure))
-
-    eps = 1.0 - f_pure
-    bound = 1.0 - 1.5 * eps
-    satisfied = min_value >= bound - BOUND_SLACK
-    trace = {
-        **solve,
-        "weights": [float(x) for x in np.linalg.eigvalsh(rho)[::-1]],
-        "pure_fidelity": f_pure,
-    }
-    return EntangledFidelityReport(
-        max_entangled_value=max_entangled,
-        min_value=min_value,
-        bound_check=(f_pure, bound, satisfied),
-        tight=abs(min_value - bound) <= BOUND_SLACK,
-        optimizer_trace=trace,
-    )
+    return min_fidelity(code, ensemble, recovery).entangled
 
 
 def entangled_bound_check(code: QuantumCode, ensemble: OperatorEnsemble) -> BoundCheckReport:
@@ -418,7 +417,7 @@ def entangled_bound_check(code: QuantumCode, ensemble: OperatorEnsemble) -> Boun
     uses the completeness relation), so others are refused.
     """
     _require_superoperator(ensemble, "bound check")
-    report = entangled_fidelity(code, ensemble)
+    report = min_fidelity(code, ensemble).entangled
     f_pure, bound, satisfied = report.bound_check
     return BoundCheckReport(
         pure_fidelity=f_pure,

@@ -22,9 +22,10 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotCorrectableError
 from .linalg import _complete_frame, dagger, orthonormalize, random_unitary, von_neumann_entropy
 
-# Construction residuals above this indicate the coefficient-replay step
-# broke down (inputs violate the correctability conditions more than the
-# kl tolerance admitted, or the syndrome frames are too ill-conditioned).
+# Construction residuals above this, or above tol.check when that is larger,
+# indicate the coefficient-replay step broke down (inputs violate the
+# correctability conditions more than the kl tolerance admitted, or the
+# syndrome frames are too ill-conditioned).
 _CONSTRUCTION_TOL = 1e-7
 
 # The entropy route's gap is in bits, not a residual: -x log2 x is not Lipschitz
@@ -95,29 +96,35 @@ class EntropyReport:
     tol: float
 
 
-def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, rank_tol: float):
+def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig):
     """Per-logical syndrome frames Q_i (n x s) and shared coefficients C (s x m).
 
-    Q_0 comes from orthonormalizing the images of the first logical state;
-    Q_i for i > 0 solves X_i = Q_i C in the least-squares sense, which is
-    exact (and Q_i orthonormal) precisely when the correctability conditions
-    hold. Returns (frames, C, rank, frame_residual, factor_residual).
+    Q_0 comes from orthonormalizing the images of the first logical state
+    (ranks cut at ``tol.rank``); Q_i for i > 0 solves X_i = Q_i C in the
+    least-squares sense, which is exact (and Q_i orthonormal) precisely when
+    the correctability conditions hold. A construction residual (frame
+    orthonormality or factorization) above ``max(tol.check,
+    _CONSTRUCTION_TOL)`` raises ``NotCorrectableError``. Returns
+    (frames, C, rank, residual).
     """
     images = list(np.moveaxis(_error_images(code, errors), 2, 0).copy())  # k blocks, n x m
-    basis0, coeff, rank = orthonormalize(list(images[0].T), rank_tol=rank_tol)
+    basis0, coeff, rank = orthonormalize(list(images[0].T), rank_tol=tol.rank)
     if rank == 0:
         empty = np.zeros((code.n, 0), dtype=np.complex128)
-        return [empty] * code.k, coeff, 0, 0.0, float(max(np.max(np.abs(x)) for x in images))
-
-    frames = [np.column_stack(basis0)]
-    gram = coeff @ dagger(coeff)
-    for i in range(1, code.k):
-        frames.append(images[i] @ np.linalg.solve(gram, coeff).conj().T)
-
-    joint = np.hstack(frames)  # n x ks; an isometry iff the frames are orthonormal together
-    frame_residual = float(np.max(np.abs(dagger(joint) @ joint - np.eye(code.k * rank))))
-    factor_residual = max(float(np.max(np.abs(x - q @ coeff))) for x, q in zip(images, frames))
-    return frames, coeff, rank, frame_residual, factor_residual
+        frames, residual = [empty] * code.k, float(max(np.max(np.abs(x)) for x in images))
+    else:
+        frames = [np.column_stack(basis0)]
+        gram = coeff @ dagger(coeff)
+        for i in range(1, code.k):
+            frames.append(images[i] @ np.linalg.solve(gram, coeff).conj().T)
+        joint = np.hstack(frames)  # n x ks; an isometry iff the frames are orthonormal together
+        residual = max(
+            float(np.max(np.abs(dagger(joint) @ joint - np.eye(code.k * rank)))),
+            max(float(np.max(np.abs(x - q @ coeff))) for x, q in zip(images, frames)),
+        )
+    if residual > max(tol.check, _CONSTRUCTION_TOL):
+        raise NotCorrectableError(f"syndrome-frame construction is inconsistent (residual {residual:.3e})")
+    return frames, coeff, rank, residual
 
 
 def synthesize_recovery(
@@ -141,11 +148,7 @@ def synthesize_recovery(
             f"(offdiag {report.max_offdiag_violation:.3e}, diag {report.max_diag_violation:.3e})",
             report=report,
         )
-    frames, coeff, rank, frame_res, factor_res = _syndrome_frames(code, errors, tol.rank)
-    if max(frame_res, factor_res) > _CONSTRUCTION_TOL:
-        raise NotCorrectableError(
-            f"syndrome-frame construction is inconsistent (residual {max(frame_res, factor_res):.3e})"
-        )
+    frames, coeff, rank, _ = _syndrome_frames(code, errors, tol)
     if seed is not None and rank > 0:
         w = random_unitary(rank, np.random.default_rng(seed))
         frames = [q @ w for q in frames]
@@ -245,16 +248,12 @@ def syndrome_decomposition(
     The construction is attempted directly from the error images and
     validated numerically (frame unitarity and the factorization
     A_a|i_L> = iso(|i_L> (x) |E(a)>)); residuals above ``tol.check`` (and
-    ``_CONSTRUCTION_TOL``) mean it does not exist: ``NotCorrectableError``.
+    ``_CONSTRUCTION_TOL``, the same refusal ``synthesize_recovery`` makes) mean
+    it does not exist: ``NotCorrectableError``.
     The code is flagged ``perfect`` when nothing is unreached and the
     syndrome vectors span the syndrome space (ranks cut at ``tol.rank``).
     """
-    frames, coeff, rank, frame_res, factor_res = _syndrome_frames(code, errors, tol.rank)
-    residual = max(frame_res, factor_res)
-    if residual > max(tol.check, _CONSTRUCTION_TOL):
-        raise NotCorrectableError(
-            f"no code-times-syndrome decomposition: construction residual {residual:.3e}"
-        )
+    frames, coeff, rank, residual = _syndrome_frames(code, errors, tol)
     n, k = code.n, code.k
     nu_columns = [frames[i][:, r] for i in range(k) for r in range(rank)]
     complement = tuple(_complete_frame(nu_columns, n))

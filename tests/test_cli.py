@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from qeckit import ChannelSpec, build_channel, builtin_code, random_code
+from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code
 from qeckit.cli import main
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical
 
@@ -167,6 +167,17 @@ def test_info_code_and_channel(capsys):
     assert report["result"]["completeness_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("name, message", [
+    ("trivial(0)", "trivial code dimension must be >= 1, got 0"),
+    ("phase4", "unknown code name 'phase4'; known: phase3, phase5, phase7, pair, trivial(d)"),
+    ("trivial(x)", "trivial code dimension must be an integer, got 'x'"),
+])
+def test_a_bad_code_name_reports_its_own_error_in_info_and_check(capsys, name, message):
+    for argv in (["info", name], ["check", name, "decoherence:gamma=0.1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reports_are_byte_identical(files, capsys):
     main(["check", files["code"], files["good"], "--seed", "7"])
     first = capsys.readouterr().out
@@ -259,6 +270,21 @@ def test_entangled_fidelity_of_a_k3_code_ignores_seed(tmp_path, capsys):
         results.append(json.loads(capsys.readouterr().out)["result"])
     assert results[0]["min_fidelity"]["method"] == "random_restart"
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_fidelity_command_runs_each_solver_once(k, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"k{k}.json"
+    path.write_text(dumps_canonical(code_to_json(random_code(8, k, seed=5, shape=(2, 2, 2)))))
+    calls = []
+    for name in ("_min_pure", "_min_over_states"):
+        solver = getattr(fidelity, name)
+        monkeypatch.setattr(fidelity, name, lambda *args, _s=solver, _n=name: calls.append(_n) or _s(*args))
+    for extra in ([], ["--entangled"]):
+        calls.clear()
+        assert main(["fidelity", str(path), "amplitude_damping:p=0.2,qubits=3", *extra]) == 0
+        assert sorted(calls) == ["_min_over_states", "_min_pure"]
+    capsys.readouterr()
 
 
 def test_info_refuses_a_64_gib_family_before_allocating(capsys):

@@ -2,10 +2,11 @@
 
 The digests pin the byte-deterministic CLI output for phase3 and phase5
 under dephasing at gamma = 0.1 (the e = (m - 1)/2 family for check and
-synthesize, the full channel after the recovery for fidelity and memory),
-all with ``--seed 3``. They were recorded with numpy 2.4.6 on OpenBLAS
-0.3.31 (x86-64); another BLAS or numpy may round the last bit differently,
-so a mismatch there calls for a look at the diff, not necessarily a bug.
+synthesize, the full channel after the recovery for fidelity, with and
+without ``--entangled``, and for memory), all with ``--seed 3``. They
+were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64); another BLAS
+or numpy may round the last bit differently, so a mismatch there calls
+for a look at the diff, not necessarily a bug.
 Every path is relative to the working directory, because reports embed
 the paths they were given.
 """
@@ -22,6 +23,7 @@ GOLDEN = {
         "synthesize": "dd68a06dbab72f337cb487764c3bd0d8d62bb09787acbd43b874711535e90125",
         "recovery": "78221829ef175f8c60a02cf837aa51e5347201c944d2939d686917f0f938163d",
         "fidelity": "e0d7dfae80bcffa3933da507f174b6fbef79bd247cd7c1c73ffda74c0c17607a",
+        "entangled": "04cf410873c40edae67a7faf90126ba3cc6559a562300c7d0be856a647d6cfc9",
         "memory": "0bc3aa4f797b7595a972d95e1261f39819e30ef830800bbf67bf4c3ebd968d51",
         "compare": "a05cedeed21356703242465632d84c7311b73268aae66e8dd518035f10d1b3d6",
     },
@@ -30,6 +32,7 @@ GOLDEN = {
         "synthesize": "bbb87e43c18e43cd03d8ce3278630175a84118acd10c89b4f1d927b0525e6480",
         "recovery": "2502aca30f771aa5cfcd12ae482cbfa36baf0cab8d30435782ad99055b403243",
         "fidelity": "633cb52291102c955135b6b0a1fc494a7ddc32f41a77717ae92f22d2b7b8f884",
+        "entangled": "9d4ee6e18e3668fdafd2c9e3d141f0663d7d71d6ec72c68ad575aad8fa90936e",
         "memory": "a4c3b5f11939e6467cf3823c9565374befe97404be1f2621c66e04241e4915f5",
         "compare": "a05cedeed21356703242465632d84c7311b73268aae66e8dd518035f10d1b3d6",
     },
@@ -53,6 +56,7 @@ def cli_outputs(m, capsys):
     with open(rec, "rb") as fh:
         out["recovery"] = fh.read()
     out["fidelity"] = _run(["fidelity", code, noise, "--recovery", rec, "--seed", "3"], capsys)
+    out["entangled"] = _run(["fidelity", code, noise, "--recovery", rec, "--entangled", "--seed", "3"], capsys)
     out["memory"] = _run(["memory", code, noise, "--recovery", rec, "--cycles", "5", "--seed", "3"], capsys)
     out["compare"] = _run(
         ["memory", code, "--compare", "--gamma", "0.05", "--cycles", "5", "--seed", "3"], capsys

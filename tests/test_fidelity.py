@@ -25,6 +25,7 @@ from qeckit import (
     tensor_power,
 )
 from qeckit.catalog import phase_error_family
+from qeckit.serialize import entangled_report_to_json
 from helpers import random_state, random_superoperator
 
 I2 = np.eye(2, dtype=complex)
@@ -237,6 +238,15 @@ def test_entangled_schmidt_objective_matches_composite_space():
         )
         direct = sum(abs(np.vdot(ent, np.kron(np.eye(2), a) @ ent)) ** 2 for a in ch.operators)
         assert schmidt == pytest.approx(direct, abs=1e-12)
+
+
+def test_min_fidelity_carries_the_entangled_report_of_the_same_pass():
+    code = random_code(8, 3, seed=5, shape=(2, 2, 2))
+    ch = build_channel(ChannelSpec("amplitude_damping", {"p": 0.2, "qubits": 3}))
+    report = min_fidelity(code, ch)
+    assert report.entangled.bound_check[0] == report.entangled.optimizer_trace["pure_fidelity"] == report.value
+    assert entangled_report_to_json(report.entangled) == entangled_report_to_json(entangled_fidelity(code, ch))
+    assert code_error(code, ch).entangled is None
 
 
 def test_entangled_bound_check_reports():

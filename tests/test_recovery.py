@@ -8,6 +8,9 @@ from qeckit import (
     NotCorrectableError,
     NotSuperoperatorError,
     OperatorEnsemble,
+    PureState,
+    QuantumCode,
+    ToleranceConfig,
     build_channel,
     builtin_code,
     compose,
@@ -218,6 +221,32 @@ def test_syndrome_decomposition_rejects_uncorrectable():
     code = repetition_phase_code(3)
     with pytest.raises(NotCorrectableError):
         syndrome_decomposition(code, bit_flip_family(3))
+
+
+def _perturbed_phase3(eps: float) -> QuantumCode:
+    """phase3 with its second codeword tilted by ``eps`` out of the code, still orthonormal."""
+    b = repetition_phase_code(3).matrix
+    v = np.random.default_rng(1).normal(size=8) + 0j
+    v -= b @ (b.conj().T @ v)
+    second = b[:, 1] + eps * v / np.linalg.norm(v)
+    return QuantumCode((PureState(b[:, 0], (2, 2, 2)), PureState(second / np.linalg.norm(second), (2, 2, 2))))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-6])
+def test_synthesis_and_decomposition_refuse_at_the_same_tolerance(eps):
+    code, family = _perturbed_phase3(eps), phase_error_family(0.1, 3, 1)
+    loose = ToleranceConfig(check=1e-5)
+    assert kl_check(code, family, loose).passed
+    residual = syndrome_decomposition(code, family, loose).max_residual
+    assert 1e-7 < residual < loose.check  # above the construction floor, within the check tolerance
+    recovery = synthesize_recovery(code, family, loose)
+    assert verify_recovery(code, family, recovery, loose).passed
+
+    tight = ToleranceConfig(check=residual / 2)
+    assert kl_check(code, family, tight).passed
+    for construct in (synthesize_recovery, syndrome_decomposition):
+        with pytest.raises(NotCorrectableError, match="construction is inconsistent"):
+            construct(code, family, tight)
 
 
 def test_entropy_route_values():

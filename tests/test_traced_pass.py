@@ -56,8 +56,8 @@ def test_phase3_cli_pass_binds_every_counter(monkeypatch, tmp_path, capsys):
     } <= seen
     assert [span.counts["command"] for span in spans if span.name == "cli.main"] == [c[0] for c in commands]
 
-    under_fidelity = [
-        span.name for span in spans
-        if span.name == "channels.compose" and _top(spans, span).counts["command"] == "fidelity"
-    ]
-    assert not under_fidelity
+    under_fidelity = [span.name for span in spans if _top(spans, span).counts["command"] == "fidelity"]
+    assert "channels.compose" not in under_fidelity
+    # one pass serves --entangled: one min_fidelity span and no entangled_fidelity span
+    assert under_fidelity.count("fidelity.min_fidelity") == 1
+    assert "fidelity.entangled_fidelity" not in under_fidelity
