@@ -22,7 +22,9 @@ import sys
 
 from . import __version__
 from .channels import CHANNEL_KINDS, ChannelSpec, OperatorEnsemble, build_channel
-from .codes import QuantumCode, builtin_code, kl_check, naive_counting_bound, qubit_lower_bound
+from .codes import (
+    BUILTIN_CODES, QuantumCode, builtin_code, kl_check, names_builtin_code, naive_counting_bound, qubit_lower_bound,
+)
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, min_fidelity
@@ -153,10 +155,13 @@ def _fmt_scalar(value) -> str:
 
 
 def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    """Write ``text`` to the file at ``path``, or to stdout without one; a file that cannot be written is an input error."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _InputError(f"{path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -201,12 +206,11 @@ def _cmd_synthesize(args) -> int:
         "complement_dim": rec.complement_dim,
         "verification": ser.verification_report_to_json(verification),
     }
-    recovery_json = ser.recovery_to_json(rec)
-    if args.out:
-        _write(ser.dumps_canonical(recovery_json), args.out)
+    if args.out:  # the operators go to the encoder as one array, never as lists
+        _write(ser.dumps_canonical(ser.recovery_document(rec)), args.out)
         out["result"]["recovery_file"] = args.out
     else:
-        out["result"]["recovery"] = recovery_json
+        out["result"]["recovery"] = ser.recovery_to_json(rec)
     _emit(out, args.format, None)  # the report always goes to stdout
     return 0 if verification.passed else 1
 
@@ -279,7 +283,7 @@ def _cmd_info(args) -> int:
     tol = _tolerance(args)
     out = _envelope(args, "info", tol)
     out["inputs"] = {"name": args.name}
-    # a file or a channel kind's shorthand names a channel; anything else must be a builtin code
+    # a file or a channel kind's shorthand names a channel, a builtin code's form names a code
     if os.path.exists(args.name) or args.name.partition(":")[0].strip() in CHANNEL_KINDS:
         channel = _resolve_channel(args.name, tol)
         out["result"] = {
@@ -287,8 +291,13 @@ def _cmd_info(args) -> int:
             **ser.ensemble_to_json(channel),
             "completeness_residual": channel.completeness_residual,
         }
-    else:
+    elif names_builtin_code(args.name):
         out["result"] = {"type": "code", **ser.code_to_json(_resolve_code(args.name, tol))}
+    else:
+        raise _InputError(
+            f"unknown code or channel name {args.name!r}; known codes: {', '.join(BUILTIN_CODES)}; "
+            f"known channel kinds: {', '.join(CHANNEL_KINDS)}"
+        )
     _emit(out, args.format, args.out)
     return 0
 

@@ -265,6 +265,15 @@ def repetition_phase_code(m: int, tol: ToleranceConfig = DEFAULT_TOL) -> Quantum
     )
 
 
+BUILTIN_CODES = ("phase3", "phase5", "phase7", "pair", "trivial(d)")
+
+
+def names_builtin_code(name: str) -> bool:
+    """Whether ``name`` has the form of a catalogued code, which ``builtin_code`` may still refuse."""
+    key = name.strip().lower()
+    return key in BUILTIN_CODES or key.startswith("trivial")
+
+
 def builtin_code(name: str, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCode:
     """Catalogued codes: phase3/phase5/phase7, pair, trivial(d)."""
     key = name.strip().lower()
@@ -294,7 +303,7 @@ def builtin_code(name: str, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCode:
         eye = np.eye(d, dtype=np.complex128)
         states = tuple(PureState(eye[:, i], shape, tol=tol) for i in range(d))
         return QuantumCode(states, label=f"trivial({d})", tol=tol)
-    raise ValueError(f"unknown code name {name!r}; known: phase3, phase5, phase7, pair, trivial(d)")
+    raise ValueError(f"unknown code name {name!r}; known: {', '.join(BUILTIN_CODES)}")
 
 
 def random_code(

@@ -2,9 +2,11 @@
 
 Complex numbers are always encoded as ``[re, im]`` pairs and matrices as
 row-major arrays of such pairs. Floats pass through Python's repr, so
-explicit operator lists round-trip bit exactly. ``loads`` reads files in
-the canonical layout ``dumps_canonical`` writes with their dense
-``operators`` block parsed straight into float64 arrays.
+explicit operator lists round-trip bit exactly. The dense top-level
+``operators`` block of a document travels as float64 arrays both ways:
+``dumps_canonical`` encodes an array-valued block with one ``repr`` per
+distinct value, and ``loads`` parses a canonical block straight into
+arrays. Both give the stdlib's bytes and floats exactly.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _pair_array(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float64 array of [re, im] pairs: one more axis, of length 2."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2)
+
+
 def _to_pairs(a: np.ndarray) -> list:
     """Nested lists of [re, im] pairs, one level per axis of ``a``."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+    return _pair_array(a).tolist()
 
 
 def _from_pairs(data, ndim: int) -> np.ndarray:
@@ -127,11 +134,25 @@ def code_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCod
 
 
 def recovery_to_json(rec: RecoveryOperator) -> dict:
-    out = ensemble_to_json(rec.ensemble)
-    out["syndrome_dim"] = rec.syndrome_dim
-    out["complement_dim"] = rec.complement_dim
-    out["syndrome_coefficients"] = matrix_to_json(rec.syndrome_coefficients)
+    out = recovery_document(rec)
+    out["operators"] = _to_pairs(out["operators"])
     return out
+
+
+def recovery_document(rec: RecoveryOperator) -> dict:
+    """``recovery_to_json(rec)`` with ``operators`` one stacked (m, d, d) complex array.
+
+    ``dumps_canonical`` encodes it to the same text without building the
+    operators' lists; this is how ``synthesize --out`` writes its file.
+    """
+    return {
+        "dim": rec.dim,
+        "label": rec.ensemble.label,
+        "operators": np.stack(rec.ensemble.operators),
+        "syndrome_dim": rec.syndrome_dim,
+        "complement_dim": rec.complement_dim,
+        "syndrome_coefficients": matrix_to_json(rec.syndrome_coefficients),
+    }
 
 
 def recovery_from_json(data: dict) -> RecoveryOperator:
@@ -224,12 +245,91 @@ def bound_check_to_json(rep: BoundCheckReport) -> dict:
     }
 
 
-def dumps_canonical(data: dict) -> str:
-    """Deterministic JSON encoding (sorted keys, fixed separators)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
+_SEPARATORS = (",", ":")
 _OPERATORS_KEY = '"operators":'
+# A block whose distinct values are a larger share of its floats goes through the stdlib, which
+# is then as fast: on 2.13 M floats the token join overtakes it near a share of 0.3.
+_MAX_DISTINCT_SHARE = 0.25
+
+
+def _operators_array(value) -> np.ndarray | None:
+    """An array-valued ``operators`` block as one array, complex entries as [re, im] pairs; else None."""
+    if isinstance(value, (list, tuple)) and value and all(isinstance(a, np.ndarray) for a in value):
+        value = np.stack(value)  # the list of per-operator arrays ``loads`` returns
+    if not isinstance(value, np.ndarray):
+        return None
+    return _pair_array(value) if np.iscomplexobj(value) else value
+
+
+def _tokens(block: np.ndarray) -> np.ndarray | None:
+    """Each float of a finite (m, d, d, 2) float64 block with repeating values as its JSON text; else None.
+
+    A real part's text opens its pair and an imaginary part's closes it:
+    "[re" and "im]", so a row is one comma-join of its tokens. Each
+    distinct float64 bit pattern (so -0.0 stays apart from 0.0) is
+    written once, by ``float.__repr__`` as ``json`` writes it.
+    """
+    if block.dtype != np.float64 or block.ndim != 4 or block.shape[-1] != 2 or block.size == 0:
+        return None
+    flat = np.ascontiguousarray(block).reshape(-1)
+    if not np.isfinite(flat).all():
+        return None
+    bits = flat.view(np.int64)
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    if distinct.size > _MAX_DISTINCT_SHARE * flat.size:
+        return None
+    index = np.searchsorted(distinct, bits)
+    index[1::2] += distinct.size  # imaginary parts take the closing tokens
+    reprs = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    table = np.array(["[" + r for r in reprs] + [r + "]" for r in reprs], dtype=object)
+    return table[index].reshape(block.shape[0], block.shape[1], -1)
+
+
+def _block_pieces(block: np.ndarray) -> list[str]:
+    """Strings that join to ``json.dumps(block.tolist())``; on the fast path one per operator.
+
+    The tokens are dropped on return, before the caller's join copies the pieces.
+    """
+    tokens = _tokens(block)
+    if tokens is None:
+        return [_stdlib_block_text(block)]
+    pieces = [("," if i else "[") + "[" + ",".join(["[" + ",".join(row) + "]" for row in op.tolist()]) + "]"
+              for i, op in enumerate(tokens)]
+    pieces.append("]")
+    return pieces
+
+
+def _stdlib_block_text(block: np.ndarray) -> str:
+    """The oracle and the fallback: the block's nested lists through ``json.dumps``."""
+    return json.dumps(block.tolist(), separators=_SEPARATORS)
+
+
+def dumps_canonical(data: dict) -> str:
+    """Deterministic JSON encoding (sorted keys, fixed separators); the inverse of ``loads``.
+
+    A top-level ``operators`` value may be held as an array: one numpy
+    array, or a list of equal-shape ones such as ``loads`` returns.
+    Complex entries are written as [re, im] pairs. The text is the one
+    ``json.dumps`` gives for the array's ``tolist()``, byte for byte. A
+    finite (m, d, d, 2) float64 block whose distinct values are at most
+    ``_MAX_DISTINCT_SHARE`` of its floats is written with one ``repr``
+    per distinct value; any other block takes ``tolist`` and the stdlib.
+    Either way, the block is spliced into the stdlib encoding of the
+    rest of the document at its sorted key position, in one join.
+    """
+    block = _operators_array(data.get("operators")) if isinstance(data, dict) else None
+    if block is None:
+        return json.dumps(data, sort_keys=True, separators=_SEPARATORS) + "\n"
+    pieces = _block_pieces(block)
+    head = json.dumps({k: v for k, v in data.items() if k < "operators"}, sort_keys=True, separators=_SEPARATORS)[:-1]
+    tail = json.dumps({k: v for k, v in data.items() if k > "operators"}, sort_keys=True, separators=_SEPARATORS)[1:]
+    return "".join([head, "," * (head != "{"), _OPERATORS_KEY, *pieces, "," * (tail != "}"), tail, "\n"])
+
+
 _NUMBER_BYTES = b"0123456789+-.eE"
 # Character classes of a dense operator's text, every other byte being class 0. "[" and ","
 # come first and the digits last, so that ``<= _C`` and ``>= _Z`` select them.

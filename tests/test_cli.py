@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code
+from qeckit.channels import CHANNEL_KINDS
 from qeckit.cli import main
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical
 
@@ -175,7 +176,45 @@ def test_info_code_and_channel(capsys):
 def test_a_bad_code_name_reports_its_own_error_in_info_and_check(capsys, name, message):
     for argv in (["info", name], ["check", name, "decoherence:gamma=0.1"]):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        # info cannot tell a name of neither catalogue for a code, so it lists both
+        expected = unknown_in_info(name) if argv[0] == "info" and name == "phase4" else message
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def unknown_in_info(name):
+    return (
+        f"unknown code or channel name {name!r}; known codes: phase3, phase5, phase7, pair, trivial(d); "
+        f"known channel kinds: {', '.join(CHANNEL_KINDS)}"
+    )
+
+
+@pytest.mark.parametrize("name", ["nonsense", "decoherance:gamma=0.1", "phase4"])
+def test_info_lists_both_catalogues_for_a_name_of_neither(capsys, name):
+    assert main(["info", name]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {unknown_in_info(name)}\n"
+    assert "decoherence_pm_basis" in err and "trivial(d)" in err
+
+
+def test_check_and_synthesize_keep_naming_the_slot(capsys):
+    assert main(["check", "nonsense", "decoherence:gamma=0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown code name 'nonsense'; known: phase3,")
+    assert main(["synthesize", "phase3", "decoherance:gamma=0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown channel kind 'decoherance'; known:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"],
+    ["synthesize", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"],
+    ["memory", "pair", "overlap_example:q=0.25", "--cycles", "2"],
+    ["memory", "phase3", "--compare", "--gamma", "0.05", "--cycles", "2"],
+])
+def test_an_unwritable_out_path_is_an_input_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: [Errno 2] ") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_reports_are_byte_identical(files, capsys):

@@ -9,6 +9,12 @@ or numpy may round the last bit differently, so a mismatch there calls
 for a look at the diff, not necessarily a bug.
 Every path is relative to the working directory, because reports embed
 the paths they were given.
+
+``PHASE7`` pins the 45 MB phase7 recovery file and its synthesize report
+(e = 3 family, ``--seed 3``). Both digests were recorded while the file
+was still written through ``recovery_to_json`` and ``json.dumps``, before
+``synthesize --out`` encoded the operators from arrays; the new encoder
+must reproduce those bytes.
 """
 
 import hashlib
@@ -36,6 +42,11 @@ GOLDEN = {
         "memory": "a4c3b5f11939e6467cf3823c9565374befe97404be1f2621c66e04241e4915f5",
         "compare": "a05cedeed21356703242465632d84c7311b73268aae66e8dd518035f10d1b3d6",
     },
+}
+
+PHASE7 = {
+    "synthesize": "23cd17563749d701212b60bffe97d29fe2653d1e171ee4a391bb5c1488052cc1",
+    "recovery": "62995a95bb871d69299070022d9cec367e990aabe1b2312696cd70a9e376b660",
 }
 
 
@@ -69,3 +80,12 @@ def test_cli_output_matches_golden_digest(m, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in cli_outputs(m, capsys).items()}
     assert digests == GOLDEN[m]
+
+
+def test_phase7_recovery_file_matches_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    family = "decoherence_pm_basis:gamma=0.1,qubits=7,max_errors=3"
+    report = _run(["synthesize", "phase7", family, "--seed", "3", "--out", "recovery7.json"], capsys)
+    with open("recovery7.json", "rb") as fh:
+        digests = {"synthesize": hashlib.sha256(report).hexdigest(), "recovery": hashlib.sha256(fh.read()).hexdigest()}
+    assert digests == PHASE7
