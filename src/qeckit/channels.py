@@ -287,7 +287,7 @@ def apply_channel(
     if ensemble.completeness_residual < tol.check:
         return DensityMatrix(out, shape=rho.shape, subnormalized=rho.subnormalized, tol=tol)
     tr = float(np.trace(out).real)
-    if tr > 1.0 + tol.norm:
+    if tr > 1.0 + tol.check:
         raise ValueError(f"ensemble has strength above 1 (output trace {tr:.6f}); not a channel")
     return DensityMatrix(out, shape=rho.shape, subnormalized=True, tol=tol)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -82,14 +83,16 @@ def _parse_channel_shorthand(arg: str) -> ChannelSpec:
         raise _InputError(str(exc))
 
 
-def _resolve_channel(arg: str, tol: ToleranceConfig) -> OperatorEnsemble:
-    def decode(data):
-        if "kind" in data:
-            return build_channel(ser.channel_spec_from_json(data), tol)
-        return ser.ensemble_from_json(data)
+def _channel_from_json(data, tol: ToleranceConfig) -> OperatorEnsemble:
+    """A channel document: a spec (with ``kind``) built at ``tol``, else an explicit ensemble."""
+    if "kind" in data:
+        return build_channel(ser.channel_spec_from_json(data), tol)
+    return ser.ensemble_from_json(data)
 
+
+def _resolve_channel(arg: str, tol: ToleranceConfig) -> OperatorEnsemble:
     if os.path.exists(arg):
-        return _read_file(arg, decode)
+        return _read_file(arg, lambda data: _channel_from_json(data, tol))
     try:
         return build_channel(_parse_channel_shorthand(arg), tol)
     except (ValueError, CapacityError) as exc:
@@ -106,6 +109,24 @@ def _tolerance(args) -> ToleranceConfig:
     if args.tol is not None:
         check = args.tol
     return dataclasses.replace(DEFAULT_TOL, check=check)
+
+
+def _refuse_bad_arguments(args) -> None:
+    """Refuse a negative ``--seed``, and an ``--out`` that is a directory or lies in a missing directory.
+
+    Runs before any input is read, so a refused command costs nothing and creates no file.
+    """
+    if args.seed < 0:
+        raise _InputError(f"--seed must be a non-negative integer, got {args.seed}")
+    if not args.out:
+        return
+    if os.path.isdir(args.out):
+        err = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(args.out) or "."):
+        err = errno.ENOENT
+    else:
+        return
+    raise _InputError(f"{args.out}: {OSError(err, os.strerror(err), args.out)}")
 
 
 def _envelope(args, command: str, tol: ToleranceConfig) -> dict:
@@ -283,21 +304,29 @@ def _cmd_info(args) -> int:
     tol = _tolerance(args)
     out = _envelope(args, "info", tol)
     out["inputs"] = {"name": args.name}
-    # a file or a channel kind's shorthand names a channel, a builtin code's form names a code
-    if os.path.exists(args.name) or args.name.partition(":")[0].strip() in CHANNEL_KINDS:
-        channel = _resolve_channel(args.name, tol)
-        out["result"] = {
-            "type": "channel",
-            **ser.ensemble_to_json(channel),
-            "completeness_residual": channel.completeness_residual,
-        }
+    # a file holds a code when it has a basis and a channel otherwise; a channel kind's shorthand
+    # names a channel and a builtin code's form names a code
+    if os.path.exists(args.name):
+        item = _read_file(
+            args.name, lambda data: ser.code_from_json(data, tol) if "basis" in data else _channel_from_json(data, tol)
+        )
+    elif args.name.partition(":")[0].strip() in CHANNEL_KINDS:
+        item = _resolve_channel(args.name, tol)
     elif names_builtin_code(args.name):
-        out["result"] = {"type": "code", **ser.code_to_json(_resolve_code(args.name, tol))}
+        item = _resolve_code(args.name, tol)
     else:
         raise _InputError(
             f"unknown code or channel name {args.name!r}; known codes: {', '.join(BUILTIN_CODES)}; "
             f"known channel kinds: {', '.join(CHANNEL_KINDS)}"
         )
+    if isinstance(item, QuantumCode):
+        out["result"] = {"type": "code", **ser.code_to_json(item)}
+    else:
+        out["result"] = {
+            "type": "channel",
+            **ser.ensemble_to_json(item),
+            "completeness_residual": item.completeness_residual,
+        }
     _emit(out, args.format, args.out)
     return 0
 
@@ -366,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _refuse_bad_arguments(args)
         return args.func(args)
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

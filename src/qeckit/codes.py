@@ -43,7 +43,7 @@ class QuantumCode:
         mat = np.column_stack([s.amplitudes for s in states])
         gram = dagger(mat) @ mat
         viol = float(np.max(np.abs(gram - np.eye(len(states)))))
-        if viol > tol.norm:
+        if viol > tol.check:
             raise ValueError(f"code basis is not orthonormal (violation {viol:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "basis", states)

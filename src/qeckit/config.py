@@ -3,36 +3,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical tolerances, the one way a tolerance enters a constructor or check.
+    """The one numerical tolerance, the one way a tolerance enters a constructor or check.
 
-    ``--tol``/``QEC_TOL`` set ``check`` for a CLI command. Fields must be finite and positive.
-
-    rank: relative cutoff deciding when a vector adds a new direction
-        during orthonormalization (relative to the largest norm in a batch).
-    check: residual threshold for hermiticity, unitarity and completeness
-        checks, and for the verdicts of the correctability routes.
-    norm: threshold for state normalization, code orthonormality and code
-        membership.
-    entropy_floor: eigenvalues below this contribute zero entropy
-        (the 0*log(0) = 0 convention).
+    ``check`` is the residual threshold for every input validation and every
+    verdict: state normalization and trace, hermiticity and positivity, code
+    orthonormality and membership, completeness and unitarity, and the
+    correctability routes. ``--tol``/``QEC_TOL`` set it for a CLI command. It
+    must be finite and positive.
     """
 
-    rank: float = 1e-10
     check: float = 1e-9
-    norm: float = 1e-9
-    entropy_floor: float = 1e-14
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {f.name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.check) and self.check > 0):
+            raise ValueError(f"tolerance check must be finite and positive, got {self.check}")
 
 
 DEFAULT_TOL = ToleranceConfig()
-

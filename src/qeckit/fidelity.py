@@ -30,7 +30,6 @@ import numpy as np
 
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_images
-from .config import DEFAULT_TOL
 from .linalg import PureState, dagger
 from .recovery import RecoveryOperator
 
@@ -106,15 +105,10 @@ def pure_fidelity(state, ensemble: OperatorEnsemble, recovery: RecoveryOperator 
 
     Computed as ||V^dag U||_F^2 with U = [A_a psi] and V = [R_r^dag psi]
     (V = psi without a recovery), so no composite R_r A_a is formed.
-    Accepts a ``PureState`` or a raw amplitude vector; raw vectors must be
-    normalized.
+    Accepts a ``PureState`` or a raw amplitude vector, which is validated
+    as a ``PureState``.
     """
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-    else:
-        psi = np.asarray(state, dtype=np.complex128).reshape(-1)
-        if abs(float(np.linalg.norm(psi)) - 1.0) > DEFAULT_TOL.norm:
-            raise ValueError("state is not normalized")
+    psi = (state if isinstance(state, PureState) else PureState(state)).amplitudes
     if ensemble.dim != psi.size or (recovery is not None and recovery.dim != psi.size):
         raise ValueError(f"dimension mismatch: ensemble {ensemble.dim}, state {psi.size}")
     rows = psi.conj()[None] if recovery is None else np.stack([psi.conj() @ r for r in recovery.ensemble])

@@ -24,6 +24,11 @@ DIM_CAP = 2**8
 #: entries); larger families are refused before any operator is built.
 ENSEMBLE_BYTE_CAP = 4 * 2**30
 
+# Default relative rank cutoff of ``orthonormalize``, and recovery's rank cuts.
+_RANK_TOL = 1e-10
+# Eigenvalues at or below this contribute zero entropy (0 log 0 = 0).
+_ENTROPY_FLOOR = 1e-14
+
 
 def _check_dim(dim: int) -> None:
     """Refuse (``CapacityError``) a dimension above ``DIM_CAP``."""
@@ -73,7 +78,7 @@ class PureState:
         if not np.all(np.isfinite(vec)):
             raise ValueError("state amplitudes must be finite")
         nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > tol.norm:
+        if abs(nrm - 1.0) > tol.check:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         if self.shape is not None:
             shp = tuple(int(f) for f in self.shape)
@@ -115,9 +120,9 @@ class DensityMatrix:
             raise NotAStateError(f"matrix is not hermitian (residual {herm:.3e})")
         tr = float(np.trace(mat).real)
         if self.subnormalized:
-            if tr > 1.0 + tol.norm or tr < -tol.norm:
+            if tr > 1.0 + tol.check or tr < -tol.check:
                 raise NotAStateError(f"subnormalized state needs 0 <= trace <= 1, got {tr:.6f}")
-        elif abs(tr - 1.0) > tol.norm:
+        elif abs(tr - 1.0) > tol.check:
             raise NotAStateError(f"trace must be 1, got {tr:.12f}")
         lo = float(np.min(np.linalg.eigvalsh(mat))) if mat.size else 0.0
         if lo < -tol.check:
@@ -203,7 +208,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def orthonormalize(
-    vectors: Sequence, rank_tol: float = DEFAULT_TOL.rank
+    vectors: Sequence, rank_tol: float = _RANK_TOL
 ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Orthonormalize a batch of vectors, tracking expansion coefficients.
 
@@ -270,14 +275,15 @@ def _complete_frame(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
 
 
 def unitary_extension(
-    pairs: Sequence[tuple], dim: int | None = None, tol: float = DEFAULT_TOL.check
+    pairs: Sequence[tuple], dim: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Unitary matrix sending each input vector to its paired output.
 
     Inputs and outputs must each form orthonormal sets of a common
-    dimension. The map is completed deterministically by orthonormalizing
-    the complements of the input and output spans and pairing them in index
-    order; an empty list yields the identity (``dim`` required then).
+    dimension, within ``tol.check``. The map is completed deterministically
+    by orthonormalizing the complements of the input and output spans and
+    pairing them in index order; an empty list yields the identity (``dim``
+    required then).
     """
     pairs = list(pairs)
     if not pairs:
@@ -292,8 +298,8 @@ def unitary_extension(
         raise ValueError("all inputs and outputs must share one dimension")
     if dim is not None and dim != d:
         raise ValueError(f"dim={dim} conflicts with vector dimension {d}")
-    _check_frame(ins, tol, "input")
-    _check_frame(outs, tol, "output")
+    _check_frame(ins, tol.check, "input")
+    _check_frame(outs, tol.check, "output")
 
     comp_in = _complete_frame(ins, d)
     comp_out = _complete_frame(outs, d)
@@ -310,7 +316,7 @@ def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     lo = float(eigs.min()) if eigs.size else 0.0
     if lo < -tol.check:
         raise NotAStateError(f"not a state: negative eigenvalue {lo:.3e}")
-    lams = eigs[eigs > tol.entropy_floor]
+    lams = eigs[eigs > _ENTROPY_FLOOR]
     if lams.size == 0:
         return 0.0
     return max(0.0, float(-np.sum(lams * np.log2(lams))))

@@ -129,8 +129,8 @@ def run_memory(
     """Iterate rho -> recovery(channel(rho)) and track fidelity per cycle.
 
     Both the channel and the recovery must be trace preserving (within
-    ``tol.check``), and the initial state must lie in the code subspace
-    (within ``tol.norm``). ``bound_params = (r, e, p)`` attaches the
+    ``tol.check``), and so must the initial state's distance from the code
+    subspace. ``bound_params = (r, e, p)`` attaches the
     compounded tail-bound curve. The state is carried as the d x d matrix
     sigma in the frame W of the module docstring, so a cycle costs about
     n^2 d (m_A + m_R) multiply-adds; with ``worst_case`` the k^2
@@ -150,7 +150,7 @@ def run_memory(
     if psi.size != code.n:
         raise ValueError("initial state dimension does not match the code")
     outside = float(np.linalg.norm(psi - code.projector() @ psi))
-    if outside > tol.norm:
+    if outside > tol.check:
         raise ValueError(f"initial state is outside the code subspace (residual {outside:.3e})")
     if worst_case and code.k > 2:
         raise ValueError("worst-case trajectories are implemented for codes of dimension <= 2")

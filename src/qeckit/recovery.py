@@ -20,7 +20,7 @@ from .channels import OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_images, _image_gram, kl_check
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotCorrectableError
-from .linalg import _complete_frame, dagger, orthonormalize, random_unitary, von_neumann_entropy
+from .linalg import _RANK_TOL, _complete_frame, dagger, orthonormalize, random_unitary, von_neumann_entropy
 
 # Construction residuals above this, or above tol.check when that is larger,
 # indicate the coefficient-replay step broke down (inputs violate the
@@ -100,7 +100,7 @@ def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, tol: Tolerance
     """Per-logical syndrome frames Q_i (n x s) and shared coefficients C (s x m).
 
     Q_0 comes from orthonormalizing the images of the first logical state
-    (ranks cut at ``tol.rank``); Q_i for i > 0 solves X_i = Q_i C in the
+    (ranks cut at ``_RANK_TOL``); Q_i for i > 0 solves X_i = Q_i C in the
     least-squares sense, which is exact (and Q_i orthonormal) precisely when
     the correctability conditions hold. A construction residual (frame
     orthonormality or factorization) above ``max(tol.check,
@@ -108,7 +108,7 @@ def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, tol: Tolerance
     (frames, C, rank, residual).
     """
     images = list(np.moveaxis(_error_images(code, errors), 2, 0).copy())  # k blocks, n x m
-    basis0, coeff, rank = orthonormalize(list(images[0].T), rank_tol=tol.rank)
+    basis0, coeff, rank = orthonormalize(list(images[0].T))
     if rank == 0:
         empty = np.zeros((code.n, 0), dtype=np.complex128)
         frames, residual = [empty] * code.k, float(max(np.max(np.abs(x)) for x in images))
@@ -137,7 +137,7 @@ def synthesize_recovery(
 
     Raises ``NotCorrectableError`` (carrying the ``KLReport``) when the
     correctability check fails within ``tol.check``; the syndrome frames
-    are cut at ``tol.rank``. ``seed`` rotates the syndrome-frame basis by
+    are cut at ``_RANK_TOL``. ``seed`` rotates the syndrome-frame basis by
     a common random unitary; the recovery is non-unique and any such choice
     verifies identically.
     """
@@ -251,7 +251,7 @@ def syndrome_decomposition(
     ``_CONSTRUCTION_TOL``, the same refusal ``synthesize_recovery`` makes) mean
     it does not exist: ``NotCorrectableError``.
     The code is flagged ``perfect`` when nothing is unreached and the
-    syndrome vectors span the syndrome space (ranks cut at ``tol.rank``).
+    syndrome vectors span the syndrome space (ranks cut at ``_RANK_TOL``).
     """
     frames, coeff, rank, residual = _syndrome_frames(code, errors, tol)
     n, k = code.n, code.k
@@ -262,7 +262,7 @@ def syndrome_decomposition(
     if unitarity > max(tol.check, _CONSTRUCTION_TOL):
         raise NotCorrectableError(f"syndrome map is not unitary (residual {unitarity:.3e})")
 
-    spanned = int(np.linalg.matrix_rank(coeff, tol=tol.rank * max(1.0, float(np.max(np.abs(coeff)) if coeff.size else 0.0))))
+    spanned = int(np.linalg.matrix_rank(coeff, tol=_RANK_TOL * max(1.0, float(np.max(np.abs(coeff)) if coeff.size else 0.0))))
     perfect = (n - k * rank) == 0 and spanned == rank
     return SyndromeDecomposition(
         iso_map=iso,

@@ -1,10 +1,11 @@
 """Public API surface: every export resolves, the functions the benchmark traces by name keep existing, and every tolerance is a `ToleranceConfig`."""
 
+import dataclasses
 import inspect
 from pathlib import Path
 
 import qeckit
-from qeckit import ToleranceConfig, channels, codes, fidelity, memory, recovery
+from qeckit import ToleranceConfig, channels, codes, fidelity, memory, recovery, serialize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,7 +26,7 @@ def test_every_traced_target_exists(monkeypatch):
 
 def test_every_tolerance_parameter_is_a_config():
     bare = []
-    for module in (channels, codes, recovery, fidelity, memory):
+    for module in (channels, codes, recovery, fidelity, memory, serialize):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             if name.startswith("_") or fn.__module__ != module.__name__:
                 continue
@@ -35,3 +36,7 @@ def test_every_tolerance_parameter_is_a_config():
                 ):
                     bare.append(f"{module.__name__}.{name}({param.name})")
     assert not bare, f"tolerances that bypass ToleranceConfig: {bare}"
+
+
+def test_the_tolerance_config_has_one_field():
+    assert tuple(f.name for f in dataclasses.fields(ToleranceConfig)) == ("check",)

@@ -203,7 +203,7 @@ def test_apply_channel_decides_trace_preservation_with_the_callers_tolerance():
     # residual (1 + 5e-9)**2 - 1 = 1e-8: trace preserving at check=1e-7, not at the default 1e-9
     nearly = OperatorEnsemble(((1 + 5e-9) * I2,))
     rho = PureState([1.0, 0.0]).density()
-    loose = ToleranceConfig(check=1e-7, norm=1e-7)
+    loose = ToleranceConfig(check=1e-7)
     assert not apply_channel(nearly, rho, tol=loose).subnormalized
     with pytest.raises(ValueError, match="strength above 1"):
         apply_channel(nearly, rho)

@@ -7,6 +7,7 @@ import pytest
 
 from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code
 from qeckit.channels import CHANNEL_KINDS
+from qeckit import cli
 from qeckit.cli import main
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical
 
@@ -168,6 +169,13 @@ def test_info_code_and_channel(capsys):
     assert report["result"]["completeness_residual"] < 1e-12
 
 
+def test_info_reads_a_code_file_as_a_code(files, capsys):
+    assert main(["info", files["code"]]) == 0
+    from_file = json.loads(capsys.readouterr().out)["result"]
+    assert main(["info", "phase3"]) == 0
+    assert from_file == json.loads(capsys.readouterr().out)["result"]
+
+
 @pytest.mark.parametrize("name, message", [
     ("trivial(0)", "trivial code dimension must be >= 1, got 0"),
     ("phase4", "unknown code name 'phase4'; known: phase3, phase5, phase7, pair, trivial(d)"),
@@ -215,6 +223,36 @@ def test_an_unwritable_out_path_is_an_input_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {out}: [Errno 2] ") and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work ran although the arguments were refused")
+
+
+@pytest.mark.parametrize("out_name", ["missing/r.json", "."])
+def test_an_unwritable_out_path_is_refused_before_any_work(out_name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "synthesize_recovery", _never)
+    out = tmp_path / out_name
+    argv = ["synthesize", "phase7", "decoherence_pm_basis:gamma=0.1,qubits=7,max_errors=3", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: [Errno ") and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"],
+    ["synthesize", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"],
+    ["fidelity", "phase3", "decoherence:gamma=0.1,qubits=3"],
+    ["memory", "phase3", "--compare", "--gamma", "0.05", "--cycles", "2"],
+    ["bounds"],
+    ["info", "phase3"],
+])
+def test_a_negative_seed_is_refused_before_any_input_is_read(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_resolve_code", _never)
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n" and captured.out == ""
 
 
 def test_reports_are_byte_identical(files, capsys):
@@ -355,6 +393,28 @@ def test_tol_reaches_the_memory_refusals(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--tol", "1e-7"]) == 0
     assert capsys.readouterr().out.startswith("cycle,fidelity,bound\n0,1,")
     monkeypatch.setenv("QEC_TOL", "1e-7")
+    assert main(argv) == 0
+
+
+def _tilted_phase3(tmp_path):
+    """phase3 with its second codeword turned 1e-8 rad toward the first: an overlap of 1e-8."""
+    doc = code_to_json(builtin_code("phase3"))
+    zero, one = (np.array([complex(*z) for z in v]) for v in doc["basis"])
+    tilted = math.cos(1e-8) * one + math.sin(1e-8) * zero
+    doc["basis"][1] = [[z.real, z.imag] for z in tilted]
+    path = tmp_path / "tilted.json"
+    path.write_text(dumps_canonical(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "synthesize", "fidelity"])
+def test_tol_reaches_code_file_orthonormality(command, tmp_path, capsys, monkeypatch):
+    argv = [command, _tilted_phase3(tmp_path), "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"]
+    assert main(argv) == 2
+    assert "code basis is not orthonormal (violation 1.000e-08)" in capsys.readouterr().err
+    assert main(argv + ["--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
+    monkeypatch.setenv("QEC_TOL", "1e-6")
     assert main(argv) == 0
 
 

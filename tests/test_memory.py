@@ -7,6 +7,7 @@ from qeckit import (
     ChannelSpec,
     NotSuperoperatorError,
     PureState,
+    ToleranceConfig,
     binomial_fidelity_bound,
     bound_trajectory,
     build_channel,
@@ -81,6 +82,17 @@ def test_run_memory_input_validation():
     incomplete = phase_error_family(0.1, 3, 1)
     with pytest.raises(NotSuperoperatorError):
         run_memory(code, incomplete, recovery, code.basis[0], 2)
+
+
+def test_run_memory_tests_code_membership_at_the_callers_tolerance():
+    code, noise, recovery = phase3_flip_setup(0.1)
+    away = np.eye(8, dtype=complex)[:, 1] - code.projector()[:, 1]
+    away /= np.linalg.norm(away)
+    nearly = PureState(math.cos(1e-8) * code.basis[0].amplitudes + math.sin(1e-8) * away, shape=(2, 2, 2))
+    with pytest.raises(ValueError, match="code subspace"):
+        run_memory(code, noise, recovery, nearly, 2)
+    run = run_memory(code, noise, recovery, nearly, 2, tol=ToleranceConfig(check=1e-6))
+    assert len(run.per_cycle_fidelity) == 3
 
 
 def test_compare_small_gamma_coded_dominates():
