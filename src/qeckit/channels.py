@@ -11,6 +11,13 @@ parameter; ``ChannelSpec`` and ``build_channel`` read nothing else. The
 register lifts, ``tensor_power`` and ``e_error_family``, form their members
 through one builder, ``_register``, which refuses a family over the size
 caps before it builds any member.
+
+A lift whose one-qubit operators each have at most one nonzero per row
+(every catalogued kind) keeps its members as words over those operators
+until a caller iterates it. Its length, dimension, completeness residual
+and error images (``OperatorEnsemble.images``) come from the words, so
+``check``, ``synthesize``, ``fidelity`` and ``memory`` never form one of
+its 2^r x 2^r members.
 """
 
 from __future__ import annotations
@@ -44,7 +51,18 @@ def _check_family_bytes(count: int, dim: int) -> None:
 
 
 def _sum_adag_a(ops) -> np.ndarray:
-    """sum_a A_a^dag A_a, the operator in the completeness relation."""
+    """sum_a A_a^dag A_a, the operator in the completeness relation.
+
+    ``ops`` holds dense members, or a lifted family's members as
+    ``(cols, vals)``: a member with at most one nonzero per row adds
+    |vals|^2 to the diagonal at ``cols`` and nothing off it.
+    """
+    if isinstance(ops[0], tuple):
+        n = len(ops[0][0])
+        diag = np.zeros(n)
+        for cols, vals in ops:
+            diag += np.bincount(cols, weights=vals.real**2 + vals.imag**2, minlength=n)
+        return np.diag(diag).astype(np.complex128)
     acc = np.zeros_like(ops[0])
     for a in ops:
         acc += dagger(a) @ a
@@ -78,7 +96,18 @@ class OperatorEnsemble:
 
     @cached_property
     def completeness_residual(self) -> float:
-        return float(np.max(np.abs(_sum_adag_a(self.operators) - np.eye(self.dim))))
+        return float(np.max(np.abs(_sum_adag_a(self._terms()) - np.eye(self.dim))))
+
+    def _terms(self) -> tuple:
+        """The members as ``_sum_adag_a`` reads them."""
+        return self.operators
+
+    def images(self, frame: np.ndarray) -> np.ndarray:
+        """Images of an n x d frame as an (n, m, d) array: ``X[:, a, i] = A_a frame[:, i]``."""
+        images = np.empty((frame.shape[0], len(self), frame.shape[1]), dtype=np.complex128)
+        for a, op in enumerate(self.operators):
+            images[:, a, :] = op @ frame
+        return images
 
     @property
     def dim(self) -> int:
@@ -292,31 +321,109 @@ def apply_channel(
     return DensityMatrix(out, shape=rho.shape, subnormalized=True, tol=tol)
 
 
+def _fold(words: np.ndarray, factors, kron, unit) -> Iterator:
+    """Each row of ``words`` as the left ``kron`` fold of ``factors[w_1], ..., factors[w_r]`` onto ``unit``.
+
+    A word that shares its first letters with the word before reuses their
+    product. With ``np.kron`` on dense factors this is ``kron_all``'s fold.
+    """
+    # prefix[j] is the product of the first j letters of ``last``, the word before
+    prefix, last = [unit], []
+    for word in words.tolist():
+        keep = next((j for j, (a, b) in enumerate(zip(word, last)) if a != b), len(last))
+        del prefix[keep + 1 :]
+        for i in word[keep:]:
+            prefix.append(kron(prefix[-1], factors[i]))
+        yield prefix[-1]
+        last = word
+
+
+def _kron_monomial(x, y):
+    """``np.kron`` of two operators given as ``(cols, vals)``, one nonzero at most per row.
+
+    Row i of an operator holds ``vals[i]`` in column ``cols[i]``; the
+    product's values are the same products ``np.kron`` forms.
+    """
+    (cx, vx), (cy, vy) = x, y
+    return (cx[:, None] * len(cy) + cy).ravel(), (vx[:, None] * vy).ravel()
+
+
+_DENSE_UNIT = np.ones((1, 1), dtype=np.complex128)
+_MONOMIAL_UNIT = (np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128))
+
+
+def _monomial(a: np.ndarray):
+    """``a`` as ``(cols, vals)``, with ``a[i, cols[i]] = vals[i]``, or None if a row has two nonzeros."""
+    nonzero = a != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    cols = np.argmax(nonzero, axis=1)
+    return cols, a[np.arange(len(a)), cols]
+
+
+class _LiftedEnsemble(OperatorEnsemble):
+    """A register lift held as its words over one-qubit operators with at most one nonzero per row.
+
+    ``operators`` is built on first read by the dense fold, bit for bit
+    what a dense lift holds. Everything else comes from the words: the
+    length and dimension, the completeness residual from each member's
+    ``(cols, vals)``, and the images, row i of ``A_a frame`` being
+    ``vals[i] * frame[cols[i]]``.
+    """
+
+    def __init__(self, basis: OperatorEnsemble, factors: list, words: np.ndarray, label: str):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_words", words)
+
+    @cached_property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        members = tuple(_fold(self._words, self._basis.operators, np.kron, _DENSE_UNIT))
+        for a in members:
+            a.setflags(write=False)
+        return members
+
+    @property
+    def dim(self) -> int:
+        return self._basis.dim ** self._words.shape[1]
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def _terms(self) -> list:
+        return list(_fold(self._words, self._factors, _kron_monomial, _MONOMIAL_UNIT))
+
+    def images(self, frame: np.ndarray) -> np.ndarray:
+        images = np.empty((frame.shape[0], len(self), frame.shape[1]), dtype=np.complex128)
+        for a, (cols, vals) in enumerate(_fold(self._words, self._factors, _kron_monomial, _MONOMIAL_UNIT)):
+            # + 0.0 turns -0.0 into +0.0, as the dense product's sum of zeros does
+            images[:, a, :] = vals[:, None] * frame[cols] + 0.0
+        return images
+
+
 def _register(
     basis: OperatorEnsemble, r: int, words: Iterable[Iterable[int]], count: int, label: str
 ) -> OperatorEnsemble:
     """The ``count`` r-fold products ``basis[w_1] (x) ... (x) basis[w_r]``, one per word.
 
-    The dimension cap and the byte budget are checked from ``count`` before
-    the first word is drawn, so ``words`` may be a lazy generator of any
-    length. Each member is the left ``np.kron`` fold of ``kron_all`` over
-    its word; a word that shares its first letters with the word before
-    reuses their product.
+    The dimension cap and the byte budget are checked from ``count``, as if
+    every member were dense, before the first word is drawn, so ``words``
+    may be a lazy generator of any length. The words are then drawn into a
+    (count, r) array. When every basis operator has at most one nonzero per
+    row, the family is held as those words until a caller iterates it;
+    otherwise its members are built at once. Either way a member is the
+    left ``np.kron`` fold of ``kron_all`` over its word, and a word that
+    shares its first letters with the word before reuses their product.
     """
     dim = basis.dim**r
     _check_dim(dim)
     _check_family_bytes(count, dim)
-    ops = basis.operators
-    # prefix[j] is the product of the first j letters of ``last``, the word before
-    prefix, last, members = [np.ones((1, 1), dtype=np.complex128)], (), []
-    for word in words:
-        keep = next((j for j, (a, b) in enumerate(zip(word, last)) if a != b), len(last))
-        del prefix[keep + 1 :]
-        for i in word[keep:]:
-            prefix.append(np.kron(prefix[-1], ops[i]))
-        members.append(prefix[-1])
-        last = word
-    return OperatorEnsemble(tuple(members), label=label)
+    words = np.array(list(words), dtype=np.intp).reshape(count, r)
+    factors = [_monomial(a) for a in basis.operators]
+    if all(f is not None for f in factors):
+        return _LiftedEnsemble(basis, factors, words, label)
+    return OperatorEnsemble(tuple(_fold(words, basis.operators, np.kron, _DENSE_UNIT)), label=label)
 
 
 def tensor_product(a: OperatorEnsemble, b: OperatorEnsemble) -> OperatorEnsemble:
@@ -374,7 +481,7 @@ def e_error_family(
 
 def strength(ensemble: OperatorEnsemble) -> float:
     """Largest eigenvalue of sum A^dag A (the exact sup over unit vectors)."""
-    return float(np.max(np.linalg.eigvalsh(_sum_adag_a(ensemble.operators))))
+    return float(np.max(np.linalg.eigvalsh(_sum_adag_a(ensemble._terms()))))
 
 
 def compose(outer: OperatorEnsemble, inner: OperatorEnsemble) -> OperatorEnsemble:

@@ -88,19 +88,11 @@ class KLReport:
     tol: float
 
 
-def _images(ensemble: OperatorEnsemble, frame: np.ndarray) -> np.ndarray:
-    """Images of an n x d frame as an (n, m, d) array: ``X[:, a, i] = A_a frame[:, i]``."""
-    images = np.empty((frame.shape[0], len(ensemble), frame.shape[1]), dtype=np.complex128)
-    for a, op in enumerate(ensemble):
-        images[:, a, :] = op @ frame
-    return images
-
-
 def _error_images(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
     """Error images as an (n, m, k) array: ``X[:, a, i] = A_a |i_L>``."""
     if ensemble.dim != code.n:
         raise ValueError(f"dimension mismatch: operators {ensemble.dim}, code {code.n}")
-    return _images(ensemble, code.matrix)
+    return ensemble.images(code.matrix)
 
 
 def _image_gram(images: np.ndarray) -> np.ndarray:

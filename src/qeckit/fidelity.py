@@ -112,7 +112,7 @@ def pure_fidelity(state, ensemble: OperatorEnsemble, recovery: RecoveryOperator 
     if ensemble.dim != psi.size or (recovery is not None and recovery.dim != psi.size):
         raise ValueError(f"dimension mismatch: ensemble {ensemble.dim}, state {psi.size}")
     rows = psi.conj()[None] if recovery is None else np.stack([psi.conj() @ r for r in recovery.ensemble])
-    return float(np.linalg.norm(rows @ np.column_stack([a @ psi for a in ensemble])) ** 2)
+    return float(np.linalg.norm(rows @ ensemble.images(psi[:, None])[:, :, 0]) ** 2)
 
 
 def _logical(code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOperator | None = None):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec, OperatorEnsemble, _require_superoperator, build_channel, e_error_family, tensor_power
-from .codes import QuantumCode, _images, builtin_code, repetition_phase_code
+from .codes import QuantumCode, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL, ToleranceConfig
 from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound, min_fidelity
 from .linalg import PureState, _check_bytes, dagger
@@ -162,7 +162,7 @@ def run_memory(
     need = 16 * (2 * n * d * (m_a + m_r) + s * (n * d * max(m_a, m_r) + n * n))
     _check_bytes(need, f"memory frame arrays ({n} x {d})")
     wh = dagger(w)
-    x = _images(channel, w)  # (n, m_A, d)
+    x = channel.images(w)  # (n, m_A, d)
     xh = dagger(x.reshape(n, -1))
     y = np.stack([wh @ r for r in recovery.ensemble], axis=1)  # (d, m_R, n)
     yh = dagger(y.reshape(d, -1))

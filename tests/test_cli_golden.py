@@ -15,6 +15,13 @@ the paths they were given.
 was still written through ``recovery_to_json`` and ``json.dumps``, before
 ``synthesize --out`` encoded the operators from arrays; the new encoder
 must reproduce those bytes.
+
+``LIFTED`` pins ``info`` and ``check`` for every catalogued one-qubit kind
+lifted to a register: the e <= 2 family on five qubits against phase5
+where slot 0 is the identity, and the three-qubit tensor power against
+phase3 otherwise. They were recorded while every member was still built
+as a dense kron, so they hold the images, Grams and completeness residuals
+of the families kept as words to the dense bytes.
 """
 
 import hashlib
@@ -47,6 +54,70 @@ GOLDEN = {
 PHASE7 = {
     "synthesize": "23cd17563749d701212b60bffe97d29fe2653d1e171ee4a391bb5c1488052cc1",
     "recovery": "62995a95bb871d69299070022d9cec367e990aabe1b2312696cd70a9e376b660",
+}
+
+# channel -> (code, info digest, check exit code, check digest)
+LIFTED = {
+    "decoherence:gamma=0,qubits=5,max_errors=2": (
+        "phase5",
+        "98f39fc6b75b9e7e4f17102fcfbda7fa6fc53fc1634ed9dadf1685795a11b579",
+        0,
+        "635bdf3ee15d9caeac8f004ed65ab7abfc2f71a72b4ae0f4386cb0ce7991f920",
+    ),
+    "decoherence_pm_basis:gamma=0.2,qubits=5,max_errors=2": (
+        "phase5",
+        "379fe6ce07f28e095fce86ba42c2376682751e214f50627c478f096a1091708e",
+        0,
+        "1ff544416893213d757185ec867ff5f46ac3b28d0ea2644bcdf764ad8e3f6351",
+    ),
+    "spontaneous_emission:p=0,qubits=5,max_errors=2": (
+        "phase5",
+        "f300fe3774ab746e7e864b5abebf55f39f0249692541add5ea7a2dd2ab8c52f8",
+        0,
+        "e31b007ba1ca4e608b2fd400c782f1dab4581f5292e5935c57e382351f1940e4",
+    ),
+    "amplitude_damping:p=0,qubits=5,max_errors=2": (
+        "phase5",
+        "3d2c4444cd133c0145e9d8527f3fe8461246150ecba906765abf7ec377327d29",
+        0,
+        "8a00b7df13850c301d5bbf6ffc76ff77bbb2521a56c3b79594a4f26d570621f9",
+    ),
+    "pauli_unitary_basis:qubits=5,max_errors=2": (
+        "phase5",
+        "c1688ffa6949508b77eb941cddfa716922ee0de1e189a6ee20fae3eeb523e8bc",
+        1,
+        "d056f25d094a53f3e8e476738906a1e140b0f6b51fd6613cb6e3cce762adf0a1",
+    ),
+    "decoherence:gamma=0.3,qubits=3": (
+        "phase3",
+        "b4dfb03a97d08eedbb78bae8c164cfd40c0e35c5188dfb5aa5a12a93e6627dcd",
+        1,
+        "169f7eb713c02f15f68e3b1dfbd409d52fd25c6f4e09a0d76f4b55b9e009a662",
+    ),
+    "spontaneous_emission:p=0.3,qubits=3": (
+        "phase3",
+        "73c0c01b2f69a2d4431d5994a41a26f7d9ce5a278b853182ddcb64a4c4bd18d0",
+        1,
+        "ef88dc0ba2575247a5240d247577614e3bf34cc33c573b5f56c20a62eb9a2356",
+    ),
+    "amplitude_damping:p=0.3,qubits=3": (
+        "phase3",
+        "9a51ffed833549a569b41078dc1f10dab404f355ed18300c8b9f80404f529a53",
+        1,
+        "2dd9cb796d6fdd875d4b75cddb48368d0d8438e0296ea2f66bbfc290a23dd55e",
+    ),
+    "measurement_basis:qubits=3": (
+        "phase3",
+        "78c67d9f59de6d7c1fb60f9e3c9d0696627cf5359e942de9e666af0d517a7d37",
+        1,
+        "e4dfac3dcfbde8ab9d2026e4b3e0f3aa78d99121c83dfb35356229bee2b56818",
+    ),
+    "depolarizing_third:qubits=3": (
+        "phase3",
+        "4225e417e7e8fcc69afcb4b72cce5618cdf49ea6bf97f33445d42149ba1377a0",
+        1,
+        "75814c7892c598d9404372815120f7828d559b325005464fb5d57310d3ae13f0",
+    ),
 }
 
 
@@ -89,3 +160,12 @@ def test_phase7_recovery_file_matches_golden_digest(tmp_path, monkeypatch, capsy
     with open("recovery7.json", "rb") as fh:
         digests = {"synthesize": hashlib.sha256(report).hexdigest(), "recovery": hashlib.sha256(fh.read()).hexdigest()}
     assert digests == PHASE7
+
+
+@pytest.mark.parametrize("channel", sorted(LIFTED))
+def test_lifted_family_outputs_match_golden_digest(channel, capsys):
+    code, info, rc, check = LIFTED[channel]
+    info_out = _run(["info", channel], capsys)
+    assert main(["check", code, channel, "--seed", "3"]) == rc
+    check_out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(info_out).hexdigest(), hashlib.sha256(check_out).hexdigest()) == (info, check)
