@@ -119,6 +119,10 @@ class OperatorEnsemble:
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.operators)
 
+    def __repr__(self) -> str:
+        # not the members: a lifted family would build all of them
+        return f"{type(self).__name__}(label={self.label!r}, len={len(self)}, dim={self.dim})"
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:

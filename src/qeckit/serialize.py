@@ -5,14 +5,14 @@ row-major arrays of such pairs. Floats pass through Python's repr, so
 explicit operator lists round-trip bit exactly. The dense top-level
 ``operators`` block of a document travels as float64 arrays both ways:
 ``dumps_canonical`` encodes an array-valued block with one ``repr`` per
-distinct value, and ``loads`` parses a canonical block straight into
-arrays. Both give the stdlib's bytes and floats exactly.
+distinct value, and ``loads`` reads a canonical block into arrays,
+handing each operator's distinct number tokens to ``json.loads`` once.
+Both give the stdlib's bytes and floats exactly.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 
@@ -331,26 +331,9 @@ def dumps_canonical(data: dict) -> str:
 
 
 _NUMBER_BYTES = b"0123456789+-.eE"
-# Character classes of a dense operator's text, every other byte being class 0. "[" and ","
-# come first and the digits last, so that ``<= _C`` and ``>= _Z`` select them.
-_L, _C, _R, _M, _P, _T, _X, _Z, _N = range(1, 10)
-_CLASS_MEMBERS = {_L: b"[", _C: b",", _R: b"]", _M: b"-", _P: b"+", _T: b".", _X: b"eE", _Z: b"0", _N: b"123456789"}
-_CLASSES = bytes(next((c for c, members in _CLASS_MEMBERS.items() if byte in members), 0) for byte in range(256))
-_DIGITS = (_Z, _N)
-# Adjacent class pairs, coded 10 * left + right, that JSON's number grammar allows inside a
-# canonical operator. A leading zero passes; ``_read_operator`` refuses it separately.
-_FOLLOWERS = {
-    _L: (_L, _M, *_DIGITS),
-    _C: (_L, _M, *_DIGITS),
-    _R: (_R, _C),
-    _M: _DIGITS,
-    _P: _DIGITS,
-    _T: _DIGITS,
-    _X: (_M, _P, *_DIGITS),
-    _Z: (*_DIGITS, _T, _X, _C, _R),
-    _N: (*_DIGITS, _T, _X, _C, _R),
-}
-_ALLOWED_PAIRS = bytes(10 * a + b for a, followers in _FOLLOWERS.items() for b in followers)
+# ``repr`` writes at most 24 characters. A longer token is left to the stdlib, so that every
+# integer the fast path reads fits a float64 and is within ``sys.get_int_max_str_digits()``.
+_MAX_TOKEN = 64
 # Stands in for the operators block while the rest of the document is parsed.
 _BLOCK = object()
 
@@ -361,31 +344,28 @@ def _row_skeleton(d: int) -> bytes:
 
 
 def _read_operator(piece: str, d: int, skeleton: bytes) -> np.ndarray | None:
-    """One canonical operator as a (d, d, 2) float64 array, or None unless every number is JSON's."""
+    """One canonical operator as a (d, d, 2) float64 array, or None unless every number is JSON's.
+
+    The operator's distinct tokens are parsed by one ``json.loads`` call,
+    so each number gets the stdlib's value and each distinct one is parsed
+    once. A bare ``-0``, which no encoder writes, is left to the stdlib, as
+    is any token longer than ``_MAX_TOKEN``.
+    """
     try:
         raw = piece.encode("ascii")
     except UnicodeEncodeError:
         return None
     if raw.translate(None, _NUMBER_BYTES) != skeleton:
         return None
-    classes = np.frombuffer(raw.translate(_CLASSES), dtype=np.uint8)
-    if (classes[:-1] * 10 + classes[1:]).tobytes().translate(None, _ALLOWED_PAIRS):
+    tokens = raw.translate(None, b"[]").split(b",")  # 2 d^2 of them, by the skeleton
+    values = dict.fromkeys(tokens)
+    if b"-0" in values or max(map(len, values)) > _MAX_TOKEN:
         return None
-    # A number may not start with a 0 followed by a digit, and a lone "-0" is JSON's integer 0,
-    # which np.fromstring would read as -0.0. A 0 starts a number after "[" or ",", or after a
-    # "-" that does. The pair check put "[", "," or "e" before every "-", and a digit, ".", "e",
-    # "," or "]" after every 0.
-    before, after = classes[1:-2], classes[3:]
-    signed = (before == _M) & (classes[:-3] != _X)
-    if np.any((classes[2:-1] == _Z) & ((before <= _C) | signed) & ((after >= _Z) | (signed & (after <= _R)))):
+    try:
+        values = dict(zip(values, json.loads(b"[" + b",".join(values) + b"]")))
+    except ValueError:  # a token outside JSON's number grammar
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy < 2 warns, and stops early, where numpy 2 raises
-        try:  # a token the checks above let through, such as "1.5.5", ends the parse early
-            values = np.fromstring(raw.translate(None, b"[]"), sep=",")
-        except (ValueError, Warning):
-            return None
-    return values.reshape(d, d, 2) if values.size == 2 * d * d else None
+    return np.fromiter(map(values.__getitem__, tokens), np.float64, 2 * d * d).reshape(d, d, 2)
 
 
 def _loads_canonical(text: str) -> dict | None:
@@ -396,8 +376,9 @@ def _loads_canonical(text: str) -> dict | None:
     ``dumps_canonical`` writes. The rest of the document is parsed by
     ``json.loads`` with a placeholder where the block was, which also
     settles where the key sits. The block is then read one operator at a
-    time, so none of its numbers becomes a Python float and at most one
-    operator's text is copied at once.
+    time by ``_read_operator``, so at most one operator's text and tokens
+    are held at once, and a number repeated within an operator is parsed
+    once.
     """
     key = text.find(_OPERATORS_KEY)
     start = key + len(_OPERATORS_KEY)
@@ -448,9 +429,11 @@ def loads(text: str) -> dict:
     ``operators`` block in the canonical dense layout comes back as a
     list of (d, d, 2) float64 arrays of [re, im] pairs, bit-identical to
     the floats ``json.loads`` reads. Any other text, including every
-    invalid document, goes through ``json.loads`` unchanged, with its
-    errors. Raises ``CapacityError`` when a canonical block's first row
-    holds more than ``DIM_CAP`` pairs, before parsing its numbers.
+    invalid document and every block holding a bare ``-0`` or a number
+    longer than ``_MAX_TOKEN`` characters, goes through ``json.loads``
+    unchanged, with its errors. Raises ``CapacityError`` when a canonical
+    block's first row holds more than ``DIM_CAP`` pairs, before parsing
+    its numbers.
     """
     data = _loads_canonical(text)
     return json.loads(text) if data is None else data

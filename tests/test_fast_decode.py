@@ -1,14 +1,16 @@
 """``serialize.loads`` against the stdlib decoder it stands in for.
 
 Canonical files, as ``dumps_canonical`` writes them, have their dense
-``operators`` block read one operator at a time by ``np.fromstring``;
-everything else goes through ``json.loads``. The oracle is the stdlib
-path itself: ``json.loads`` plus the same decoders, or the CLI with the
-fast path switched off. Decoded operators must agree bit for bit, and a
-mutated file must give the CLI the same exit code and output either way.
+``operators`` block read one operator at a time, each operator's distinct
+number tokens parsed by one ``json.loads`` call; everything else goes
+through ``json.loads`` whole. The oracle is the stdlib path itself:
+``json.loads`` plus the same decoders, or the CLI with the fast path
+switched off. Decoded operators must agree bit for bit, and a mutated
+file must give the CLI the same exit code and output either way.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +124,7 @@ MUTATIONS = [
         ("lowercase inf", "0.0]", "inf]"),
         ("overflow", "0.0]", "1e400]"),
         ("integer beyond float range", "0.0]", "1" + "0" * 400 + "]"),
+        ("integer beyond the digit limit", "0.0]", "1" + "0" * 5000 + "]"),
         ("null", "0.0]", "null]"),
         ("string", "0.0]", '"0.0"]'),
         ("fullwidth digit", "0.0]", "\uff10.0]"),
@@ -166,20 +169,44 @@ MUTATIONS = [
 ] + [("nested block, valid", BASE.replace('"operators":', '"nested":{"operators":').replace(',"syndrome', '},"syndrome', 1))]
 
 
-@pytest.mark.parametrize("name, text", MUTATIONS, ids=[name for name, _ in MUTATIONS])
-def test_mutated_texts_decode_as_through_the_stdlib(name, text):
+def _assert_decodes_as_through_the_stdlib(text):
+    """``loads`` returns what ``json.loads`` does, operators bit for bit, or raises its error."""
     try:
         slow = json.loads(text)
-    except json.JSONDecodeError as exc:
-        with pytest.raises(json.JSONDecodeError) as caught:
+    except ValueError as exc:  # a JSONDecodeError, or int's digit limit
+        with pytest.raises(ValueError) as caught:
             loads(text)
-        assert (caught.value.msg, caught.value.lineno, caught.value.colno) == (exc.msg, exc.lineno, exc.colno)
+        assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
         return
     fast = loads(text)
     if isinstance(fast, dict) and any(isinstance(op, np.ndarray) for op in fast.get("operators", ())):
         assert [_matrix_or_error(op) for op in fast["operators"]] == [_matrix_or_error(op) for op in slow["operators"]]
         fast = {**fast, "operators": slow["operators"]}
     assert json.dumps(fast) == json.dumps(slow)  # NaN-safe equality
+
+
+@pytest.mark.parametrize("name, text", MUTATIONS, ids=[name for name, _ in MUTATIONS])
+def test_mutated_texts_decode_as_through_the_stdlib(name, text):
+    _assert_decodes_as_through_the_stdlib(text)
+
+
+BLOCK_START, BLOCK_STOP = BASE.index("[[[["), BASE.index("]]]]")
+# (first, past-the-end) in BASE of each number of its operators block
+NUMBER_SLOTS = [(BLOCK_START + m.start(), BLOCK_START + m.end()) for m in re.finditer(r"[^\[\],]+", BASE[BLOCK_START:BLOCK_STOP])]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_number_tokens_decode_as_through_the_stdlib(seed):
+    rng = np.random.default_rng(700 + seed)
+    alphabet = np.array(list("0123456789+-.eE"))
+    fast = 0
+    for _ in range(3000):
+        token = "".join(rng.choice(alphabet, size=rng.integers(1, 9)))
+        first, stop = NUMBER_SLOTS[rng.integers(len(NUMBER_SLOTS))]
+        text = BASE[:first] + token + BASE[stop:]
+        _assert_decodes_as_through_the_stdlib(text)
+        fast += serialize._loads_canonical(text) is not None
+    assert 300 < fast < 2700  # both the fast path and the stdlib are exercised
 
 
 def _run(argv, capsys):

@@ -99,6 +99,14 @@ def test_materialized_members_are_read_only_and_built_once():
     assert all(not a.flags.writeable for a in members)
 
 
+def test_repr_names_the_family_without_building_its_members():
+    family = e_error_family(build_channel(ChannelSpec("pauli_unitary_basis", {})), 8, 2)
+    assert repr(family) == "_LiftedEnsemble(label='pauli_unitary_basis[r=8,e<=2]', len=277, dim=256)"
+    assert "operators" not in vars(family)
+    dense = OperatorEnsemble((np.eye(2),), label="id")
+    assert repr(dense) == "OperatorEnsemble(label='id', len=1, dim=2)"
+
+
 def test_check_of_the_eight_qubit_pauli_family_forms_no_member():
     code = random_code(256, 4, seed=5)
     pauli = build_channel(ChannelSpec("pauli_unitary_basis", {}))
