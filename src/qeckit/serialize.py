@@ -5,9 +5,10 @@ row-major arrays of such pairs. Floats pass through Python's repr, so
 explicit operator lists round-trip bit exactly. The dense top-level
 ``operators`` block of a document travels as float64 arrays both ways:
 ``dumps_canonical`` encodes an array-valued block with one ``repr`` per
-distinct value, and ``loads`` reads a canonical block into arrays,
-handing each operator's distinct number tokens to ``json.loads`` once.
-Both give the stdlib's bytes and floats exactly.
+distinct value, and ``loads`` reads a canonical block into arrays: each
+distinct row of an operator is checked and parsed once, its distinct
+number tokens going to ``json.loads``. Both give the stdlib's bytes and
+floats exactly.
 """
 
 from __future__ import annotations
@@ -338,26 +339,28 @@ _MAX_TOKEN = 64
 _BLOCK = object()
 
 
-def _row_skeleton(d: int) -> bytes:
-    """A canonical row of d [re, im] pairs with its numbers deleted: ``[[,],...]``."""
-    return b"[" + b",".join([b"[,]"] * d) + b"]"
-
-
-def _read_operator(piece: str, d: int, skeleton: bytes) -> np.ndarray | None:
+def _read_operator(piece: str, d: int, row: bytes) -> np.ndarray | None:
     """One canonical operator as a (d, d, 2) float64 array, or None unless every number is JSON's.
 
-    The operator's distinct tokens are parsed by one ``json.loads`` call,
-    so each number gets the stdlib's value and each distinct one is parsed
-    once. A bare ``-0``, which no encoder writes, is left to the stdlib, as
-    is any token longer than ``_MAX_TOKEN``.
+    The text is ``[[[`` + ``]],[[``.join(rows) + ``]]]``. Each distinct
+    row is checked against ``row``, the skeleton every one must have, and
+    parsed once: the distinct rows' distinct tokens go to one
+    ``json.loads`` call, so each number gets the stdlib's value. A bare
+    ``-0``, which no encoder writes, is left to the stdlib, as is any
+    token longer than ``_MAX_TOKEN``.
     """
+    rows = piece[3:-3].split("]],[[")  # the piece ends in "]]]" where the caller cut it
+    if not piece.startswith("[[[") or len(rows) != d:
+        return None
+    distinct: dict[str, int] = {}
+    index = [distinct.setdefault(r, len(distinct)) for r in rows]
     try:
-        raw = piece.encode("ascii")
+        raw = "]],[[".join(distinct).encode("ascii")
     except UnicodeEncodeError:
         return None
-    if raw.translate(None, _NUMBER_BYTES) != skeleton:
+    if raw.translate(None, _NUMBER_BYTES) != b"]],[[".join([row] * len(distinct)):
         return None
-    tokens = raw.translate(None, b"[]").split(b",")  # 2 d^2 of them, by the skeleton
+    tokens = raw.translate(None, b"[]").split(b",")  # 2 d per distinct row, by the skeleton
     values = dict.fromkeys(tokens)
     if b"-0" in values or max(map(len, values)) > _MAX_TOKEN:
         return None
@@ -365,7 +368,8 @@ def _read_operator(piece: str, d: int, skeleton: bytes) -> np.ndarray | None:
         values = dict(zip(values, json.loads(b"[" + b",".join(values) + b"]")))
     except ValueError:  # a token outside JSON's number grammar
         return None
-    return np.fromiter(map(values.__getitem__, tokens), np.float64, 2 * d * d).reshape(d, d, 2)
+    table = np.fromiter(map(values.__getitem__, tokens), np.float64, len(tokens)).reshape(len(distinct), d, 2)
+    return table if len(distinct) == d else table[index]
 
 
 def _loads_canonical(text: str) -> dict | None:
@@ -376,9 +380,9 @@ def _loads_canonical(text: str) -> dict | None:
     ``dumps_canonical`` writes. The rest of the document is parsed by
     ``json.loads`` with a placeholder where the block was, which also
     settles where the key sits. The block is then read one operator at a
-    time by ``_read_operator``, so at most one operator's text and tokens
-    are held at once, and a number repeated within an operator is parsed
-    once.
+    time by ``_read_operator``, in which each distinct row is checked and
+    parsed once: the rows of a recovery element ``B F†`` repeat wherever
+    the code basis B repeats a row.
     """
     key = text.find(_OPERATORS_KEY)
     start = key + len(_OPERATORS_KEY)
@@ -406,15 +410,15 @@ def _loads_canonical(text: str) -> dict | None:
         return None
     if type(data) is not dict or data.get("operators") is not _BLOCK:
         return None
-    first_row = text[start + 2 : text.find("]]", start) + 2]
+    first_row = text[start + 4 : text.find("]]", start)]
     d = first_row.count("],[") + 1
-    if first_row.encode("ascii", "replace").translate(None, _NUMBER_BYTES) != _row_skeleton(d):
+    row = b"],[".join([b","] * d)  # a canonical row between its "[[" and "]]", numbers deleted
+    if first_row.encode("ascii", "replace").translate(None, _NUMBER_BYTES) != row:
         return None
     _check_dim(d)  # refused before any of the block's numbers is parsed
-    skeleton = b"[" + b",".join([_row_skeleton(d)] * d) + b"]"
     ops = []
     for first, stop in pieces:
-        op = _read_operator(text[first:stop], d, skeleton)
+        op = _read_operator(text[first:stop], d, row)
         if op is None:
             return None
         ops.append(op)
