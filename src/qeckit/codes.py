@@ -308,8 +308,14 @@ def random_code(
     """Random code: orthonormalized columns of an n x k complex Gaussian matrix.
 
     The seed is recorded in the label so a failing property trial can be
-    replayed exactly.
+    replayed exactly. Sizes no seed can meet (``n < 1``, ``k < 1`` or
+    ``k > n``) and ``n`` above ``DIM_CAP`` are refused before any draw.
     """
+    if n < 1 or k < 1:
+        raise ValueError(f"a random code needs n >= 1 and k >= 1, got n={n}, k={k}")
+    if k > n:
+        raise ValueError(f"a random code needs k <= n: {k} orthonormal states do not fit in dimension {n}")
+    _check_dim(n)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     basis, _, rank = orthonormalize(list(g.T), rank_tol=1e-12)

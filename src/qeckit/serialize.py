@@ -3,12 +3,12 @@
 Complex numbers are always encoded as ``[re, im]`` pairs and matrices as
 row-major arrays of such pairs. Floats pass through Python's repr, so
 explicit operator lists round-trip bit exactly. The dense top-level
-``operators`` block of a document travels as float64 arrays both ways:
-``dumps_canonical`` encodes an array-valued block with one ``repr`` per
-distinct value, and ``loads`` reads a canonical block into arrays: each
-distinct row of an operator is checked and parsed once, its distinct
-number tokens going to ``json.loads``. Both give the stdlib's bytes and
-floats exactly.
+``operators`` block of a document travels as float64 arrays both ways,
+one distinct row of an operator at a time: ``dumps_canonical`` dumps
+each distinct row of an array-valued block once with ``json.dumps``, and
+``loads`` checks and parses each distinct row of a canonical block once,
+its distinct number tokens going to ``json.loads``. Both give the
+stdlib's bytes and floats exactly.
 """
 
 from __future__ import annotations
@@ -248,9 +248,6 @@ def bound_check_to_json(rep: BoundCheckReport) -> dict:
 
 _SEPARATORS = (",", ":")
 _OPERATORS_KEY = '"operators":'
-# A block whose distinct values are a larger share of its floats goes through the stdlib, which
-# is then as fast: on 2.13 M floats the token join overtakes it near a share of 0.3.
-_MAX_DISTINCT_SHARE = 0.25
 
 
 def _operators_array(value) -> np.ndarray | None:
@@ -262,50 +259,28 @@ def _operators_array(value) -> np.ndarray | None:
     return _pair_array(value) if np.iscomplexobj(value) else value
 
 
-def _tokens(block: np.ndarray) -> np.ndarray | None:
-    """Each float of a finite (m, d, d, 2) float64 block with repeating values as its JSON text; else None.
-
-    A real part's text opens its pair and an imaginary part's closes it:
-    "[re" and "im]", so a row is one comma-join of its tokens. Each
-    distinct float64 bit pattern (so -0.0 stays apart from 0.0) is
-    written once, by ``float.__repr__`` as ``json`` writes it.
-    """
-    if block.dtype != np.float64 or block.ndim != 4 or block.shape[-1] != 2 or block.size == 0:
-        return None
-    flat = np.ascontiguousarray(block).reshape(-1)
-    if not np.isfinite(flat).all():
-        return None
-    bits = flat.view(np.int64)
-    ordered = np.sort(bits)
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if distinct.size > _MAX_DISTINCT_SHARE * flat.size:
-        return None
-    index = np.searchsorted(distinct, bits)
-    index[1::2] += distinct.size  # imaginary parts take the closing tokens
-    reprs = list(map(float.__repr__, distinct.view(np.float64).tolist()))
-    table = np.array(["[" + r for r in reprs] + [r + "]" for r in reprs], dtype=object)
-    return table[index].reshape(block.shape[0], block.shape[1], -1)
-
-
 def _block_pieces(block: np.ndarray) -> list[str]:
-    """Strings that join to ``json.dumps(block.tolist())``; on the fast path one per operator.
+    """Strings that join to ``json.dumps(block.tolist())``: one per operator, between the brackets.
 
-    The tokens are dropped on return, before the caller's join copies the pieces.
+    The mirror of ``_read_operator``: each distinct row of an operator,
+    keyed by its bytes, is dumped once by ``json.dumps`` and the operator
+    is joined from those strings. The rows of a recovery element ``B F†``
+    repeat wherever the code basis B repeats a row.
     """
-    tokens = _tokens(block)
-    if tokens is None:
+    if block.ndim < 3:
         return [_stdlib_block_text(block)]
-    pieces = [("," if i else "[") + "[" + ",".join(["[" + ",".join(row) + "]" for row in op.tolist()]) + "]"
-              for i, op in enumerate(tokens)]
+    pieces = ["["]
+    for op in block:
+        first: dict[bytes, int] = {}
+        index = [first.setdefault(row.tobytes(), j) for j, row in enumerate(op)]
+        text = {j: json.dumps(op[j].tolist(), separators=_SEPARATORS) for j in first.values()}
+        pieces.append("," * (len(pieces) > 1) + "[" + ",".join([text[j] for j in index]) + "]")
     pieces.append("]")
     return pieces
 
 
 def _stdlib_block_text(block: np.ndarray) -> str:
-    """The oracle and the fallback: the block's nested lists through ``json.dumps``."""
+    """The block's nested lists through ``json.dumps``: the oracle, and the writer of a block of fewer than 3 axes."""
     return json.dumps(block.tolist(), separators=_SEPARATORS)
 
 
@@ -315,12 +290,11 @@ def dumps_canonical(data: dict) -> str:
     A top-level ``operators`` value may be held as an array: one numpy
     array, or a list of equal-shape ones such as ``loads`` returns.
     Complex entries are written as [re, im] pairs. The text is the one
-    ``json.dumps`` gives for the array's ``tolist()``, byte for byte. A
-    finite (m, d, d, 2) float64 block whose distinct values are at most
-    ``_MAX_DISTINCT_SHARE`` of its floats is written with one ``repr``
-    per distinct value; any other block takes ``tolist`` and the stdlib.
-    Either way, the block is spliced into the stdlib encoding of the
-    rest of the document at its sorted key position, in one join.
+    ``json.dumps`` gives for the array's ``tolist()``, byte for byte:
+    each distinct row of an operator goes through ``json.dumps`` once, so
+    NaN, ±Infinity, -0.0 and every dtype come out as the stdlib writes
+    them. The block is spliced into the stdlib encoding of the rest of
+    the document at its sorted key position, in one join.
     """
     block = _operators_array(data.get("operators")) if isinstance(data, dict) else None
     if block is None:

@@ -210,8 +210,25 @@ def test_codes_above_the_cap_are_refused(monkeypatch):
     with pytest.raises(CapacityError, match="dimension 8 exceeds the cap 4"):
         builtin_code("trivial(8)")  # before its basis is allocated
     with pytest.raises(CapacityError, match="dimension 8 exceeds the cap 4"):
-        random_code(8, 1, seed=0)  # through the QuantumCode constructor
+        random_code(8, 1, seed=0)  # before its Gaussians are drawn
     assert builtin_code("trivial(4)").n == 4
+
+
+def _refuse_to_draw(seed):
+    raise AssertionError("random_code drew its Gaussians for a size it should refuse")
+
+
+@pytest.mark.parametrize("n, k, error, message", [
+    (2, 3, ValueError, "k <= n"),
+    (0, 1, ValueError, "n >= 1"),
+    (1, 0, ValueError, "k >= 1"),
+    (-4, 2, ValueError, "n >= 1"),
+    (2 * linalg.DIM_CAP, 1, CapacityError, "exceeds the cap"),
+])
+def test_random_code_refuses_impossible_sizes_before_drawing(n, k, error, message, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _refuse_to_draw)
+    with pytest.raises(error, match=message):
+        random_code(n, k, seed=0)
 
 
 def test_four_qubit_sample_fails_quickly():

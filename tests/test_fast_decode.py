@@ -1,9 +1,10 @@
 """``serialize.loads`` against the stdlib decoder it stands in for.
 
 Canonical files, as ``dumps_canonical`` writes them, have their dense
-``operators`` block read one operator at a time, each operator's distinct
-number tokens parsed by one ``json.loads`` call; everything else goes
-through ``json.loads`` whole. The oracle is the stdlib path itself:
+``operators`` block read one operator at a time: each distinct row of an
+operator is checked and parsed once, the distinct rows' distinct number
+tokens going to one ``json.loads`` call; everything else goes through
+``json.loads`` whole. The oracle is the stdlib path itself:
 ``json.loads`` plus the same decoders, or the CLI with the fast path
 switched off. Decoded operators must agree bit for bit, and a mutated
 file must give the CLI the same exit code and output either way.
