@@ -267,6 +267,8 @@ def _cmd_memory(args) -> int:
         if args.channel is None:
             raise _InputError("memory requires a channel (or --compare)")
         code = _resolve_code(args.code, tol)
+        if args.p is not None and (code.shape is None or any(f != 2 for f in code.shape)):
+            raise _InputError(f"memory --p requires a code with an all-qubit register shape, got shape {code.shape}")
         channel = _resolve_channel(args.channel, tol)
         if args.recovery:
             rec = _read_file(args.recovery, ser.recovery_from_json)
@@ -276,10 +278,7 @@ def _cmd_memory(args) -> int:
             except NotCorrectableError as exc:
                 sys.stderr.write(f"error: cannot synthesize recovery: {exc}\n")
                 return 1
-        bound_params = None
-        if args.p is not None:
-            r = len(code.shape) if code.shape else 1
-            bound_params = (r, args.e, args.p)
+        bound_params = None if args.p is None else (len(code.shape), args.e, args.p)
         run = run_memory(code, channel, rec, code.basis[0], args.cycles, bound_params=bound_params, tol=tol)
         text = trajectory_csv(run)
     _write(text, args.out)

@@ -427,11 +427,15 @@ def binomial_fidelity_bound(r: int, e: int, p: float) -> float:
 
     For per-qubit noise {sqrt(1-p) I, ...} on r qubits, the recovered
     fidelity is at least 1 - sum_{j>e} C(r, j) p^j (1-p)^(r-j); only the
-    uncorrectable error-weight patterns can contribute loss.
+    uncorrectable error-weight patterns can contribute loss. Raises
+    ``ValueError`` when a term overflows a float (from r = 1030 at e = 1).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if e < 0 or e > r:
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
-    tail = sum(math.comb(r, j) * p**j * (1.0 - p) ** (r - j) for j in range(e + 1, r + 1))
+    try:
+        tail = sum(math.comb(r, j) * p**j * (1.0 - p) ** (r - j) for j in range(e + 1, r + 1))
+    except OverflowError:  # C(r, j) beyond the float range
+        raise ValueError(f"binomial tail bound overflows a float at r={r}") from None
     return 1.0 - tail

@@ -6,8 +6,8 @@ explicit operator lists round-trip bit exactly. The dense top-level
 ``operators`` block of a document travels as float64 arrays both ways,
 one distinct row of an operator at a time: ``dumps_canonical`` dumps
 each distinct row of an array-valued block once with ``json.dumps``, and
-``loads`` checks and parses each distinct row of a canonical block once,
-its distinct number tokens going to ``json.loads``. Both give the
+``loads`` checks each distinct row of a canonical block once and parses
+an operator's distinct rows with one ``json.loads``. Both give the
 stdlib's bytes and floats exactly.
 """
 
@@ -306,9 +306,6 @@ def dumps_canonical(data: dict) -> str:
 
 
 _NUMBER_BYTES = b"0123456789+-.eE"
-# ``repr`` writes at most 24 characters. A longer token is left to the stdlib, so that every
-# integer the fast path reads fits a float64 and is within ``sys.get_int_max_str_digits()``.
-_MAX_TOKEN = 64
 # Stands in for the operators block while the rest of the document is parsed.
 _BLOCK = object()
 
@@ -318,10 +315,9 @@ def _read_operator(piece: str, d: int, row: bytes) -> np.ndarray | None:
 
     The text is ``[[[`` + ``]],[[``.join(rows) + ``]]]``. Each distinct
     row is checked against ``row``, the skeleton every one must have, and
-    parsed once: the distinct rows' distinct tokens go to one
-    ``json.loads`` call, so each number gets the stdlib's value. A bare
-    ``-0``, which no encoder writes, is left to the stdlib, as is any
-    token longer than ``_MAX_TOKEN``.
+    the distinct rows' numbers go to one ``json.loads`` call, so each gets
+    the stdlib's value. An integer beyond the float range or the digit
+    limit is left to the stdlib.
     """
     rows = piece[3:-3].split("]],[[")  # the piece ends in "]]]" where the caller cut it
     if not piece.startswith("[[[") or len(rows) != d:
@@ -334,15 +330,10 @@ def _read_operator(piece: str, d: int, row: bytes) -> np.ndarray | None:
         return None
     if raw.translate(None, _NUMBER_BYTES) != b"]],[[".join([row] * len(distinct)):
         return None
-    tokens = raw.translate(None, b"[]").split(b",")  # 2 d per distinct row, by the skeleton
-    values = dict.fromkeys(tokens)
-    if b"-0" in values or max(map(len, values)) > _MAX_TOKEN:
+    try:  # 2 d numbers per distinct row, by the skeleton
+        table = np.array(json.loads(b"[" + raw.translate(None, b"[]") + b"]"), dtype=np.float64).reshape(len(distinct), d, 2)
+    except (ValueError, OverflowError):  # outside JSON's number grammar, or an integer no float64 holds
         return None
-    try:
-        values = dict(zip(values, json.loads(b"[" + b",".join(values) + b"]")))
-    except ValueError:  # a token outside JSON's number grammar
-        return None
-    table = np.fromiter(map(values.__getitem__, tokens), np.float64, len(tokens)).reshape(len(distinct), d, 2)
     return table if len(distinct) == d else table[index]
 
 
@@ -354,9 +345,10 @@ def _loads_canonical(text: str) -> dict | None:
     ``dumps_canonical`` writes. The rest of the document is parsed by
     ``json.loads`` with a placeholder where the block was, which also
     settles where the key sits. The block is then read one operator at a
-    time by ``_read_operator``, in which each distinct row is checked and
-    parsed once: the rows of a recovery element ``B F†`` repeat wherever
-    the code basis B repeats a row.
+    time by ``_read_operator``, which checks each distinct row once and
+    parses the distinct rows with one ``json.loads``: the rows of a
+    recovery element ``B F†`` repeat wherever the code basis B repeats a
+    row.
     """
     key = text.find(_OPERATORS_KEY)
     start = key + len(_OPERATORS_KEY)
@@ -407,11 +399,10 @@ def loads(text: str) -> dict:
     ``operators`` block in the canonical dense layout comes back as a
     list of (d, d, 2) float64 arrays of [re, im] pairs, bit-identical to
     the floats ``json.loads`` reads. Any other text, including every
-    invalid document and every block holding a bare ``-0`` or a number
-    longer than ``_MAX_TOKEN`` characters, goes through ``json.loads``
-    unchanged, with its errors. Raises ``CapacityError`` when a canonical
-    block's first row holds more than ``DIM_CAP`` pairs, before parsing
-    its numbers.
+    invalid document and every block holding an integer no float64
+    holds, goes through ``json.loads`` unchanged, with its errors. Raises
+    ``CapacityError`` when a canonical block's first row holds more than
+    ``DIM_CAP`` pairs, before parsing its numbers.
     """
     data = _loads_canonical(text)
     return json.loads(text) if data is None else data

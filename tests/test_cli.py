@@ -9,7 +9,8 @@ from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_co
 from qeckit.channels import CHANNEL_KINDS
 from qeckit import cli
 from qeckit.cli import main
-from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical
+from qeckit.memory import identity_recovery
+from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical, recovery_to_json
 
 
 @pytest.fixture()
@@ -157,6 +158,45 @@ def test_bounds_command(capsys):
         math.comb(4, j) * 0.1**j * 0.9 ** (4 - j) for j in range(2, 5)
     )
     assert abs(report["result"]["binomial_fidelity_bound"] - (1 - tail)) < 1e-12
+
+
+def test_bounds_beyond_the_float_range_are_an_input_error(capsys):
+    # C(r, j) first overflows a float at r = 1030 for e = 1, p = 0.1
+    assert main(["bounds", "--r", "2000", "--e", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: binomial tail bound overflows a float at r=2000\n"
+    assert main(["bounds", "--r", "1030", "--e", "1"]) == 2
+    capsys.readouterr()
+    assert main(["bounds", "--r", "1029", "--e", "1"]) == 0
+    tail = sum(math.comb(1029, j) * 0.1**j * 0.9 ** (1029 - j) for j in range(2, 1030))
+    assert json.loads(capsys.readouterr().out)["result"]["binomial_fidelity_bound"] == 1.0 - tail
+
+
+def test_memory_bound_column_needs_an_all_qubit_shape(files, capsys, monkeypatch, tmp_path):
+    shapeless = tmp_path / "phase3_shapeless.json"
+    shapeless.write_text(dumps_canonical({**json.loads((files["dir"] / "phase3.json").read_text()), "shape": None}))
+    channel = tmp_path / "qutrit_identity.json"
+    channel.write_text(dumps_canonical(channel_spec_to_json(ChannelSpec("explicit", {}, (np.eye(3),)))))
+    recovery = tmp_path / "qutrit_recovery.json"
+    recovery.write_text(dumps_canonical(recovery_to_json(identity_recovery(3))))
+    runs = [
+        ["memory", str(shapeless), "uniform_phase_flip:p=0.05,qubits=3", "--cycles", "2"],
+        ["memory", "trivial:3", str(channel), "--recovery", str(recovery), "--cycles", "2"],
+    ]
+    for argv in runs:  # without --p both run, with no bound column
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split("\n")[1].endswith(",")
+
+    def no_cycles(*args, **kwargs):
+        raise AssertionError("a memory cycle ran")
+
+    monkeypatch.setattr(cli, "run_memory", no_cycles)
+    monkeypatch.setattr(cli, "synthesize_recovery", no_cycles)
+    for argv in runs:
+        assert main(argv + ["--p", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: memory --p requires a code with an all-qubit register shape, got shape None\n"
 
 
 def test_info_code_and_channel(capsys):

@@ -2,12 +2,14 @@
 
 Canonical files, as ``dumps_canonical`` writes them, have their dense
 ``operators`` block read one operator at a time: each distinct row of an
-operator is checked and parsed once, the distinct rows' distinct number
-tokens going to one ``json.loads`` call; everything else goes through
-``json.loads`` whole. The oracle is the stdlib path itself:
-``json.loads`` plus the same decoders, or the CLI with the fast path
-switched off. Decoded operators must agree bit for bit, and a mutated
-file must give the CLI the same exit code and output either way.
+operator is checked once, and the numbers of its distinct rows go to one
+``json.loads`` call, which gives every number, ``-0`` and integers
+included, the stdlib's value. Everything else, and a block holding an
+integer no float64 holds, goes through ``json.loads`` whole. The oracle
+is the stdlib path itself: ``json.loads`` plus the same decoders, or the
+CLI with the fast path switched off. Decoded operators must agree bit
+for bit, and a mutated file must give the CLI the same exit code and
+output either way.
 """
 
 import json
@@ -233,12 +235,14 @@ def test_mutated_files_behave_as_through_the_stdlib(name, text, tmp_path, capsys
 def test_which_files_take_the_fast_path():
     mutated = dict(MUTATIONS)
     for name in ("space after key", "space in block", "duplicate key, later wins", "nested block, valid", "NaN in label",
-                 "negative integer zero", "negative integer zero ending a row"):
+                 "integer beyond float range", "integer beyond the digit limit"):
         assert serialize._loads_canonical(mutated[name]) is None, name
     # a quote inside a JSON string is escaped, so a label never holds the raw key
-    for name in ("key in label", "non-ASCII label", "uppercase exponent", "negative float zero", "overflow"):
+    for name in ("key in label", "non-ASCII label", "uppercase exponent", "negative float zero", "overflow",
+                 "negative integer zero", "negative integer zero ending a row"):
         assert isinstance(loads(mutated[name])["operators"][0], np.ndarray), name
-    for text in (BASE, mutated["key in label"], mutated["non-ASCII label"], mutated["uppercase exponent"]):
+    for text in (BASE, mutated["key in label"], mutated["non-ASCII label"], mutated["uppercase exponent"],
+                 mutated["negative integer zero"], mutated["negative integer zero ending a row"]):
         _assert_same_decode(text)
 
 

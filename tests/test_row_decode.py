@@ -1,10 +1,12 @@
 """``serialize.loads`` of operators blocks whose rows repeat, against ``json.loads``.
 
-``_read_operator`` splits a canonical operator into its d rows, checks and
-parses each distinct row once, and indexes the rows back. Recovery
-elements ``B F†`` repeat a row wherever the code basis B does, as the
-phase codes' ±2^(−m/2) bases do. Every block here must decode bit for bit
-as ``json.loads`` reads it, or decline to the stdlib with its error.
+``_read_operator`` splits a canonical operator into its d rows, checks
+each distinct row once against the skeleton of a row, parses the numbers
+of the distinct rows with one ``json.loads`` and indexes the rows back.
+Recovery elements ``B F†`` repeat a row wherever the code basis B does,
+as the phase codes' ±2^(−m/2) bases do. Every block here must decode bit
+for bit as ``json.loads`` reads it, or decline to the stdlib with its
+error; an edit to one copy of a row is seen in that copy alone.
 """
 
 import json
@@ -140,12 +142,12 @@ def test_an_operator_opening_with_other_than_three_brackets_declines(opening):
     _assert_decodes_as_through_the_stdlib(text)
 
 
-def test_a_bare_negative_zero_in_one_copy_of_a_row_declines():
-    copy = ROW.replace("0.0]]", "-0]]")
+def test_a_bare_negative_zero_in_one_copy_of_a_row_decodes_bit_identically():
+    copy = ROW.replace("0.0]]", "-0]]")  # the integer 0, so the copy reads as the same bits as ROW
+    same = [op.tobytes() for op in loads(_block_text([[ROW, ROW], [ROW, ROW]]))["operators"]]
     for ops in ([[ROW, ROW], [copy, ROW]], [[ROW, ROW], [ROW, copy]], [[ROW, copy], [ROW, ROW]]):
-        text = _block_text(ops)
-        assert serialize._loads_canonical(text) is None
-        _assert_decodes_as_through_the_stdlib(text)
+        fast, _ = _assert_same_decode(_block_text(ops))
+        assert [op.tobytes() for op in fast["operators"]] == same
     _assert_same_decode(_block_text([[ROW, ROW], [ROW.replace("0.0]]", "-0.0]]"), ROW]]))
 
 
@@ -153,33 +155,24 @@ def test_each_distinct_row_is_parsed_once(monkeypatch):
     family = ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 5, "max_errors": 2})
     rec = synthesize_recovery(builtin_code("phase5"), build_channel(family), seed=3)
     text = dumps_canonical(recovery_document(rec))
-    expected_tokens, expected_counts = [], []
+    expected = []
     for op in json.loads(text)["operators"]:
         rows = list(dict.fromkeys(json.dumps(row, separators=(",", ":")) for row in op))
-        tokens = dict.fromkeys(re.findall(r"[^\[\],]+", ",".join(rows)))
-        expected_tokens.append(b"[" + ",".join(tokens).encode() + b"]")
-        expected_counts.append(2 * len(op) * len(rows))
-    d = rec.dim
-    assert sum(expected_counts) < len(rec.ensemble) * 2 * d * d // 4  # the rows do repeat
+        expected.append(b"[" + ",".join(re.findall(r"[^\[\],]+", ",".join(rows))).encode() + b"]")
+    assert sum(map(len, expected)) < len(text) // 4  # the rows do repeat
 
-    parsed, filled = [], []
-    real_loads, real_fromiter = json.loads, np.fromiter
+    parsed = []
+    real_loads = json.loads
 
     def counting_loads(s, *args, **kwargs):
         parsed.append(s)
         return real_loads(s, *args, **kwargs)
 
-    def counting_fromiter(it, dtype, count=-1, **kwargs):
-        filled.append(count)
-        return real_fromiter(it, dtype, count, **kwargs)
-
     monkeypatch.setattr(serialize.json, "loads", counting_loads)
-    monkeypatch.setattr(serialize.np, "fromiter", counting_fromiter)
     ops = loads(text)["operators"]
     monkeypatch.undo()
     assert [op.tobytes() for op in ops] == [op.tobytes() for op in serialize._pair_array(np.stack(rec.ensemble.operators))]
     document, *operators = parsed
     start = text.index('"operators":') + len('"operators":')
     assert document == text[:start] + "NaN" + text[text.index("]]]]", start) + 4 :]  # the file without its block
-    assert operators == expected_tokens  # one call per operator, its distinct rows' distinct tokens
-    assert filled == expected_counts  # one fill per operator, of its distinct rows only
+    assert operators == expected  # one call per operator, with its distinct rows' numbers in order
