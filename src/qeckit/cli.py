@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .channels import CHANNEL_KINDS, ChannelSpec, OperatorEnsemble, build_channel
 from .codes import (
@@ -140,19 +142,24 @@ def _envelope(args, command: str, tol: ToleranceConfig) -> dict:
     }
 
 
+def _lists(value):
+    """``value`` with an array turned into the nested lists ``dumps_canonical`` writes for it."""
+    return ser.array_to_json(value) if isinstance(value, np.ndarray) else value
+
+
 def _render_text(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
         for key in value:
-            inner = value[key]
+            inner = _lists(value[key])
             if isinstance(inner, (dict, list)) and inner and not _is_scalar_list(inner):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(inner, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_fmt_scalar(inner)}")
     elif isinstance(value, list):
-        for item in value:
+        for item in map(_lists, value):
             if isinstance(item, (dict, list)) and item and not _is_scalar_list(item):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(item, indent + 1))
@@ -231,7 +238,7 @@ def _cmd_synthesize(args) -> int:
         _write(ser.dumps_canonical(ser.recovery_document(rec)), args.out)
         out["result"]["recovery_file"] = args.out
     else:
-        out["result"]["recovery"] = ser.recovery_to_json(rec)
+        out["result"]["recovery"] = ser.recovery_document(rec)
     _emit(out, args.format, None)  # the report always goes to stdout
     return 0 if verification.passed else 1
 
@@ -269,6 +276,8 @@ def _cmd_memory(args) -> int:
         code = _resolve_code(args.code, tol)
         if args.p is not None and (code.shape is None or any(f != 2 for f in code.shape)):
             raise _InputError(f"memory --p requires a code with an all-qubit register shape, got shape {code.shape}")
+        if args.p is not None:
+            binomial_fidelity_bound(len(code.shape), args.e, args.p)  # a bad --e or --p is refused before any channel is read
         channel = _resolve_channel(args.channel, tol)
         if args.recovery:
             rec = _read_file(args.recovery, ser.recovery_from_json)

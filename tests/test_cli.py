@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code
 from qeckit.channels import CHANNEL_KINDS
-from qeckit import cli
+from qeckit import cli, memory
 from qeckit.cli import main
 from qeckit.memory import identity_recovery
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical, recovery_to_json
@@ -197,6 +198,40 @@ def test_memory_bound_column_needs_an_all_qubit_shape(files, capsys, monkeypatch
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: memory --p requires a code with an all-qubit register shape, got shape None\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--e", "5"], "need 0 <= e <= r, got e=5, r=3"),
+    (["--p", "1.5"], "p must be in [0, 1], got 1.5"),
+])
+def test_memory_refuses_a_bad_bound_before_any_channel_or_cycle(flags, message, capsys, monkeypatch):
+    def no_cycles(*args, **kwargs):
+        raise AssertionError("a channel was read, a recovery synthesized or a cycle ran")
+
+    for name in ("_resolve_channel", "synthesize_recovery", "run_memory"):
+        monkeypatch.setattr(cli, name, no_cycles)
+    argv = ["memory", "phase3", "uniform_phase_flip:p=0.05,qubits=3", "--cycles", "3", "--p", "0.05", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("bound_params, message", [
+    ((3, 5, 0.05), "need 0 <= e <= r, got e=5, r=3"),
+    ((3, 1, 1.5), "p must be in [0, 1], got 1.5"),
+])
+def test_run_memory_refuses_a_bad_bound_before_any_cycle(bound_params, message, monkeypatch):
+    def no_cycles(*args, **kwargs):
+        raise AssertionError("a memory frame was built or a cycle ran")
+
+    code = builtin_code("phase3")
+    channel = build_channel(ChannelSpec("uniform_phase_flip", {"p": 0.05, "qubits": 3}))
+    rec = identity_recovery(code.n)
+    monkeypatch.setattr(memory, "_frame", no_cycles)
+    monkeypatch.setattr(memory, "_cycle", no_cycles)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        memory.run_memory(code, channel, rec, code.basis[0], 3, bound_params=bound_params)
 
 
 def test_info_code_and_channel(capsys):

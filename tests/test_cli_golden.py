@@ -22,6 +22,13 @@ where slot 0 is the identity, and the three-qubit tensor power against
 phase3 otherwise. They were recorded while every member was still built
 as a dense kron, so they hold the images, Grams and completeness residuals
 of the families kept as words to the dense bytes.
+
+``INLINE`` pins the outputs that hold arrays but write no file:
+``check --format text``, and ``synthesize`` without ``--out``, whose
+report embeds the recovery, as JSON and as text, for phase3 and phase5
+(same families and seed as ``GOLDEN``), plus the refusal of phase3 under
+``decoherence:gamma=0.3,qubits=3``, which prints the KL report. They were
+recorded while those reports still held their matrices as nested lists.
 """
 
 import hashlib
@@ -121,6 +128,27 @@ LIFTED = {
 }
 
 
+# command -> (argv, exit code, digest)
+INLINE = {
+    "check-text-3": (["check", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1", "--format", "text"], 0,
+                     "7a0dd329007db6c26f85cf5c04319dd90c749ea9f65cfffb4f22fd49ca830c9f"),
+    "check-text-5": (["check", "phase5", "decoherence_pm_basis:gamma=0.1,qubits=5,max_errors=2", "--format", "text"], 0,
+                     "280c705635aad7bdc14ce2fb40156c967aa9e3f1ab6387dc837436e8113f5976"),
+    "synthesize-3": (["synthesize", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"], 0,
+                     "323ce9b765481ff4b440d4c91eadc343be3597ab09790833edd21eeaa4403735"),
+    "synthesize-5": (["synthesize", "phase5", "decoherence_pm_basis:gamma=0.1,qubits=5,max_errors=2"], 0,
+                     "0997bf9f5f773051cf74f080891ebf530996ffa11d387abdb58af4030c5fa62f"),
+    "synthesize-text-3": (["synthesize", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1", "--format", "text"],
+                          0, "c5bf7e3de4b645610e8a58a1da2a52932ecf0e06049ba33d3c7e59d08cc4ca1e"),
+    "synthesize-text-5": (["synthesize", "phase5", "decoherence_pm_basis:gamma=0.1,qubits=5,max_errors=2", "--format", "text"],
+                          0, "4158acdb997f7e0bc0dc70c66fbdb1e5d124468f151d79088a46ff751b6b2870"),
+    "refused": (["synthesize", "phase3", "decoherence:gamma=0.3,qubits=3"], 1,
+                "2c0fcde8c8c8f8ad8a7e5ac1c40bf49f13f1762f73b1dac32d9d4526b2ca2d19"),
+    "refused-text": (["synthesize", "phase3", "decoherence:gamma=0.3,qubits=3", "--format", "text"], 1,
+                     "31abe1a55782f1db1a2765fc002b28eb73a58e208aeab78f9902ba6b3db6519b"),
+}
+
+
 def _run(argv, capsys):
     assert main(argv) == 0
     return capsys.readouterr().out.encode()
@@ -169,3 +197,10 @@ def test_lifted_family_outputs_match_golden_digest(channel, capsys):
     assert main(["check", code, channel, "--seed", "3"]) == rc
     check_out = capsys.readouterr().out.encode()
     assert (hashlib.sha256(info_out).hexdigest(), hashlib.sha256(check_out).hexdigest()) == (info, check)
+
+
+@pytest.mark.parametrize("name", sorted(INLINE))
+def test_inline_outputs_match_golden_digest(name, capsys):
+    argv, rc, digest = INLINE[name]
+    assert main([*argv, "--seed", "3"]) == rc
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,13 +1,15 @@
-"""``dumps_canonical`` of array-valued ``operators`` blocks against the stdlib encoder.
+"""``dumps_canonical`` of array-valued documents against the stdlib encoder.
 
-A top-level ``operators`` block held as an array is written one distinct
-row of an operator at a time: each distinct row goes through ``json.dumps``
-once, and the operator is joined from those strings. The oracle is the
-stdlib path: ``json.dumps`` of the same document with the block as nested
-lists, as ``recovery_to_json`` builds it. Both must agree byte for byte,
-for every value the stdlib writes (NaN, ±Infinity and -0.0 included), and
-a block must never be handed to ``serialize._stdlib_block_text`` whole,
-or a silent detour through the stdlib would pass every byte check.
+Every numpy array in a document, at any depth, is written by
+``serialize._array_text``: its rows (the last two axes) are keyed by their
+bytes, each distinct value of the distinct rows goes through
+``json.dumps`` once, and the rows are filled in from that table. The
+oracle is the stdlib path: ``json.dumps`` of the same document with each
+array as nested lists, as ``recovery_to_json`` builds them. Both must
+agree byte for byte, for every value the stdlib writes (NaN, ±Infinity
+and -0.0 included), whether the values repeat or not, and an array of two
+or more axes must never be handed to ``serialize._stdlib_block_text``
+whole, or a silent detour through the stdlib would pass every byte check.
 """
 
 import json
@@ -16,8 +18,8 @@ import numpy as np
 import pytest
 
 from helpers import random_superoperator
-from qeckit import ChannelSpec, build_channel, builtin_code, serialize, synthesize_recovery
-from qeckit.serialize import dumps_canonical, loads, recovery_document, recovery_to_json
+from qeckit import ChannelSpec, build_channel, builtin_code, kl_check, random_code, serialize, synthesize_recovery
+from qeckit.serialize import dumps_canonical, kl_report_to_json, loads, matrix_to_json, recovery_document, recovery_to_json
 
 # Each edge float sits next to the value on the other side of a repr switch-over or sign.
 EDGE_FLOATS = (
@@ -37,13 +39,28 @@ def phase7_recovery():
 
 
 def _pairs(ops):
-    return serialize._operators_array(np.asarray(ops))
+    """``ops`` as an array, complex entries as a last axis of [re, im] pairs."""
+    ops = np.asarray(ops)
+    return np.stack([ops.real, ops.imag], axis=-1) if np.iscomplexobj(ops) else ops
 
 
 def _stdlib(doc):
-    """The oracle: the document with its block as nested lists, through ``json.dumps``."""
-    lists = {**doc, "operators": _pairs(doc["operators"]).tolist()}
-    return json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
+    """The oracle: the document with every array as nested lists, through ``json.dumps``."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=lambda a: _pairs(a).tolist()) + "\n"
+
+
+def _dumped(monkeypatch, write):
+    """``write()``'s result and the objects it handed to ``json.dumps``, in order."""
+    dumped, real_dumps = [], json.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        dumped.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "dumps", counting_dumps)
+    result = write()
+    monkeypatch.undo()
+    return result, dumped
 
 
 def _pooled_block(rng, shape, pool):
@@ -104,24 +121,100 @@ def test_an_all_distinct_block_is_written_by_rows(monkeypatch):
     assert dumps_canonical(doc) == _stdlib(doc)
 
 
-def test_each_distinct_row_is_dumped_once(monkeypatch):
+def test_each_distinct_value_is_dumped_once(monkeypatch):
     rec = _phase_recovery(5, 5)
     block = _pairs(np.stack(rec.ensemble.operators))
-    expected = [repr(row.tolist()) for op in block for row in {row.tobytes(): row for row in op}.values()]
-    assert len(expected) < block.shape[0] * block.shape[1] // 4  # the rows do repeat
-    dumped, real_dumps = [], json.dumps
-
-    def counting_dumps(obj, *args, **kwargs):
-        dumped.append(obj)
-        return real_dumps(obj, *args, **kwargs)
-
-    monkeypatch.setattr(serialize.json, "dumps", counting_dumps)
-    text = dumps_canonical(recovery_document(rec))
-    monkeypatch.undo()
+    values = np.unique(block.view(np.uint64))
+    assert 4 * values.size < block.size  # the values do repeat
+    text, dumped = _dumped(monkeypatch, lambda: dumps_canonical(recovery_document(rec)))
     assert text == dumps_canonical(recovery_to_json(rec))
-    *rows, head, tail = dumped  # the block's rows, then the document's keys before and after the block
-    assert isinstance(head, dict) and isinstance(tail, dict)
-    assert [repr(row) for row in rows] == expected  # one call per distinct row per operator, in order
+    doc, mark, table = dumped  # the document with a mark for the block, the mark, then the value table
+    assert isinstance(doc, dict) and mark == serialize._MARK
+    assert np.array(table, dtype=np.float64).view(np.uint64).tolist() == values.tolist()  # each once, by bits
+
+
+def _written(monkeypatch, a):
+    """``_array_text(a)`` against the oracle, byte for byte: one ``json.dumps``, of each distinct value once."""
+    pieces, dumped = _dumped(monkeypatch, lambda: serialize._array_text(a))
+    assert "".join(pieces) == serialize._stdlib_block_text(a)
+    (table,) = dumped
+    a = _pairs(a)
+    assert np.array(table, dtype=a.dtype).tobytes() == np.unique(a.view(f"u{a.itemsize}")).tobytes()
+
+
+SHAPES = [(8, 9), (3, 4, 6), (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["2d", "3d", "4d"])
+@pytest.mark.parametrize("seed", range(3))
+def test_repeating_and_distinct_values_write_the_stdlib_bytes(shape, seed, monkeypatch):
+    rng = np.random.default_rng(900 + seed)
+    pool = [*EDGE_FLOATS, np.nan, np.inf, -np.inf]
+    distinct = rng.standard_normal(shape)
+    distinct.flat[rng.choice(distinct.size, len(pool), replace=False)] = pool  # every edge float once
+    _written(monkeypatch, np.asarray(pool)[rng.integers(0, len(pool), shape)])
+    _written(monkeypatch, distinct)
+    _written(monkeypatch, _pooled_block(rng, shape, pool))  # complex: one more axis of pairs
+    _written(monkeypatch, distinct + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.bool_])
+def test_integer_dtypes_write_the_stdlib_bytes(dtype, monkeypatch):
+    rng = np.random.default_rng(17)
+    for shape in SHAPES:
+        _written(monkeypatch, rng.integers(0, 2, shape).astype(dtype))
+        if dtype is not np.bool_:
+            size = int(np.prod(shape))
+            _written(monkeypatch, (rng.permutation(size) % np.iinfo(dtype).max).astype(dtype).reshape(shape))
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (0, 3), (3, 0), (2, 0, 4), (0, 2, 2), (2, 3, 0, 1), ()])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+def test_empty_and_one_axis_arrays(shape, dtype):
+    a = np.asarray(np.arange(int(np.prod(shape)), dtype=dtype).reshape(shape) - 1)
+    assert "".join(serialize._array_text(a)) == json.dumps(_pairs(a).tolist(), separators=(",", ":"))
+    assert dumps_canonical({"a": a, "b": [a]}) == _stdlib({"a": a, "b": [a]})
+
+
+def test_arrays_at_any_depth_are_written_by_rows(monkeypatch):
+    rng = np.random.default_rng(4)
+    doc = {
+        "z": _pooled_block(rng, (2, 3, 3), [0.0, -0.0, 1.0]),
+        "nested": {"b": [rng.standard_normal((4, 4)), {"c": rng.integers(0, 3, (2, 2, 2))}], "a": 1.5},
+        "a": [_pooled_block(rng, (3, 3), EDGE_FLOATS), None],
+    }
+    expected = _stdlib(doc)
+    monkeypatch.setattr(serialize, "_stdlib_block_text", _refuse)
+    assert dumps_canonical(doc) == expected
+
+
+@pytest.mark.parametrize("decoy", [
+    serialize._MARK,  # the mark itself
+    serialize._MARK * 2,  # the lengthened mark
+    '"' + serialize._MARK,  # the mark after an escaped quote
+    serialize._MARK + '"',
+])
+def test_a_string_that_spells_the_mark_is_written_as_it_is(decoy):
+    ops = _pooled_block(np.random.default_rng(8), (2, 2, 2), [0.5, -0.5])
+    for doc in (
+        {"label": decoy, "operators": ops},
+        {decoy: ops, "label": [decoy, ops, {decoy: decoy}]},
+        {"label": decoy},
+        [decoy, ops, decoy],
+    ):
+        assert dumps_canonical(doc) == _stdlib(doc)
+
+
+def test_the_kl_report_is_written_as_its_lists_are(monkeypatch):
+    code = random_code(8, 2, seed=3, shape=(2, 2, 2))
+    channel = build_channel(ChannelSpec("pauli_unitary_basis", {"qubits": 3, "max_errors": 1}))
+    report = kl_report_to_json(kl_check(code, channel))
+    lists = {**report, "lambda_matrix": matrix_to_json(report["lambda_matrix"])}
+    expected = json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
+    floats = report["lambda_matrix"].view(np.uint64)
+    assert 2 * np.unique(floats).size <= floats.size  # λ_ab depends on A_a†A_b only up to a phase
+    monkeypatch.setattr(serialize, "_stdlib_block_text", _refuse)
+    assert dumps_canonical(report) == expected
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -195,6 +288,12 @@ def test_non_finite_values_are_written_with_the_stdlib_bytes(bad):
     assert ("NaN" in text) if np.isnan(bad) else ("Infinity" in text)
 
 
-def test_documents_without_an_array_block_are_unchanged():
-    for doc in ({"operators": [[[[1.0, 0.0]]]], "dim": 1}, {"operators": None}, {"x": 1}, [1, 2]):
+def test_documents_without_an_array_are_unchanged():
+    for doc in ({"operators": [[[[1.0, 0.0]]]], "dim": 1}, {"operators": None}, {"x": 1}, [1, 2], "s", 1.5, None):
         assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_values_json_cannot_write_are_refused_as_by_the_stdlib():
+    for value in (np.float32(1.0), np.int64(3), {1, 2}, 1j):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps_canonical({"x": value, "a": np.zeros((2, 2))})
