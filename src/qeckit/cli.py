@@ -42,7 +42,7 @@ class _InputError(Exception):
 
 def _load_json_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return ser.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")

@@ -17,10 +17,11 @@ row). An 8×128×128 block with every value distinct pays for the table
 without using it: 0.51 s against 0.35 s row by row. Every number is
 written by ``json.dumps``, so the bytes are the stdlib's.
 
-Reading: the dense top-level ``operators`` block of a canonical document
-comes back as float64 arrays: ``loads`` checks each distinct row of an
-operator once and parses the operator's distinct rows with one
-``json.loads``, so the floats are the stdlib's bit for bit.
+Reading: ``loads`` reads the dense top-level ``operators`` block of a
+canonical document from its bytes in one forward scan that predicts each
+row from the previous operator's pattern of repeats and checks each
+distinct row once; all distinct rows' numbers go to one ``json.loads``,
+so the float64 arrays are the stdlib's floats bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .channels import ChannelSpec, OperatorEnsemble
 from .codes import KLReport, QuantumCode, ReducedDMReport
 from .config import DEFAULT_TOL, ToleranceConfig
 from .fidelity import BoundCheckReport, EntangledFidelityReport, FidelityReport
-from .linalg import PureState, _check_dim
+from .linalg import DIM_CAP, PureState, _check_dim
 from .recovery import EntropyReport, RecoveryOperator, VerificationReport
 
 
@@ -170,21 +171,21 @@ def recovery_document(rec: RecoveryOperator) -> dict:
 
 
 def recovery_from_json(data: dict) -> RecoveryOperator:
+    """The recovery ``[complement, R_1, ..., R_s]``; its metadata must agree with its operators."""
     ensemble = ensemble_from_json(data)
     for key in ("syndrome_dim", "complement_dim"):
         if key not in data:
             raise ValueError(f"recovery JSON requires a {key!r} field")
-    coeffs = (
-        matrix_from_json(data["syndrome_coefficients"])
-        if data.get("syndrome_coefficients")
-        else np.zeros((int(data["syndrome_dim"]), 0), dtype=np.complex128)
-    )
-    return RecoveryOperator(
-        ensemble=ensemble,
-        syndrome_dim=int(data["syndrome_dim"]),
-        complement_dim=int(data["complement_dim"]),
-        syndrome_coefficients=coeffs,
-    )
+    syndrome_dim, complement_dim = int(data["syndrome_dim"]), int(data["complement_dim"])
+    if syndrome_dim != len(ensemble) - 1:
+        raise ValueError(f"recovery JSON declares syndrome_dim {syndrome_dim}, but lists {len(ensemble)} operators, not syndrome_dim + 1")
+    if not 0 <= complement_dim <= ensemble.dim:
+        raise ValueError(f"recovery JSON declares complement_dim {complement_dim}, outside 0..{ensemble.dim}")
+    coeffs = data.get("syndrome_coefficients")
+    coeffs = matrix_from_json(coeffs) if coeffs else np.zeros((syndrome_dim, 0), dtype=np.complex128)
+    if len(coeffs) != syndrome_dim:
+        raise ValueError(f"recovery JSON lists {len(coeffs)} rows of syndrome_coefficients, expected syndrome_dim={syndrome_dim}")
+    return RecoveryOperator(ensemble, syndrome_dim, complement_dim, coeffs)
 
 
 def kl_report_to_json(rep: KLReport) -> dict:
@@ -353,105 +354,104 @@ def dumps_canonical(data) -> str:
     return "".join(pieces)
 
 
-_OPERATORS_KEY = '"operators":'
+_OPERATORS_KEY = b'"operators":'
 _NUMBER_BYTES = b"0123456789+-.eE"
 # Stands in for the operators block while the rest of the document is parsed.
 _BLOCK = object()
 
 
-def _read_operator(piece: str, d: int, row: bytes) -> np.ndarray | None:
-    """One canonical operator as a (d, d, 2) float64 array, or None unless every number is JSON's.
-
-    The text is ``[[[`` + ``]],[[``.join(rows) + ``]]]``. Each distinct
-    row is checked against ``row``, the skeleton every one must have, and
-    the distinct rows' numbers go to one ``json.loads`` call, so each gets
-    the stdlib's value. An integer beyond the float range or the digit
-    limit is left to the stdlib.
-    """
-    rows = piece[3:-3].split("]],[[")  # the piece ends in "]]]" where the caller cut it
-    if not piece.startswith("[[[") or len(rows) != d:
-        return None
-    distinct: dict[str, int] = {}
-    index = [distinct.setdefault(r, len(distinct)) for r in rows]
-    try:
-        raw = "]],[[".join(distinct).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if raw.translate(None, _NUMBER_BYTES) != b"]],[[".join([row] * len(distinct)):
-        return None
-    try:  # 2 d numbers per distinct row, by the skeleton
-        table = np.array(json.loads(b"[" + raw.translate(None, b"[]") + b"]"), dtype=np.float64).reshape(len(distinct), d, 2)
-    except (ValueError, OverflowError):  # outside JSON's number grammar, or an integer no float64 holds
-        return None
-    return table if len(distinct) == d else table[index]
-
-
-def _loads_canonical(text: str) -> dict | None:
+def _loads_canonical(text: str | bytes) -> dict | None:
     """``json.loads(text)`` with the top-level ``operators`` read as arrays, or None unless canonical.
 
-    Applies when the text's first ``"operators":`` key is the top-level
-    one ``json.loads`` keeps and its value is in the dense layout
-    ``dumps_canonical`` writes. The rest of the document is parsed by
-    ``json.loads`` with a placeholder where the block was, which also
-    settles where the key sits. The block is then read one operator at a
-    time by ``_read_operator``, which checks each distinct row once and
-    parses the distinct rows with one ``json.loads``: the rows of a
-    recovery element ``B F†`` repeat wherever the code basis B repeats a
-    row.
+    Applies when the first ``"operators":`` key is the top-level one
+    ``json.loads`` keeps and its value is in the dense layout
+    ``dumps_canonical`` writes. One forward scan of the bytes tests row i
+    against row r of its operator where row i of the previous operator
+    repeated its row r (rows of a recovery element ``B F†`` repeat
+    wherever the code basis B does), cuts any other row at its ``]]``,
+    checks each distinct row against the skeleton once and every
+    separator exactly. The rest of the document is parsed with a
+    placeholder for the block, which settles where the key sits, and all
+    distinct rows' numbers by one ``json.loads``.
     """
-    key = text.find(_OPERATORS_KEY)
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    key = raw.find(_OPERATORS_KEY)
     start = key + len(_OPERATORS_KEY)
-    if key < 0 or not text.startswith("[[[[", start):
+    if key < 0 or not raw.startswith(b"[[[[", start):
         return None
-    pieces = []  # (first, past-the-end) of each operator
-    pos = start + 1
-    while True:
-        stop = text.find("]]]", pos) + 3
-        if stop < 3:
-            return None
-        pieces.append((pos, stop))
-        after = text[stop : stop + 1]
-        if after == "]":
+    pos = start + 4
+    first = raw[pos : raw.find(b"]]", pos)]
+    d = first.count(b"],[") + 1
+    row = b"],[".join([b","] * d)  # a canonical row between its "[[" and "]]", numbers deleted
+    if first.translate(None, _NUMBER_BYTES) != row:
+        return None
+    stop = raw.find(b"]]]]", pos) if d > DIM_CAP else 0  # such a block is refused below, its rows unread
+    distinct: dict[bytes, int] = {}
+    pattern = range(d)  # row i of the last operator repeated its row pattern[i], or was new where pattern[i] == i
+    index = []
+    startswith = raw.startswith
+    while d <= DIM_CAP:
+        rows, js = [], []  # this operator's rows and their indices in distinct
+        for i in range(d):
+            r = pattern[i]
+            if r < i and startswith(rows[r], pos) and startswith(b"]]", pos + len(rows[r])):
+                body, j = rows[r], js[r]
+            else:  # a row with no "]]" after it runs to the last byte, where no separator fits
+                body = raw[pos : raw.find(b"]]", pos)]
+                j = distinct.get(body)
+                if j is None:
+                    if body.translate(None, _NUMBER_BYTES) != row:
+                        return None
+                    j = distinct[body] = len(distinct)
+            rows.append(body)
+            js.append(j)
+            stop = pos + len(body)
+            if i < d - 1:
+                if not startswith(b"]],[[", stop):
+                    return None
+                pos = stop + 5
+        index += js
+        seen: dict[int, int] = {}
+        pattern = [seen.setdefault(j, i) for i, j in enumerate(js)]
+        if startswith(b"]]]]", stop):
             break
-        if after != ",":
+        if not startswith(b"]]],[[[", stop):
             return None
-        pos = stop + 1
-    end = stop + 1
-    if text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:  # the placeholder must be the only NaN
+        pos = stop + 7
+    end = stop + 4
+    if stop < 0 or raw.find(b"NaN", 0, start) >= 0 or raw.find(b"NaN", end) >= 0:  # the placeholder must be the only NaN
         return None
-    try:
-        data = json.loads(text[:start] + "NaN" + text[end:], parse_constant=lambda c: _BLOCK if c == "NaN" else float(c))
+    try:  # the block is ASCII, so the rest is valid UTF-8 exactly when the whole is
+        rest = (raw[:start] + b"NaN" + raw[end:]).decode("utf-8")
+        data = json.loads(rest, parse_constant=lambda c: _BLOCK if c == "NaN" else float(c))
     except ValueError:
         return None
     if type(data) is not dict or data.get("operators") is not _BLOCK:
         return None
-    first_row = text[start + 4 : text.find("]]", start)]
-    d = first_row.count("],[") + 1
-    row = b"],[".join([b","] * d)  # a canonical row between its "[[" and "]]", numbers deleted
-    if first_row.encode("ascii", "replace").translate(None, _NUMBER_BYTES) != row:
-        return None
     _check_dim(d)  # refused before any of the block's numbers is parsed
-    ops = []
-    for first, stop in pieces:
-        op = _read_operator(text[first:stop], d, row)
-        if op is None:
-            return None
-        ops.append(op)
-    data["operators"] = ops
+    try:  # 2 d numbers per distinct row, by the skeleton
+        numbers = json.loads(b"[" + b",".join(distinct).translate(None, b"[]") + b"]")
+        table = np.array(numbers, dtype=np.float64).reshape(len(distinct), d, 2)
+    except (ValueError, OverflowError):  # outside JSON's number grammar, or an integer no float64 holds
+        return None
+    data["operators"] = list(table[np.reshape(index, (-1, d))])
     return data
 
 
-def loads(text: str) -> dict:
+def loads(text: str | bytes) -> dict:
     """Decode a JSON document; the inverse of ``dumps_canonical``.
 
     The result is ``json.loads(text)``, except that a top-level
-    ``operators`` block in the canonical dense layout comes back as a
-    list of (d, d, 2) float64 arrays of [re, im] pairs, bit-identical to
-    the floats ``json.loads`` reads. Any other text, including every
-    invalid document and every block holding an integer no float64
-    holds, goes through ``json.loads`` unchanged, with its errors. Raises
-    ``CapacityError`` when a canonical block's first row holds more than
-    ``DIM_CAP`` pairs, before parsing its numbers.
+    ``operators`` block in the canonical dense layout comes back as a list
+    of (d, d, 2) float64 arrays of [re, im] pairs, bit-identical to the
+    floats ``json.loads`` reads; a block whose first row holds more than
+    ``DIM_CAP`` pairs raises ``CapacityError`` before its other rows are read.
+    Bytes are decoded as a text-mode read decodes a file: strict UTF-8, a
+    byte-order mark kept, CR LF and a lone CR read as LF. Any other text,
+    every invalid document and every block holding an integer no float64
+    holds go through ``json.loads`` unchanged, with its errors.
     """
     data = _loads_canonical(text)
+    if data is None and isinstance(text, bytes):
+        text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return json.loads(text) if data is None else data

@@ -12,6 +12,7 @@ from qeckit import cli, memory
 from qeckit.cli import main
 from qeckit.memory import identity_recovery
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical, recovery_to_json
+from test_fast_decode import BASE
 
 
 @pytest.fixture()
@@ -494,8 +495,9 @@ def test_tol_reaches_code_file_orthonormality(command, tmp_path, capsys, monkeyp
 
 
 def _identity_recovery_text(dim_field):
+    zero, identity = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     return dumps_canonical({
-        "dim": dim_field, "label": "x", "operators": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        "dim": dim_field, "label": "x", "operators": [zero, identity],
         "syndrome_dim": 1, "complement_dim": 0, "syndrome_coefficients": [],
     })
 
@@ -550,3 +552,68 @@ def test_a_file_over_the_size_cap_is_refused_naming_the_file(tmp_path, capsys, r
     }[role]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {wide}: dimension 512 exceeds the cap 256\n"
+
+
+BASE_BYTES = BASE.encode()
+# Each file's refusal, as a strict UTF-8 text-mode read (CR LF and a lone CR read as LF) gives it.
+REFUSED_FILES = {
+    "byte-order mark": (b"\xef\xbb\xbf" + BASE_BYTES, "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "invalid start byte": (b'{"n":\xff}', "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+    "lone CRs": (b'{\r"n":\r2,\r"k":\r}', "invalid JSON at line 5, column 1: Expecting value"),
+    "CR LFs": (b'{\r\n"n":\r\n}', "invalid JSON at line 3, column 1: Expecting value"),
+    "UTF-16": (BASE.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "invalid byte inside the block": (BASE_BYTES.replace(b"0.0]", b"0.\xff]", 1), "'utf-8' codec can't decode byte 0xff in position 77: invalid start byte"),
+    "invalid byte after the block": (BASE_BYTES.replace(b'"syndrome_coefficients"', b'"syndrome_coefficients\xe9"'),
+                                     "'utf-8' codec can't decode byte 0xe9 in position 229: invalid continuation byte"),
+    "truncated character at the end": (BASE_BYTES.rstrip(b"\n") + b"\xe2\x82", "'utf-8' codec can't decode bytes in position 251-252: unexpected end of data"),
+    "encoded surrogate in a label": (BASE_BYTES.replace(b'"label":"x"', b'"label":"\xed\xa0\x80"'),
+                                     "'utf-8' codec can't decode byte 0xed in position 37: invalid continuation byte"),
+    "CR in a label": (BASE_BYTES.replace(b'"label":"x"', b'"label":"x\ry"'), "invalid JSON at line 1, column 39: Invalid control character at"),
+}
+READ_FILES = {
+    "CR LF whitespace": BASE_BYTES.replace(b",", b",\r\n"),
+    "CR whitespace": BASE_BYTES.replace(b",", b",\r"),
+    "CR LF line end": BASE_BYTES.replace(b"\n", b"\r\n"),
+    "non-ASCII label": BASE_BYTES.replace(b'"label":"x"', '"label":"φ"'.encode()),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_FILES)
+@pytest.mark.parametrize("role", ["code", "recovery", "channel"])
+def test_file_bytes_are_refused_as_a_text_mode_read_refuses_them(name, role, tmp_path, capsys):
+    data, message = REFUSED_FILES[name]
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    argv = {
+        "code": ["check", str(path), "decoherence:gamma=0.1"],
+        "recovery": ["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(path)],
+        "channel": ["fidelity", "trivial:2", str(path)],
+    }[role]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("name", READ_FILES)
+def test_file_bytes_read_as_a_text_mode_read_reads_them(name, tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    runs = []
+    for data in (BASE_BYTES, READ_FILES[name]):
+        path.write_bytes(data)
+        rc = main(["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(path)])
+        runs.append((rc, capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("edit", [{"syndrome_dim": -3}, {"complement_dim": 999}, {"syndrome_coefficients": [[[1.0, 0.0]]]}])
+def test_inconsistent_recovery_metadata_exits_2_naming_the_file(edit, tmp_path, capsys):
+    channel = "decoherence_pm_basis:gamma=0.1,qubits=5,max_errors=2"
+    rec = tmp_path / "rec.json"
+    assert main(["synthesize", "phase5", channel, "--out", str(rec), "--seed", "5"]) == 0
+    capsys.readouterr()
+    argv = ["fidelity", "phase5", channel, "--recovery", str(rec)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rec.write_text(dumps_canonical({**json.loads(rec.read_text()), **edit}))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {rec}: recovery JSON ")

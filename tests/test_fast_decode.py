@@ -1,8 +1,8 @@
 """``serialize.loads`` against the stdlib decoder it stands in for.
 
 Canonical files, as ``dumps_canonical`` writes them, have their dense
-``operators`` block read one operator at a time: each distinct row of an
-operator is checked once, and the numbers of its distinct rows go to one
+``operators`` block read in one forward scan: each distinct row is
+checked once, and the numbers of all distinct rows go to one
 ``json.loads`` call, which gives every number, ``-0`` and integers
 included, the stdlib's value. Everything else, and a block holding an
 integer no float64 holds, goes through ``json.loads`` whole. The oracle
@@ -258,14 +258,38 @@ def test_wide_first_row_that_is_not_canonical_falls_back(bad_pair, tmp_path, cap
     assert fast == _run(argv, capsys)
 
 
-def test_wide_first_row_is_refused_before_any_operator_is_read(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("an operator was parsed")
+_JSON_LOADS = json.loads
 
-    monkeypatch.setattr(serialize, "_read_operator", unreachable)
+
+def _text_only_loads(s, *args, **kwargs):
+    """``json.loads`` of the rest of a document, which is text; the block's numbers come as bytes."""
+    if isinstance(s, bytes):
+        raise AssertionError("a number of the block was parsed")
+    return _JSON_LOADS(s, *args, **kwargs)
+
+
+def test_wide_first_row_is_refused_before_any_operator_is_read(monkeypatch):
+    monkeypatch.setattr(serialize.json, "loads", _text_only_loads)
     row = "[" + ",".join(["[0.0,0.0]"] * 257) + "]"
     with pytest.raises(CapacityError, match="dimension 257 exceeds the cap 256"):
         loads('{"dim":257,"operators":[[' + ",".join([row] * 257) + "]]}")
-    with pytest.raises(AssertionError):  # at the cap itself the operators are read
+    with pytest.raises(AssertionError):  # at the cap itself the numbers are parsed
         row = "[" + ",".join(["[0.0,0.0]"] * 256) + "]"
         loads('{"dim":256,"operators":[[' + ",".join([row] * 256) + "]]}")
+
+
+WIDE = "[" + ",".join(["[0.0,0.0]"] * 257) + "]"
+
+
+@pytest.mark.parametrize("later", [
+    WIDE, WIDE.replace(",", ", ", 1), "[" + ",".join(["[0.0,0.0]"] * 256) + "]", "[[0.0,0.0,0.0]]", "[[null,0.0]]",
+], ids=["canonical", "space", "ragged", "three-element pair", "null"])
+def test_a_wide_block_is_refused_whatever_its_later_rows_hold(later, monkeypatch):
+    monkeypatch.setattr(serialize.json, "loads", _text_only_loads)
+    # its interior is never read, so even a broken separator between operators is refused by the cap
+    for block in (f"[[{WIDE},{later}]]", f"[[{WIDE}],[{later}]]", f"[[{WIDE}], [{later}]]", f"[[{WIDE}]x[{later}]]"):
+        with pytest.raises(CapacityError, match="dimension 257 exceeds the cap 256"):
+            loads('{"dim":257,"operators":' + block + ',"syndrome_dim":0}')
+    monkeypatch.undo()
+    with pytest.raises(json.JSONDecodeError):  # the rest of the document is parsed first
+        loads('{"dim":257,"operators":[[' + WIDE + "," + later + ']]],"syndrome_dim":0}')

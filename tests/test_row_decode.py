@@ -1,12 +1,14 @@
 """``serialize.loads`` of operators blocks whose rows repeat, against ``json.loads``.
 
-``_read_operator`` splits a canonical operator into its d rows, checks
-each distinct row once against the skeleton of a row, parses the numbers
-of the distinct rows with one ``json.loads`` and indexes the rows back.
-Recovery elements ``B F†`` repeat a row wherever the code basis B does,
-as the phase codes' ±2^(−m/2) bases do. Every block here must decode bit
-for bit as ``json.loads`` reads it, or decline to the stdlib with its
-error; an edit to one copy of a row is seen in that copy alone.
+``_loads_canonical`` reads a canonical block in one forward scan. Where
+row i of the previous operator repeated its row r, row i is first tested
+against row r of this operator; any other row is cut at its ``]]``, and
+each distinct row is checked once against the skeleton of a row. The
+numbers of all distinct rows go to one ``json.loads``. Recovery elements ``B F†`` repeat a row
+wherever the code basis B does, as the phase codes' ±2^(−m/2) bases do.
+Every block here must decode bit for bit as ``json.loads`` reads it, or
+decline to the stdlib with its error; an edit to one copy of a row is
+seen in that copy alone.
 """
 
 import json
@@ -128,7 +130,10 @@ def test_a_mutated_last_row_decodes_as_through_the_stdlib(name, row):
     [[ROW, ROW], [ROW, ROW, ROW]],
     [[ROW, OTHER], [OTHER]],
     [[ROW, OTHER], [OTHER, OTHER, OTHER]],
-], ids=["split copy", "split and merged", "split last row", "d-1 copies", "d+1 copies", "d-1 rows", "d+1 rows"])
+    [[ROW, OTHER], [ROW, OTHER], [ROW]],
+    [[ROW, OTHER], [ROW, OTHER], [ROW, OTHER, ROW]],
+], ids=["split copy", "split and merged", "split last row", "d-1 copies", "d+1 copies", "d-1 rows", "d+1 rows",
+        "d-1 predicted rows", "d+1 predicted rows"])
 def test_operators_with_the_wrong_row_count_decline(ops):
     text = _block_text(ops)
     assert serialize._loads_canonical(text) is None
@@ -151,16 +156,8 @@ def test_a_bare_negative_zero_in_one_copy_of_a_row_decodes_bit_identically():
     _assert_same_decode(_block_text([[ROW, ROW], [ROW.replace("0.0]]", "-0.0]]"), ROW]]))
 
 
-def test_each_distinct_row_is_parsed_once(monkeypatch):
-    family = ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 5, "max_errors": 2})
-    rec = synthesize_recovery(builtin_code("phase5"), build_channel(family), seed=3)
-    text = dumps_canonical(recovery_document(rec))
-    expected = []
-    for op in json.loads(text)["operators"]:
-        rows = list(dict.fromkeys(json.dumps(row, separators=(",", ":")) for row in op))
-        expected.append(b"[" + ",".join(re.findall(r"[^\[\],]+", ",".join(rows))).encode() + b"]")
-    assert sum(map(len, expected)) < len(text) // 4  # the rows do repeat
-
+def _loads_and_parses(text, monkeypatch):
+    """``loads(text)``, and every text ``json.loads`` received while it ran."""
     parsed = []
     real_loads = json.loads
 
@@ -169,10 +166,90 @@ def test_each_distinct_row_is_parsed_once(monkeypatch):
         return real_loads(s, *args, **kwargs)
 
     monkeypatch.setattr(serialize.json, "loads", counting_loads)
-    ops = loads(text)["operators"]
+    data = loads(text)
     monkeypatch.undo()
-    assert [op.tobytes() for op in ops] == [op.tobytes() for op in serialize._pair_array(np.stack(rec.ensemble.operators))]
-    document, *operators = parsed
+    return data, parsed
+
+
+def test_each_distinct_row_is_parsed_once(monkeypatch):
+    family = ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 5, "max_errors": 2})
+    rec = synthesize_recovery(builtin_code("phase5"), build_channel(family), seed=3)
+    text = dumps_canonical(recovery_document(rec))
+    rows = list(dict.fromkeys(json.dumps(row, separators=(",", ":")) for op in json.loads(text)["operators"] for row in op))
+    expected = b"[" + ",".join(re.findall(r"[^\[\],]+", ",".join(rows))).encode() + b"]"
+    assert len(expected) < len(text) // 4  # the rows do repeat
+
+    data, parsed = _loads_and_parses(text.encode(), monkeypatch)
+    assert [op.tobytes() for op in data["operators"]] == [op.tobytes() for op in serialize._pair_array(np.stack(rec.ensemble.operators))]
     start = text.index('"operators":') + len('"operators":')
-    assert document == text[:start] + "NaN" + text[text.index("]]]]", start) + 4 :]  # the file without its block
-    assert operators == expected  # one call per operator, with its distinct rows' numbers in order
+    # the file without its block, then one call with the distinct rows' numbers, in order of first appearance
+    assert parsed == [text[:start] + "NaN" + text[text.index("]]]]", start) + 4 :], expected]
+
+
+def test_a_pattern_that_changes_between_operators_decodes_bit_identically(monkeypatch):
+    # as in phase7's recovery: an all-distinct complement element, then operators of 2 distinct rows each
+    rng = np.random.default_rng(21)
+    ops = np.concatenate([_distinct(16, 1, rng), _phase_like(4, 3, rng), _distinct(16, 1, rng), _phase_like(4, 2, rng)])
+    text = _document(ops)
+    _assert_same_decode(text)
+    data, (_, numbers) = _loads_and_parses(text, monkeypatch)
+    assert [op.tobytes() for op in data["operators"]] == [op.tobytes() for op in serialize._pair_array(ops)]
+    assert len(json.loads(numbers)) == (16 + 3 * 2 + 16 + 2 * 2) * 16 * 2  # each distinct row's numbers once
+
+
+@pytest.mark.parametrize("first, second", [
+    ("[[0.5,0.0],[0.0,1.0]]", "[[0.5,0.0],[0.0,1.05]]"),  # the predicted row is a proper prefix of the row
+    ("[[0.5,0.0],[0.0,1.05]]", "[[0.5,0.0],[0.0,1.0]]"),  # the row is a proper prefix of the predicted one
+    ("[[0.5,0.0],[0.0,1.0]]", "[[0.5,0.0],[0.0,1.0e5]]"),
+])
+def test_a_row_that_extends_or_cuts_the_predicted_one_decodes_bit_identically(first, second):
+    _assert_same_decode(_block_text([[first, first], [first, second]]))  # row 1 of the second operator is predicted
+    _assert_same_decode(_block_text([[first, first], [second, first]]))
+
+
+@pytest.mark.parametrize("second", [
+    "[[0.5,0.0],[0.0,1.0,2.0]]", "[[0.5,0.0],[0.0,1.0],[2.0,3.0]]", "[[0.5,0.0],[0.0,1.0]],[[2.0,3.0]]",
+    "[[0.5,0.0],[0.0,1.0]] ", "[[0.5,0.0],[0.0,1.0]", "[[0.5,0.0],[0.0,1.0]]]",
+])
+def test_a_predicted_row_followed_by_other_bytes_decodes_as_through_the_stdlib(second):
+    first = "[[0.5,0.0],[0.0,1.0]]"
+    for ops in ([[first, first], [first, second]], [[first, first], [second, first]]):
+        _assert_decodes_as_through_the_stdlib(_block_text(ops))
+
+
+ROW3 = "[[0.5,0.0],[0.0,0.0],[1.0,-1.0]]"
+OTHER3 = "[[0.25,0.0],[0.0,0.5],[-1.0,1.0]]"
+
+
+@pytest.mark.parametrize("separator", ["]] [[", "]]:[[", "]],[ ", "]],,[", "]]],[", "]],]]", "]]][["])
+@pytest.mark.parametrize("ops", [[[ROW3, ROW3, ROW3], [ROW3, ROW3, ROW3]], [[ROW3, OTHER3, ROW3], [OTHER3, ROW3, OTHER3]]],
+                         ids=["after a predicted row", "after a new row"])
+def test_a_row_separator_of_the_right_length_with_other_bytes_declines(separator, ops):
+    good = _block_text(ops)
+    _assert_same_decode(good)
+    cut = good.rindex("]],[[")  # between rows 1 and 2 of the last operator
+    text = good[:cut] + separator + good[cut + 5 :]
+    assert serialize._loads_canonical(text) is None
+    _assert_decodes_as_through_the_stdlib(text)
+
+
+@pytest.mark.parametrize("where", [0, 5, -1])
+def test_a_one_digit_edit_to_one_copy_in_the_last_operator_is_read_in_that_copy(where):
+    rng = np.random.default_rng(31)
+    ops = _phase_like(3, 4, rng)
+    text = _document(ops)
+    rows = text.split("]],[[")  # at every row boundary, those between operators included
+    last = len(rows) - 8 + where % 8  # a row of the last operator
+    digit = re.search(r"[1-9]", rows[last])
+    rows[last] = rows[last][: digit.start()] + str(int(digit.group()) % 9 + 1) + rows[last][digit.end() :]
+    fast, _ = _assert_same_decode("]],[[".join(rows))
+    changed = [(o, i) for o, op in enumerate(fast["operators"]) for i in range(8)
+               if op[i].tobytes() != serialize._pair_array(ops[o, i]).tobytes()]
+    assert changed == [(3, where % 8)]
+
+
+@pytest.mark.parametrize("d", [4, 32])
+def test_a_block_of_one_operator_decodes_bit_identically(d):
+    rng = np.random.default_rng(40 + d)
+    _assert_same_decode(_document(_distinct(d, 1, rng)))
+    _assert_same_decode(_document(_phase_like(d.bit_length() - 1, 1, rng)))

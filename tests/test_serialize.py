@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,25 @@ def test_recovery_with_empty_coefficients_keeps_shape():
     for empty in ([], [[]] * rec.syndrome_dim):
         data["syndrome_coefficients"] = empty
         assert recovery_from_json(data).syndrome_coefficients.shape == (rec.syndrome_dim, 0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"syndrome_dim": -3}, "declares syndrome_dim -3, but lists 17 operators"),
+    ({"syndrome_dim": 17}, "declares syndrome_dim 17, but lists 17 operators"),
+    ({"syndrome_dim": 15}, "declares syndrome_dim 15, but lists 17 operators"),
+    ({"complement_dim": 999}, "complement_dim 999, outside 0..32"),
+    ({"complement_dim": -1}, "complement_dim -1, outside 0..32"),
+    ({"syndrome_coefficients": [[[0.5, 0.0]]]}, "lists 1 rows of syndrome_coefficients, expected syndrome_dim=16"),
+    ({"syndrome_coefficients": [[]] * 17}, "lists 17 rows of syndrome_coefficients, expected syndrome_dim=16"),
+])
+def test_recovery_metadata_must_agree_with_its_operators(edit, message):
+    family = ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 5, "max_errors": 2})
+    data = recovery_to_json(synthesize_recovery(builtin_code("phase5"), build_channel(family), seed=5))
+    assert (data["syndrome_dim"], data["complement_dim"], len(data["operators"])) == (16, 0, 17)
+    recovery_from_json(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        recovery_from_json({**data, **edit})
+    assert recovery_from_json({**data, "complement_dim": 32}).complement_dim == 32  # the range is inclusive
 
 
 def test_declared_dim_must_match_the_operators():
