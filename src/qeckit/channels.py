@@ -12,12 +12,13 @@ register lifts, ``tensor_power`` and ``e_error_family``, form their members
 through one builder, ``_register``, which refuses a family over the size
 caps before it builds any member.
 
-A lift whose one-qubit operators each have at most one nonzero per row
-(every catalogued kind) keeps its members as words over those operators
-until a caller iterates it. Its length, dimension, completeness residual
-and error images (``OperatorEnsemble.images``) come from the words, so
-``check``, ``synthesize``, ``fidelity`` and ``memory`` never form one of
-its 2^r x 2^r members.
+A dense family is one read-only complex (m, n, n) ``stack``, which
+``images``, the completeness relation, ``compose`` and ``apply_channel``
+read whole. A lift whose one-qubit operators each have at most one
+nonzero per row (every catalogued kind) is one (m, n) table of columns
+and one of values instead. Its length, dimension, completeness residual
+and error images come from those tables, so ``check``, ``synthesize``,
+``fidelity`` and ``memory`` never form one of its 2^r x 2^r members.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSuperoperatorError
-from .linalg import DensityMatrix, _as_matrix, _check_bytes, _check_dim, dagger, kron_all
+from .linalg import DensityMatrix, _as_matrix, _check_bytes, _check_dim, dagger
 
 _ID2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -50,29 +51,32 @@ def _check_family_bytes(count: int, dim: int) -> None:
     _check_bytes(count * dim * dim * 16, f"{count} operators of dimension {dim}")
 
 
-def _sum_adag_a(ops) -> np.ndarray:
-    """sum_a A_a^dag A_a, the operator in the completeness relation.
+def _sum_adag_a(ensemble: OperatorEnsemble) -> np.ndarray:
+    """sum_a A_a^dag A_a, the operator in the completeness relation, summed member by member in order.
 
-    ``ops`` holds dense members, or a lifted family's members as
-    ``(cols, vals)``: a member with at most one nonzero per row adds
-    |vals|^2 to the diagonal at ``cols`` and nothing off it.
+    A dense family adds its ``stack`` rows one at a time. Member a of a
+    lifted family adds |vals[a]|^2 to the diagonal at ``cols[a]``: the
+    weights are binned per member, then the members' bins are added.
     """
-    if isinstance(ops[0], tuple):
-        n = len(ops[0][0])
-        diag = np.zeros(n)
-        for cols, vals in ops:
-            diag += np.bincount(cols, weights=vals.real**2 + vals.imag**2, minlength=n)
-        return np.diag(diag).astype(np.complex128)
-    acc = np.zeros_like(ops[0])
-    for a in ops:
+    if isinstance(ensemble, _LiftedEnsemble):
+        m, n = ensemble.cols.shape
+        weights = ensemble.vals.real**2 + ensemble.vals.imag**2
+        bins = np.bincount((ensemble.cols + n * np.arange(m)[:, None]).ravel(), weights=weights.ravel(), minlength=m * n)
+        return np.diag(np.add.reduce(bins.reshape(m, n))).astype(np.complex128)
+    acc = np.zeros_like(ensemble.stack[0])
+    for a in ensemble.stack:
         acc += dagger(a) @ a
     return acc
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorEnsemble:
-    """Ordered family of same-dimension interaction operators.
+    """Ordered family of same-dimension interaction operators, held as one read-only complex (m, n, n) ``stack``.
 
+    ``operators`` (n x n matrices, or an (m, n, n) array) is validated once
+    and becomes ``tuple(stack)``. A read-only array (the decoder's gathered
+    block) is adopted uncopied; any other input is copied, so the caller's
+    arrays stay writeable and their later writes leave the family unchanged.
     By convention, slot 0 holds the identity-like (dominant) element for
     channels that have one; the error-counting machinery keys off it.
     ``completeness_residual`` is the max-norm deviation of sum A^dag A from
@@ -81,40 +85,45 @@ class OperatorEnsemble:
 
     operators: tuple[np.ndarray, ...]
     label: str = ""
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(_as_matrix(a) for a in self.operators)
-        if not ops:
+        ops = self.operators
+        readonly = isinstance(ops, np.ndarray) and not ops.flags.writeable
+        try:
+            stack = np.asarray(ops, dtype=np.complex128) if readonly else np.array(ops, dtype=np.complex128)
+        except ValueError:  # members of different shapes, or a member that is no numeric matrix (_as_matrix says so)
+            mats = [_as_matrix(a) for a in ops]
+            raise ValueError(f"operators must be square with equal dimension, got {next(a.shape for a in mats if a.shape != mats[0].shape)}") from None
+        if len(stack) == 0:
             raise ValueError("an ensemble needs at least one operator")
-        dim = ops[0].shape[0]
-        for a in ops:
-            if a.shape != (dim, dim):
-                raise ValueError(f"operators must be square with equal dimension, got {a.shape}")
-            a.setflags(write=False)
-        _check_dim(dim)
-        object.__setattr__(self, "operators", ops)
+        if stack.ndim != 3:
+            raise ValueError(f"expected a matrix, got ndim={stack.ndim - 1}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix entries must be finite")
+        if stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"operators must be square with equal dimension, got {stack.shape[1:]}")
+        _check_dim(stack.shape[1])
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
 
     @cached_property
     def completeness_residual(self) -> float:
-        return float(np.max(np.abs(_sum_adag_a(self._terms()) - np.eye(self.dim))))
-
-    def _terms(self) -> tuple:
-        """The members as ``_sum_adag_a`` reads them."""
-        return self.operators
+        return float(np.max(np.abs(_sum_adag_a(self) - np.eye(self.dim))))
 
     def images(self, frame: np.ndarray) -> np.ndarray:
         """Images of an n x d frame as an (n, m, d) array: ``X[:, a, i] = A_a frame[:, i]``."""
         images = np.empty((frame.shape[0], len(self), frame.shape[1]), dtype=np.complex128)
-        for a, op in enumerate(self.operators):
-            images[:, a, :] = op @ frame
+        np.matmul(self.stack, frame, out=images.transpose(1, 0, 2))
         return images
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.stack)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.operators)
@@ -198,15 +207,9 @@ def _damping_ops(p: float, jump_slot: tuple[int, int]) -> list[np.ndarray]:
 
 
 def _uniform_phase_flip_ops(p: float, r: int) -> list[np.ndarray]:
-    dim = 2**r
-    _check_dim(dim)
-    ident = np.eye(dim, dtype=np.complex128)
-    ops = [math.sqrt(1.0 - p) * ident]
-    for j in range(r):
-        factors = [_ID2] * r
-        factors[j] = SIGMA_Z
-        ops.append(math.sqrt(p / r) * kron_all(factors))
-    return ops
+    _check_dim(2**r)
+    flips = _kron_words(np.stack([_ID2, SIGMA_Z]), np.eye(r, dtype=np.intp))  # Z on qubit j, for each j
+    return [math.sqrt(1.0 - p) * np.eye(2**r, dtype=np.complex128), *(math.sqrt(p / r) * flips)]
 
 
 def _overlap_ops(q: float) -> list[np.ndarray]:
@@ -313,9 +316,8 @@ def apply_channel(
     """
     if ensemble.dim != rho.dim:
         raise ValueError(f"dimension mismatch: channel {ensemble.dim}, state {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for a in ensemble:
-        out = out + a @ rho.matrix @ dagger(a)
+    stack = ensemble.stack
+    out = np.add.reduce(stack @ rho.matrix @ stack.conj().transpose(0, 2, 1), axis=0, initial=0.0)  # from 0, in order
     out = (out + dagger(out)) / 2.0  # remove round-off asymmetry
     if ensemble.completeness_residual < tol.check:
         return DensityMatrix(out, shape=rho.shape, subnormalized=rho.subnormalized, tol=tol)
@@ -325,84 +327,71 @@ def apply_channel(
     return DensityMatrix(out, shape=rho.shape, subnormalized=True, tol=tol)
 
 
-def _fold(words: np.ndarray, factors, kron, unit) -> Iterator:
-    """Each row of ``words`` as the left ``kron`` fold of ``factors[w_1], ..., factors[w_r]`` onto ``unit``.
+def _kron_words(factors: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """One read-only stack of the products ``factors[w_1] (x) ... (x) factors[w_r]``, a member per row of ``words``.
 
-    A word that shares its first letters with the word before reuses their
-    product. With ``np.kron`` on dense factors this is ``kron_all``'s fold.
+    A left fold over the word positions for all members at once; each
+    step multiplies as ``np.kron`` does, so a member is ``kron_all`` of
+    its word bit for bit.
     """
-    # prefix[j] is the product of the first j letters of ``last``, the word before
-    prefix, last = [unit], []
-    for word in words.tolist():
-        keep = next((j for j, (a, b) in enumerate(zip(word, last)) if a != b), len(last))
-        del prefix[keep + 1 :]
-        for i in word[keep:]:
-            prefix.append(kron(prefix[-1], factors[i]))
-        yield prefix[-1]
-        last = word
+    m, d = len(words), factors.shape[1]
+    stack = np.ones((m, 1, 1), dtype=np.complex128)
+    for letters in words.T:
+        stack = (stack[:, :, None, :, None] * factors[letters][:, None, :, None, :]).reshape(m, stack.shape[1] * d, -1)
+    stack.setflags(write=False)
+    return stack
 
 
-def _kron_monomial(x, y):
-    """``np.kron`` of two operators given as ``(cols, vals)``, one nonzero at most per row.
-
-    Row i of an operator holds ``vals[i]`` in column ``cols[i]``; the
-    product's values are the same products ``np.kron`` forms.
-    """
-    (cx, vx), (cy, vy) = x, y
-    return (cx[:, None] * len(cy) + cy).ravel(), (vx[:, None] * vy).ravel()
-
-
-_DENSE_UNIT = np.ones((1, 1), dtype=np.complex128)
-_MONOMIAL_UNIT = (np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128))
-
-
-def _monomial(a: np.ndarray):
-    """``a`` as ``(cols, vals)``, with ``a[i, cols[i]] = vals[i]``, or None if a row has two nonzeros."""
-    nonzero = a != 0
-    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+def _monomial(stack: np.ndarray):
+    """Each operator of ``stack`` as ``(cols, vals)`` with ``stack[a, i, cols[a, i]] = vals[a, i]``, or None if a row has two nonzeros."""
+    nonzero = stack != 0
+    if np.any(np.count_nonzero(nonzero, axis=2) > 1):
         return None
-    cols = np.argmax(nonzero, axis=1)
-    return cols, a[np.arange(len(a)), cols]
+    cols = np.argmax(nonzero, axis=2)
+    return cols, np.take_along_axis(stack, cols[:, :, None], axis=2)[:, :, 0]
 
 
 class _LiftedEnsemble(OperatorEnsemble):
-    """A register lift held as its words over one-qubit operators with at most one nonzero per row.
+    """A register lift of one-qubit operators with at most one nonzero per row, held as two (m, n) tables.
 
-    ``operators`` is built on first read by the dense fold, bit for bit
-    what a dense lift holds. Everything else comes from the words: the
-    length and dimension, the completeness residual from each member's
-    ``(cols, vals)``, and the images, row i of ``A_a frame`` being
-    ``vals[i] * frame[cols[i]]``.
+    Row i of member a holds ``vals[a, i]`` in column ``cols[a, i]``. Both
+    come from ``_kron_words``' left fold over the word positions, in
+    table form, so the values are the products ``np.kron`` forms. Row i of
+    ``A_a frame`` is ``vals[a, i] * frame[cols[a, i]]``. ``stack`` (and with
+    it ``operators``) is built on first read by ``_kron_words``.
     """
 
-    def __init__(self, basis: OperatorEnsemble, factors: list, words: np.ndarray, label: str):
+    def __init__(self, basis: OperatorEnsemble, monomials: tuple, words: np.ndarray, label: str):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_words", words)
+        (fcols, fvals), m = monomials, len(words)
+        cols, vals = np.zeros((m, 1), dtype=np.intp), np.ones((m, 1), dtype=np.complex128)
+        for letters in words.T:
+            cols = (cols[:, :, None] * basis.dim + fcols[letters][:, None, :]).reshape(m, -1)
+            vals = (vals[:, :, None] * fvals[letters][:, None, :]).reshape(m, -1)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", vals)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return _kron_words(self._basis.stack, self._words)
 
     @cached_property
     def operators(self) -> tuple[np.ndarray, ...]:
-        members = tuple(_fold(self._words, self._basis.operators, np.kron, _DENSE_UNIT))
-        for a in members:
-            a.setflags(write=False)
-        return members
+        return tuple(self.stack)
 
     @property
     def dim(self) -> int:
-        return self._basis.dim ** self._words.shape[1]
+        return self.cols.shape[1]
 
     def __len__(self) -> int:
-        return len(self._words)
-
-    def _terms(self) -> list:
-        return list(_fold(self._words, self._factors, _kron_monomial, _MONOMIAL_UNIT))
+        return len(self.cols)
 
     def images(self, frame: np.ndarray) -> np.ndarray:
-        images = np.empty((frame.shape[0], len(self), frame.shape[1]), dtype=np.complex128)
-        for a, (cols, vals) in enumerate(_fold(self._words, self._factors, _kron_monomial, _MONOMIAL_UNIT)):
-            # + 0.0 turns -0.0 into +0.0, as the dense product's sum of zeros does
-            images[:, a, :] = vals[:, None] * frame[cols] + 0.0
+        images = np.asarray(frame, dtype=np.complex128)[self.cols.T]  # (n, m, d)
+        np.multiply(self.vals.T[:, :, None], images, out=images)
+        images += 0.0  # turns -0.0 into +0.0, as the dense product's sum of zeros does
         return images
 
 
@@ -415,26 +404,27 @@ def _register(
     every member were dense, before the first word is drawn, so ``words``
     may be a lazy generator of any length. The words are then drawn into a
     (count, r) array. When every basis operator has at most one nonzero per
-    row, the family is held as those words until a caller iterates it;
-    otherwise its members are built at once. Either way a member is the
-    left ``np.kron`` fold of ``kron_all`` over its word, and a word that
-    shares its first letters with the word before reuses their product.
+    row, the family is held as its column and value tables; otherwise its
+    members are built at once by ``_kron_words``. Either way a member is
+    ``kron_all``'s left ``np.kron`` fold over its word.
     """
     dim = basis.dim**r
     _check_dim(dim)
     _check_family_bytes(count, dim)
     words = np.array(list(words), dtype=np.intp).reshape(count, r)
-    factors = [_monomial(a) for a in basis.operators]
-    if all(f is not None for f in factors):
-        return _LiftedEnsemble(basis, factors, words, label)
-    return OperatorEnsemble(tuple(_fold(words, basis.operators, np.kron, _DENSE_UNIT)), label=label)
+    monomials = _monomial(basis.stack)
+    if monomials is not None:
+        return _LiftedEnsemble(basis, monomials, words, label)
+    return OperatorEnsemble(_kron_words(basis.stack, words), label=label)
 
 
 def tensor_product(a: OperatorEnsemble, b: OperatorEnsemble) -> OperatorEnsemble:
     """All pairwise tensor products {A_i (x) B_j}, ordered lexicographically."""
     _check_dim(a.dim * b.dim)
     _check_family_bytes(len(a) * len(b), a.dim * b.dim)
-    ops = tuple(np.kron(x, y) for x in a for y in b)
+    # np.kron's products, every pair at once
+    ops = (a.stack[:, None, :, None, :, None] * b.stack[None, :, None, :, None, :]).reshape(len(a) * len(b), a.dim * b.dim, -1)
+    ops.setflags(write=False)  # adopted as the family's stack
     return OperatorEnsemble(ops, label=f"{a.label}(x){b.label}")
 
 
@@ -485,7 +475,7 @@ def e_error_family(
 
 def strength(ensemble: OperatorEnsemble) -> float:
     """Largest eigenvalue of sum A^dag A (the exact sup over unit vectors)."""
-    return float(np.max(np.linalg.eigvalsh(_sum_adag_a(ensemble._terms()))))
+    return float(np.max(np.linalg.eigvalsh(_sum_adag_a(ensemble))))
 
 
 def compose(outer: OperatorEnsemble, inner: OperatorEnsemble) -> OperatorEnsemble:
@@ -493,5 +483,6 @@ def compose(outer: OperatorEnsemble, inner: OperatorEnsemble) -> OperatorEnsembl
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
     _check_family_bytes(len(outer) * len(inner), outer.dim)
-    ops = tuple(r @ a for r in outer for a in inner)
+    ops = (outer.stack[:, None] @ inner.stack[None]).reshape(-1, outer.dim, outer.dim)
+    ops.setflags(write=False)  # adopted as the family's stack
     return OperatorEnsemble(ops, label=f"{outer.label}*{inner.label}")

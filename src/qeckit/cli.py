@@ -31,7 +31,7 @@ from .codes import (
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, min_fidelity
-from .memory import compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
+from .memory import CYCLE_CAP, compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
 from .recovery import synthesize_recovery, verify_recovery
 from . import serialize as ser
 
@@ -264,6 +264,8 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_memory(args) -> int:
     tol = _tolerance(args)
+    if not 0 <= args.cycles <= CYCLE_CAP:  # refused before any input is read
+        raise _InputError(f"--cycles must be in 0..{CYCLE_CAP}, got {args.cycles}")
     if args.compare:
         if args.gamma is None:
             raise _InputError("--compare requires --gamma")

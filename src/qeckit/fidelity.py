@@ -111,7 +111,7 @@ def pure_fidelity(state, ensemble: OperatorEnsemble, recovery: RecoveryOperator 
     psi = (state if isinstance(state, PureState) else PureState(state)).amplitudes
     if ensemble.dim != psi.size or (recovery is not None and recovery.dim != psi.size):
         raise ValueError(f"dimension mismatch: ensemble {ensemble.dim}, state {psi.size}")
-    rows = psi.conj()[None] if recovery is None else np.stack([psi.conj() @ r for r in recovery.ensemble])
+    rows = psi.conj()[None] if recovery is None else psi.conj() @ recovery.ensemble.stack
     return float(np.linalg.norm(rows @ ensemble.images(psi[:, None])[:, :, 0]) ** 2)
 
 
@@ -129,7 +129,7 @@ def _logical(code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOp
     images = _error_images(code, ensemble)  # (n, m_A, k)
     n, m, k = images.shape
     bh = dagger(code.matrix)
-    rows = bh if recovery is None else np.concatenate([bh @ r for r in recovery.ensemble])
+    rows = bh if recovery is None else (bh @ recovery.ensemble.stack).reshape(-1, n)
     stack = (rows @ images.reshape(n, m * k)).reshape(-1, k, m, k).transpose(0, 2, 1, 3)
     return stack.reshape(-1, k, k), np.tensordot(images.conj(), images, axes=([0, 1], [0, 1]))
 

@@ -84,7 +84,7 @@ def _frame(code: QuantumCode, recovery: RecoveryOperator) -> np.ndarray:
     """Orthonormal n x d basis of the range of B B^dag + sum_r R_r R_r^dag, cut at numerical rank."""
     b = code.matrix
     span = b @ dagger(b)
-    for r in recovery.ensemble:
+    for r in recovery.ensemble.stack:
         span += r @ dagger(r)
     vals, vecs = np.linalg.eigh(span)
     return vecs[:, vals > vals[-1] * code.n * np.finfo(float).eps]
@@ -166,9 +166,11 @@ def run_memory(
     wh = dagger(w)
     x = channel.images(w)  # (n, m_A, d)
     xh = dagger(x.reshape(n, -1))
-    y = np.stack([wh @ r for r in recovery.ensemble], axis=1)  # (d, m_R, n)
+    y = np.empty((d, m_r, n), dtype=np.complex128)
+    np.matmul(wh, recovery.ensemble.stack, out=y.transpose(1, 0, 2))  # y[:, r, :] = W^dag R_r
     yh = dagger(y.reshape(d, -1))
-    frame_residual = max(float(np.linalg.norm(r - w @ y[:, i, :])) for i, r in enumerate(recovery.ensemble))
+    # one element at a time: batched, R - W W^dag R would be two fresh (m_R, n, n) arrays, whose page faults cost more
+    frame_residual = max(float(np.linalg.norm(r - w @ y[:, i, :])) for i, r in enumerate(recovery.ensemble.stack))
     if frame_residual > tol.check:
         raise ValueError(f"recovery output leaves its numerical range by {frame_residual:.3e}; the frame would drop it")
 

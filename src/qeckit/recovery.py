@@ -156,21 +156,17 @@ def synthesize_recovery(
 
     n, k = code.n, code.k
     b = code.matrix
-    reached = np.zeros((n, n), dtype=np.complex128)
-    elements = []
+    stack = np.zeros((rank + 1, n, n), dtype=np.complex128)  # [complement, R_1, ..., R_rank]
     for r in range(rank):
-        rr = np.zeros((n, n), dtype=np.complex128)
         for i in range(k):
-            rr += np.outer(b[:, i], frames[i][:, r].conj())
-        elements.append(rr)
+            stack[r + 1] += np.outer(b[:, i], frames[i][:, r].conj())
+    reached = np.zeros((n, n), dtype=np.complex128)
     for q in frames:
         reached += q @ dagger(q)
     complement = np.eye(n) - reached
-    complement = (complement + dagger(complement)) / 2.0
-
-    ensemble = OperatorEnsemble(
-        (complement, *elements), label=f"recovery[{code.label or 'code'}|{errors.label}]"
-    )
+    stack[0] = (complement + dagger(complement)) / 2.0
+    stack.setflags(write=False)  # adopted as the family's stack
+    ensemble = OperatorEnsemble(stack, label=f"recovery[{code.label or 'code'}|{errors.label}]")
     return RecoveryOperator(
         ensemble=ensemble,
         syndrome_dim=rank,
@@ -200,7 +196,7 @@ def verify_recovery(
     flat = images.reshape(n, m * k)
     lam = np.zeros((len(recovery.ensemble), m), dtype=np.complex128)
     worst = 0.0
-    for r, rr in enumerate(recovery.ensemble):
+    for r, rr in enumerate(recovery.ensemble.stack):
         image = (rr @ flat).reshape(n, m, k)
         lam[r] = b[:, 0].conj() @ image[:, :, 0]
         residual = np.linalg.norm(image - lam[r][:, None] * b[:, None, :], axis=0)  # m x k

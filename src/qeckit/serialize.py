@@ -21,7 +21,8 @@ Reading: ``loads`` reads the dense top-level ``operators`` block of a
 canonical document from its bytes in one forward scan that predicts each
 row from the previous operator's pattern of repeats and checks each
 distinct row once; all distinct rows' numbers go to one ``json.loads``,
-so the float64 arrays are the stdlib's floats bit for bit.
+so the block comes back as one read-only float64 array of the stdlib's
+floats, bit for bit, which ``OperatorEnsemble`` adopts uncopied.
 """
 
 from __future__ import annotations
@@ -105,14 +106,15 @@ def ensemble_to_json(ensemble: OperatorEnsemble) -> dict:
     return {
         "dim": ensemble.dim,
         "label": ensemble.label,
-        "operators": [matrix_to_json(a) for a in ensemble],
+        "operators": _to_pairs(ensemble.stack),
     }
 
 
 def ensemble_from_json(data: dict) -> OperatorEnsemble:
     if "operators" not in data:
         raise ValueError("ensemble JSON requires an 'operators' field")
-    ops = tuple(matrix_from_json(rows) for rows in data["operators"])
+    ops = data["operators"]  # one array when ``loads`` read the block, else one list per operator
+    ops = _from_pairs(ops, 3) if isinstance(ops, np.ndarray) else tuple(matrix_from_json(rows) for rows in ops)
     ensemble = OperatorEnsemble(ops, label=str(data.get("label", "")))
     if "dim" in data and data["dim"] != ensemble.dim:
         raise ValueError(f"ensemble JSON declares dim {data['dim']!r}, but its operators are {ensemble.dim}x{ensemble.dim}")
@@ -154,7 +156,7 @@ def recovery_to_json(rec: RecoveryOperator) -> dict:
 
 
 def recovery_document(rec: RecoveryOperator) -> dict:
-    """``recovery_to_json(rec)`` with ``operators`` one stacked (m, d, d) complex array.
+    """``recovery_to_json(rec)`` with ``operators`` the family's own (m, d, d) complex ``stack``, not a copy.
 
     ``dumps_canonical`` encodes it to the same text without building the
     operators' lists; this is how ``synthesize`` writes its recovery, to
@@ -163,7 +165,7 @@ def recovery_document(rec: RecoveryOperator) -> dict:
     return {
         "dim": rec.dim,
         "label": rec.ensemble.label,
-        "operators": np.stack(rec.ensemble.operators),
+        "operators": rec.ensemble.stack,
         "syndrome_dim": rec.syndrome_dim,
         "complement_dim": rec.complement_dim,
         "syndrome_coefficients": matrix_to_json(rec.syndrome_coefficients),
@@ -361,7 +363,7 @@ _BLOCK = object()
 
 
 def _loads_canonical(text: str | bytes) -> dict | None:
-    """``json.loads(text)`` with the top-level ``operators`` read as arrays, or None unless canonical.
+    """``json.loads(text)`` with the top-level ``operators`` read as one array, or None unless canonical.
 
     Applies when the first ``"operators":`` key is the top-level one
     ``json.loads`` keeps and its value is in the dense layout
@@ -372,7 +374,8 @@ def _loads_canonical(text: str | bytes) -> dict | None:
     checks each distinct row against the skeleton once and every
     separator exactly. The rest of the document is parsed with a
     placeholder for the block, which settles where the key sits, and all
-    distinct rows' numbers by one ``json.loads``.
+    distinct rows' numbers by one ``json.loads``, from which the block is
+    gathered into one read-only (m, d, d, 2) array.
     """
     raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     key = raw.find(_OPERATORS_KEY)
@@ -434,7 +437,8 @@ def _loads_canonical(text: str | bytes) -> dict | None:
         table = np.array(numbers, dtype=np.float64).reshape(len(distinct), d, 2)
     except (ValueError, OverflowError):  # outside JSON's number grammar, or an integer no float64 holds
         return None
-    data["operators"] = list(table[np.reshape(index, (-1, d))])
+    data["operators"] = block = table[np.reshape(index, (-1, d))]
+    block.setflags(write=False)  # so ``OperatorEnsemble`` adopts it as its stack, uncopied
     return data
 
 
@@ -442,14 +446,14 @@ def loads(text: str | bytes) -> dict:
     """Decode a JSON document; the inverse of ``dumps_canonical``.
 
     The result is ``json.loads(text)``, except that a top-level
-    ``operators`` block in the canonical dense layout comes back as a list
-    of (d, d, 2) float64 arrays of [re, im] pairs, bit-identical to the
-    floats ``json.loads`` reads; a block whose first row holds more than
-    ``DIM_CAP`` pairs raises ``CapacityError`` before its other rows are read.
-    Bytes are decoded as a text-mode read decodes a file: strict UTF-8, a
-    byte-order mark kept, CR LF and a lone CR read as LF. Any other text,
-    every invalid document and every block holding an integer no float64
-    holds go through ``json.loads`` unchanged, with its errors.
+    ``operators`` block in the canonical dense layout comes back as one
+    read-only (m, d, d, 2) float64 array of [re, im] pairs, bit-identical
+    to the floats ``json.loads`` reads; a block whose first row holds more
+    than ``DIM_CAP`` pairs raises ``CapacityError`` before its other rows
+    are read. Bytes are decoded as a text-mode read decodes a file: strict
+    UTF-8, a byte-order mark kept, CR LF and a lone CR read as LF. Any
+    other text, every invalid document and every block holding an integer
+    no float64 holds go through ``json.loads`` unchanged, with its errors.
     """
     data = _loads_canonical(text)
     if data is None and isinstance(text, bytes):

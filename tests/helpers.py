@@ -283,3 +283,107 @@ def dense_memory_run(code, channel, recovery, initial, cycles, worst_case=False)
             images = [_apply_raw(recovery.ensemble, _apply_raw(channel, m)) for m in images]
             worst_values.append(worst(images))
     return fidelities, worst_values, max_trace_dev, min_eig
+
+
+# The per-member loops that families held as one array replaced, kept as oracles: each must be
+# matched byte for byte by the array form.
+
+
+def monomial_members(family):
+    """A lifted family's members as ``(cols, vals)``, each folded from its word one ``np.kron``-ordered product at a time."""
+    factors = []
+    for a in family._basis.operators:  # row i holds vals[i] in column cols[i]
+        cols = np.argmax(a != 0, axis=1)
+        factors.append((cols, a[np.arange(len(a)), cols]))
+    for word in family._words.tolist():
+        cols, vals = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128)
+        for i in word:
+            fcols, fvals = factors[i]
+            cols, vals = (cols[:, None] * len(fcols) + fcols).ravel(), (vals[:, None] * fvals).ravel()
+        yield cols, vals
+
+
+def member_images(family, frame, lifted=False):
+    """(n, m, d) images of ``frame``, one member at a time: ``A_a frame``, or ``vals * frame[cols]`` for a lifted family."""
+    members = monomial_members(family) if lifted else family.operators
+    images = np.empty((frame.shape[0], len(family), frame.shape[1]), dtype=np.complex128)
+    for a, member in enumerate(members):
+        if lifted:
+            cols, vals = member
+            images[:, a, :] = vals[:, None] * frame[cols] + 0.0
+        else:
+            images[:, a, :] = member @ frame
+    return images
+
+
+def member_sum_adag_a(family, lifted=False):
+    """sum_a A_a^dag A_a, one member at a time; a lifted member adds |vals|^2 to the diagonal at cols."""
+    if lifted:
+        diag = np.zeros(family.dim)
+        for cols, vals in monomial_members(family):
+            diag += np.bincount(cols, weights=vals.real**2 + vals.imag**2, minlength=family.dim)
+        return np.diag(diag).astype(np.complex128)
+    acc = np.zeros_like(family.operators[0])
+    for a in family.operators:
+        acc += a.conj().T @ a
+    return acc
+
+
+def member_compose(outer, inner):
+    """(m_R m_A, n, n) products R_r A_a, r-major, one pair at a time."""
+    return np.stack([r @ a for r in outer.operators for a in inner.operators])
+
+
+def member_apply(family, rho):
+    """sum_a A_a rho A_a^dag added one member at a time, then symmetrized as ``apply_channel`` does."""
+    out = np.zeros_like(rho)
+    for a in family.operators:
+        out = out + a @ rho @ a.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def member_verification(code, errors, recovery):
+    """``verify_recovery``'s (lambda, residual), one recovery element at a time over the images."""
+    b = code.matrix
+    images = errors.images(b)
+    n, m, k = images.shape
+    lam = np.zeros((len(recovery.ensemble), m), dtype=np.complex128)
+    worst = 0.0
+    for r, rr in enumerate(recovery.ensemble.operators):
+        image = (rr @ images.reshape(n, m * k)).reshape(n, m, k)
+        lam[r] = b[:, 0].conj() @ image[:, :, 0]
+        worst = max(worst, float(np.max(np.linalg.norm(image - lam[r][:, None] * b[:, None, :], axis=0))))
+    return lam, worst
+
+
+def member_logical(code, ensemble, recovery=None):
+    """``fidelity._logical``'s compression stack and Gram, with the left factors B^dag R_r formed one at a time."""
+    images = ensemble.images(code.matrix)
+    n, m, k = images.shape
+    bh = code.matrix.conj().T
+    rows = bh if recovery is None else np.concatenate([bh @ r for r in recovery.ensemble.operators])
+    stack = (rows @ images.reshape(n, m * k)).reshape(-1, k, m, k).transpose(0, 2, 1, 3)
+    return stack.reshape(-1, k, k), np.tensordot(images.conj(), images, axes=([0, 1], [0, 1]))
+
+
+def member_pure_fidelity(psi, ensemble, recovery=None):
+    """``pure_fidelity`` with the rows psi^dag R_r formed one at a time."""
+    rows = psi.conj()[None] if recovery is None else np.stack([psi.conj() @ r for r in recovery.ensemble.operators])
+    return float(np.linalg.norm(rows @ ensemble.images(psi[:, None])[:, :, 0]) ** 2)
+
+
+def member_frame(code, recovery):
+    """``memory._frame``: the span B B^dag + sum_r R_r R_r^dag added one element at a time, cut at numerical rank."""
+    b = code.matrix
+    span = b @ b.conj().T
+    for r in recovery.ensemble.operators:
+        span += r @ r.conj().T
+    vals, vecs = np.linalg.eigh(span)
+    return vecs[:, vals > vals[-1] * code.n * np.finfo(float).eps]
+
+
+def member_frame_arrays(w, recovery):
+    """``run_memory``'s (d, m_R, n) stack y of W^dag R_r and its ``frame_residual``, one element at a time."""
+    ops = recovery.ensemble.operators
+    y = np.stack([w.conj().T @ r for r in ops], axis=1)
+    return y, max(float(np.linalg.norm(r - w @ y[:, i, :])) for i, r in enumerate(ops))

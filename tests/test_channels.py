@@ -331,7 +331,7 @@ def test_family_byte_budget_refuses_before_building(monkeypatch):
     def no_kron(*args):
         raise AssertionError("an operator was built before the refusal")
 
-    monkeypatch.setattr(channels, "kron_all", no_kron)
+    monkeypatch.setattr(channels, "_kron_words", no_kron)
     monkeypatch.setattr(np, "kron", no_kron)
     with pytest.raises(CapacityError, match="19 operators of dimension 64"):
         e_error_family(pauli, 6, 1)  # 1.19 MiB

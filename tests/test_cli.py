@@ -218,6 +218,24 @@ def test_memory_refuses_a_bad_bound_before_any_channel_or_cycle(flags, message, 
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["memory", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3", "--cycles", "-1"],
+    ["memory", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3", "--recovery", "MISSING", "--cycles", "10001"],
+    ["memory", "phase3", "--gamma", "0.05", "--compare", "--cycles", "10001"],
+])
+def test_memory_refuses_a_bad_cycle_count_before_any_input_is_read(argv, capsys, monkeypatch, tmp_path):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read, a recovery synthesized or a cycle ran")
+
+    for name in ("_resolve_code", "_resolve_channel", "_read_file", "synthesize_recovery", "run_memory", "compare_coded_uncoded"):
+        monkeypatch.setattr(cli, name, no_input)
+    argv = [str(tmp_path / "missing.json") if arg == "MISSING" else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cycles must be in 0..10000, got {argv[argv.index('--cycles') + 1]}\n"
+
+
 @pytest.mark.parametrize("bound_params, message", [
     ((3, 5, 0.05), "need 0 <= e <= r, got e=5, r=3"),
     ((3, 1, 1.5), "p must be in [0, 1], got 1.5"),
