@@ -141,8 +141,8 @@ class ChannelSpec:
     in [0, 1]), ``q`` (overlap parameter in (0, 1/2)), and the structural
     finite integers ``qubits`` / ``max_errors`` which lift a one-qubit kind
     to a register (full tensor power, or the family inducing at most
-    ``max_errors`` errors). ``explicit`` carries its operators directly.
-    A NaN parameter is refused by name.
+    ``max_errors`` errors). ``explicit`` carries read-only copies of its
+    operators. A NaN parameter is refused by name.
     """
 
     kind: str
@@ -172,7 +172,9 @@ class ChannelSpec:
         if self.kind == "explicit":
             if not self.explicit_operators:
                 raise ValueError("explicit channel requires explicit_operators")
-            ops = tuple(_as_matrix(a) for a in self.explicit_operators)
+            ops = tuple(_as_matrix(np.array(a, dtype=np.complex128)) for a in self.explicit_operators)
+            for a in ops:  # a later write to the caller's arrays reaches neither the spec nor its channel
+                a.setflags(write=False)
             object.__setattr__(self, "explicit_operators", ops)
 
         if "qubits" in params:

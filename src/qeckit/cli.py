@@ -143,23 +143,28 @@ def _envelope(args, command: str, tol: ToleranceConfig) -> dict:
 
 
 def _lists(value):
-    """``value`` with an array turned into the nested lists ``dumps_canonical`` writes for it."""
-    return ser.array_to_json(value) if isinstance(value, np.ndarray) else value
+    """``value`` with every array, at any depth, turned into the nested lists ``dumps_canonical`` writes for it."""
+    if isinstance(value, np.ndarray):
+        return ser.array_to_json(value)
+    if isinstance(value, dict):
+        return {key: _lists(inner) for key, inner in value.items()}
+    if isinstance(value, list):
+        return [_lists(item) for item in value]
+    return value
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
-        for key in value:
-            inner = _lists(value[key])
+        for key, inner in value.items():
             if isinstance(inner, (dict, list)) and inner and not _is_scalar_list(inner):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(inner, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_fmt_scalar(inner)}")
     elif isinstance(value, list):
-        for item in map(_lists, value):
+        for item in value:
             if isinstance(item, (dict, list)) and item and not _is_scalar_list(item):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(item, indent + 1))
@@ -196,7 +201,7 @@ def _write(text: str, path: str | None) -> None:
 
 def _emit(report: dict, fmt: str, path: str | None) -> None:
     """Write ``report`` as canonical JSON or indented text (``fmt``) to ``path``, or to stdout without one."""
-    text = ser.dumps_canonical(report) if fmt == "json" else "\n".join(_render_text(report)) + "\n"
+    text = ser.dumps_canonical(report) if fmt == "json" else "\n".join(_render_text(_lists(report))) + "\n"
     _write(text, path)
 
 
@@ -234,11 +239,11 @@ def _cmd_synthesize(args) -> int:
         "complement_dim": rec.complement_dim,
         "verification": ser.verification_report_to_json(verification),
     }
-    if args.out:  # the operators go to the encoder as one array, never as lists
-        _write(ser.dumps_canonical(ser.recovery_document(rec)), args.out)
+    if args.out:
+        _write(ser.dumps_canonical(ser.recovery_to_json(rec)), args.out)
         out["result"]["recovery_file"] = args.out
     else:
-        out["result"]["recovery"] = ser.recovery_document(rec)
+        out["result"]["recovery"] = ser.recovery_to_json(rec)
     _emit(out, args.format, None)  # the report always goes to stdout
     return 0 if verification.passed else 1
 
@@ -269,6 +274,10 @@ def _cmd_memory(args) -> int:
     if args.compare:
         if args.gamma is None:
             raise _InputError("--compare requires --gamma")
+        given = {"channel": args.channel, "--recovery": args.recovery, "--p": args.p}
+        ignored = [name for name, value in given.items() if value is not None]
+        if ignored:
+            raise _InputError(f"memory --compare runs a fixed pipeline and takes no {', '.join(ignored)}")
         _resolve_code(args.code, tol)  # validated; the comparison pipeline is fixed and runs at the defaults
         cmp = compare_coded_uncoded(args.gamma, args.cycles)
         text = comparison_csv(cmp)

@@ -4,18 +4,23 @@ Complex numbers are always encoded as ``[re, im]`` pairs and matrices as
 row-major arrays of such pairs. Floats pass through Python's repr, so
 explicit operator lists round-trip bit exactly.
 
-Writing: ``dumps_canonical`` writes every numpy array in a document, at
-any depth, through one writer, ``_array_text``, and assembles the text in
-one join. It keys an array's rows (its last two axes) by their bytes,
-dumps each distinct value of the distinct rows once, and fills the rows
-in from that table. Recovery files (rows repeat wherever the code basis
-does) and Knill–Laflamme matrices (``λ_ab`` depends on ``A_a†A_b`` only
-up to a phase) repeat most of their values: on a 2-vCPU host, a 277×277
-KL report writes in 0.09 s (0.28 s through ``tolist()`` and
-``json.dumps``) and the 45 MB phase7 recovery in 0.11 s (0.22 s row by
-row). An 8×128×128 block with every value distinct pays for the table
-without using it: 0.51 s against 0.35 s row by row. Every number is
-written by ``json.dumps``, so the bytes are the stdlib's.
+Documents: every ``X_to_json`` returns its matrices and vectors as complex
+numpy arrays, which every ``X_from_json`` takes back as they are;
+``array_to_json`` gives an array's nested lists to callers who want lists.
+
+Writing: ``dumps_canonical`` is the one place where arrays become text. It
+writes every numpy array in a document, at any depth, through one writer,
+``_array_text``, and assembles the text in one join. It keys an array's
+rows (its last two axes) by their bytes, dumps each distinct value of the
+distinct rows once, and fills the rows in from that table. Recovery
+files (rows repeat wherever the code basis does) and Knill–Laflamme
+matrices (``λ_ab`` depends on ``A_a†A_b`` only up to a phase) repeat most
+of their values: on a 2-vCPU host, a 277×277 KL report writes in 0.09 s
+(0.28 s through ``tolist()`` and ``json.dumps``) and the 45 MB phase7
+recovery in 0.11 s (0.22 s row by row). An 8×128×128 block with every
+value distinct pays for the table without using it: 0.51 s against
+0.35 s row by row. Every number is written by ``json.dumps``, so the
+bytes are the stdlib's.
 
 Reading: ``loads`` reads the dense top-level ``operators`` block of a
 canonical document from its bytes in one forward scan that predicts each
@@ -50,13 +55,10 @@ def _pair_array(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1).view(np.float64).reshape(*a.shape, 2)
 
 
-def _to_pairs(a: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs, one level per axis of ``a``."""
-    return _pair_array(a).tolist()
-
-
 def _from_pairs(data, ndim: int) -> np.ndarray:
     """Decode ``ndim`` levels of nested [re, im] pairs; ragged, non-numeric or non-finite input raises."""
+    if isinstance(data, np.ndarray) and np.iscomplexobj(data):  # as an ``X_to_json`` document holds it
+        return data
     try:
         arr = np.asarray(data, dtype=np.float64)
     except OverflowError:  # a JSON integer beyond the float range
@@ -70,26 +72,28 @@ def _from_pairs(data, ndim: int) -> np.ndarray:
     return arr.view(np.complex128)[..., 0]
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    return _to_pairs(np.asarray(v).reshape(-1))
-
-
 def vector_from_json(data) -> np.ndarray:
     return _from_pairs(data, 1)
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return _to_pairs(m)
 
 
 def matrix_from_json(rows) -> np.ndarray:
     return _from_pairs(rows, 2)
 
 
+def _integer(data: dict, key: str, what: str) -> int:
+    """``data[key]``, refused by name unless present and a JSON integer: not 16.0, not true, not "16"."""
+    if key not in data:
+        raise ValueError(f"{what} JSON requires a {key!r} field")
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{what} JSON field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def channel_spec_to_json(spec: ChannelSpec) -> dict:
     out: dict = {"kind": spec.kind, "params": dict(spec.params)}
     if spec.explicit_operators is not None:
-        out["operators"] = [matrix_to_json(a) for a in spec.explicit_operators]
+        out["operators"] = list(spec.explicit_operators)
     return out
 
 
@@ -106,17 +110,17 @@ def ensemble_to_json(ensemble: OperatorEnsemble) -> dict:
     return {
         "dim": ensemble.dim,
         "label": ensemble.label,
-        "operators": _to_pairs(ensemble.stack),
+        "operators": ensemble.stack,
     }
 
 
 def ensemble_from_json(data: dict) -> OperatorEnsemble:
     if "operators" not in data:
         raise ValueError("ensemble JSON requires an 'operators' field")
-    ops = data["operators"]  # one array when ``loads`` read the block, else one list per operator
+    ops = data["operators"]  # one array when ``loads`` read the block or ``ensemble_to_json`` built it, else one list per operator
     ops = _from_pairs(ops, 3) if isinstance(ops, np.ndarray) else tuple(matrix_from_json(rows) for rows in ops)
     ensemble = OperatorEnsemble(ops, label=str(data.get("label", "")))
-    if "dim" in data and data["dim"] != ensemble.dim:
+    if "dim" in data and _integer(data, "dim", "ensemble") != ensemble.dim:
         raise ValueError(f"ensemble JSON declares dim {data['dim']!r}, but its operators are {ensemble.dim}x{ensemble.dim}")
     return ensemble
 
@@ -126,7 +130,7 @@ def code_to_json(code: QuantumCode) -> dict:
         "n": code.n,
         "k": code.k,
         "shape": list(code.shape) if code.shape is not None else None,
-        "basis": [vector_to_json(s.amplitudes) for s in code.basis],
+        "basis": code.matrix.T,
         "label": code.label,
     }
 
@@ -135,9 +139,12 @@ def code_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCod
     for key in ("n", "k", "basis"):
         if key not in data:
             raise ValueError(f"code JSON requires a {key!r} field")
-    n, k = int(data["n"]), int(data["k"])
+    n, k = _integer(data, "n", "code"), _integer(data, "k", "code")
     _check_dim(n)  # before any basis vector is decoded
-    shape = tuple(int(f) for f in data["shape"]) if data.get("shape") else None
+    shape = data.get("shape")
+    if shape and any(type(f) is not int for f in shape):
+        raise ValueError(f"code JSON field 'shape' must list integers, got {shape!r}")
+    shape = tuple(shape) if shape else None
     basis = []
     for row in data["basis"]:
         vec = vector_from_json(row)
@@ -150,52 +157,36 @@ def code_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumCod
 
 
 def recovery_to_json(rec: RecoveryOperator) -> dict:
-    out = recovery_document(rec)
-    out["operators"] = _to_pairs(out["operators"])
-    return out
-
-
-def recovery_document(rec: RecoveryOperator) -> dict:
-    """``recovery_to_json(rec)`` with ``operators`` the family's own (m, d, d) complex ``stack``, not a copy.
-
-    ``dumps_canonical`` encodes it to the same text without building the
-    operators' lists; this is how ``synthesize`` writes its recovery, to
-    its ``--out`` file or inside its report.
-    """
+    """The recovery as a document: ``operators`` is the family's own (m, d, d) ``stack``, not a copy."""
     return {
         "dim": rec.dim,
         "label": rec.ensemble.label,
         "operators": rec.ensemble.stack,
         "syndrome_dim": rec.syndrome_dim,
         "complement_dim": rec.complement_dim,
-        "syndrome_coefficients": matrix_to_json(rec.syndrome_coefficients),
+        "syndrome_coefficients": np.asarray(rec.syndrome_coefficients, dtype=np.complex128),
     }
 
 
 def recovery_from_json(data: dict) -> RecoveryOperator:
     """The recovery ``[complement, R_1, ..., R_s]``; its metadata must agree with its operators."""
     ensemble = ensemble_from_json(data)
-    for key in ("syndrome_dim", "complement_dim"):
-        if key not in data:
-            raise ValueError(f"recovery JSON requires a {key!r} field")
-    syndrome_dim, complement_dim = int(data["syndrome_dim"]), int(data["complement_dim"])
+    syndrome_dim, complement_dim = (_integer(data, key, "recovery") for key in ("syndrome_dim", "complement_dim"))
     if syndrome_dim != len(ensemble) - 1:
         raise ValueError(f"recovery JSON declares syndrome_dim {syndrome_dim}, but lists {len(ensemble)} operators, not syndrome_dim + 1")
     if not 0 <= complement_dim <= ensemble.dim:
         raise ValueError(f"recovery JSON declares complement_dim {complement_dim}, outside 0..{ensemble.dim}")
     coeffs = data.get("syndrome_coefficients")
-    coeffs = matrix_from_json(coeffs) if coeffs else np.zeros((syndrome_dim, 0), dtype=np.complex128)
+    if not isinstance(coeffs, np.ndarray) and not coeffs:  # absent or empty: no coefficients
+        coeffs = np.zeros((syndrome_dim, 0), dtype=np.complex128)
+    coeffs = matrix_from_json(coeffs)
     if len(coeffs) != syndrome_dim:
         raise ValueError(f"recovery JSON lists {len(coeffs)} rows of syndrome_coefficients, expected syndrome_dim={syndrome_dim}")
     return RecoveryOperator(ensemble, syndrome_dim, complement_dim, coeffs)
 
 
 def kl_report_to_json(rep: KLReport) -> dict:
-    """The report as a document for ``dumps_canonical``: ``lambda_matrix`` stays the complex array.
-
-    ``dumps_canonical`` writes it as ``matrix_to_json`` lists would be
-    written; ``array_to_json`` gives those lists.
-    """
+    """The report as a document for ``dumps_canonical``: ``lambda_matrix`` stays the complex array."""
     return {
         "passed": rep.passed,
         "max_offdiag_violation": rep.max_offdiag_violation,
@@ -242,7 +233,7 @@ def fidelity_report_to_json(rep: FidelityReport) -> dict:
     return {
         "value": rep.value,
         "method": rep.method,
-        "argmin_state": vector_to_json(rep.argmin_state.amplitudes),
+        "argmin_state": rep.argmin_state.amplitudes,
         "optimizer_trace": rep.optimizer_trace,
     }
 

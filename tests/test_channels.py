@@ -131,6 +131,14 @@ def test_explicit_channel_roundtrips_operators():
     assert np.array_equal(ch.operators[0], I2)
 
 
+def test_an_explicit_spec_keeps_read_only_copies_of_its_operators():
+    a = np.eye(2, dtype=complex)
+    spec = ChannelSpec("explicit", {}, explicit_operators=(a,))
+    a[0, 0] = 5
+    assert spec.explicit_operators[0][0, 0] == 1 and build_channel(spec).operators[0][0, 0] == 1
+    assert a.flags.writeable and not spec.explicit_operators[0].flags.writeable
+
+
 @pytest.mark.parametrize("kind, params, message", [
     ("decoherence", {"gamma": -0.1}, "parameter gamma=-0.1 violates gamma >= 0.0"),
     ("decoherence", {}, "channel kind 'decoherence' requires parameter 'gamma'"),

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import math
+import os
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +237,36 @@ def test_memory_refuses_a_bad_cycle_count_before_any_input_is_read(argv, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --cycles must be in 0..10000, got {argv[argv.index('--cycles') + 1]}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["memory", "phase3", "decoherence:gamma=0.3", "--compare"], "memory --compare runs a fixed pipeline and takes no channel"),
+    (["memory", "phase3", "--compare", "--recovery", "MISSING"], "memory --compare runs a fixed pipeline and takes no --recovery"),
+    (["memory", "phase3", "--compare", "--p", "0.3"], "memory --compare runs a fixed pipeline and takes no --p"),
+])
+def test_memory_compare_refuses_what_its_fixed_pipeline_would_ignore(argv, message, capsys, monkeypatch, tmp_path):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read or a comparison ran")
+
+    for name in ("_resolve_code", "_resolve_channel", "_read_file", "compare_coded_uncoded"):
+        monkeypatch.setattr(cli, name, no_input)
+    argv = [str(tmp_path / "missing.json") if arg == "MISSING" else arg for arg in argv]
+    assert main([*argv, "--gamma", "0.05", "--cycles", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_info_of_a_lifted_family_keeps_its_peak_small():
+    # the stack goes to the writer as one array; lists of its 154 x 64 x 64 pairs traced 100 MiB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["info", "pauli_unitary_basis:qubits=6,max_errors=2"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("bound_params, message", [
@@ -493,9 +526,9 @@ def test_tol_reaches_the_memory_refusals(tmp_path, capsys, monkeypatch):
 def _tilted_phase3(tmp_path):
     """phase3 with its second codeword turned 1e-8 rad toward the first: an overlap of 1e-8."""
     doc = code_to_json(builtin_code("phase3"))
-    zero, one = (np.array([complex(*z) for z in v]) for v in doc["basis"])
+    zero, one = doc["basis"]
     tilted = math.cos(1e-8) * one + math.sin(1e-8) * zero
-    doc["basis"][1] = [[z.real, z.imag] for z in tilted]
+    doc["basis"] = np.stack([zero, tilted])
     path = tmp_path / "tilted.json"
     path.write_text(dumps_canonical(doc))
     return str(path)
@@ -534,6 +567,17 @@ def test_declared_dim_mismatch_exits_2_naming_the_file(tmp_path, capsys):
         assert "channel.json" in err and "dim 7" in err
     rec.write_text(_identity_recovery_text(2))
     assert main(["memory", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec), "--cycles", "1"]) == 0
+
+
+def test_a_truncatable_integer_field_exits_2_naming_the_file(tmp_path, capsys):
+    code = tmp_path / "code.json"
+    code.write_text(dumps_canonical({**code_to_json(builtin_code("phase3")), "k": 2.9}))
+    assert main(["info", str(code)]) == 2
+    assert capsys.readouterr().err == f"error: {code}: code JSON field 'k' must be an integer, got 2.9\n"
+    rec = tmp_path / "rec.json"
+    rec.write_text(dumps_canonical({**recovery_to_json(identity_recovery(2)), "syndrome_dim": 1.0}))
+    assert main(["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(rec)]) == 2
+    assert capsys.readouterr().err == f"error: {rec}: recovery JSON field 'syndrome_dim' must be an integer, got 1.0\n"
 
 
 def test_recovery_wider_than_the_cap_is_refused_before_parsing(tmp_path, capsys):

@@ -29,6 +29,11 @@ report embeds the recovery, as JSON and as text, for phase3 and phase5
 (same families and seed as ``GOLDEN``), plus the refusal of phase3 under
 ``decoherence:gamma=0.3,qubits=3``, which prints the KL report. They were
 recorded while those reports still held their matrices as nested lists.
+The ``info`` entries (phase3, ``overlap_example:q=0.25`` and the
+``GOLDEN`` phase3 recovery file, each as JSON and as text) were recorded
+while ``code_to_json``, ``ensemble_to_json`` and ``recovery_to_json``
+still built nested lists; each runs in a fresh directory that holds
+``recovery3.json``, written first where the command names it.
 """
 
 import hashlib
@@ -146,6 +151,16 @@ INLINE = {
                 "2c0fcde8c8c8f8ad8a7e5ac1c40bf49f13f1762f73b1dac32d9d4526b2ca2d19"),
     "refused-text": (["synthesize", "phase3", "decoherence:gamma=0.3,qubits=3", "--format", "text"], 1,
                      "31abe1a55782f1db1a2765fc002b28eb73a58e208aeab78f9902ba6b3db6519b"),
+    "info-code": (["info", "phase3"], 0, "83b3a2666fe979af438b5ae58c255566d6c131ee7335a6fcb65d1131c0f14f99"),
+    "info-code-text": (["info", "phase3", "--format", "text"], 0,
+                       "0034732f5444ec68842a8d760fc3d0887223f48596971c828327928a8c03bc01"),
+    "info-channel": (["info", "overlap_example:q=0.25"], 0,
+                     "b98dd28e8f6a976816fd38c1ce53a7dd8a004a80a16f8860e62e3557632845b3"),
+    "info-channel-text": (["info", "overlap_example:q=0.25", "--format", "text"], 0,
+                          "16ed1fc7b2f81a080ed4497e5f37711595733ec7d2e96b7423090c8993138b73"),
+    "info-recovery": (["info", "recovery3.json"], 0, "1cfc079840ee41082a2d6edc412a856d23a2f3d6df69f89091d40449be1920fc"),
+    "info-recovery-text": (["info", "recovery3.json", "--format", "text"], 0,
+                           "b0d8026fbb748c1c88947086094bd5a6f66a0080cffa6c4be74dde31f54f5efd"),
 }
 
 
@@ -200,7 +215,11 @@ def test_lifted_family_outputs_match_golden_digest(channel, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(INLINE))
-def test_inline_outputs_match_golden_digest(name, capsys):
+def test_inline_outputs_match_golden_digest(name, tmp_path, monkeypatch, capsys):
     argv, rc, digest = INLINE[name]
+    monkeypatch.chdir(tmp_path)
+    if "recovery3.json" in argv:
+        family = "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"
+        _run(["synthesize", "phase3", family, "--seed", "3", "--out", "recovery3.json"], capsys)
     assert main([*argv, "--seed", "3"]) == rc
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ Every numpy array in a document, at any depth, is written by
 bytes, each distinct value of the distinct rows goes through
 ``json.dumps`` once, and the rows are filled in from that table. The
 oracle is the stdlib path: ``json.dumps`` of the same document with each
-array as nested lists, as ``recovery_to_json`` builds them. Both must
+array as nested lists, as ``array_to_json`` builds them. Both must
 agree byte for byte, for every value the stdlib writes (NaN, ±Infinity
 and -0.0 included), whether the values repeat or not, and an array of two
 or more axes must never be handed to ``serialize._stdlib_block_text``
@@ -18,8 +18,11 @@ import numpy as np
 import pytest
 
 from helpers import random_superoperator
-from qeckit import ChannelSpec, build_channel, builtin_code, kl_check, random_code, serialize, synthesize_recovery
-from qeckit.serialize import dumps_canonical, kl_report_to_json, loads, matrix_to_json, recovery_document, recovery_to_json
+from qeckit import (
+    ChannelSpec, build_channel, builtin_code, kl_check, min_fidelity, random_code, serialize, synthesize_recovery,
+    verify_recovery,
+)
+from qeckit.serialize import array_to_json, dumps_canonical, kl_report_to_json, loads, recovery_to_json
 
 # Each edge float sits next to the value on the other side of a repr switch-over or sign.
 EDGE_FLOATS = (
@@ -86,28 +89,28 @@ def _assert_loads_round_trip(text, ops, fast_decode=True):
 @pytest.mark.parametrize("m, seed", [(3, 0), (3, 5), (3, 23), (5, 0), (5, 5), (5, 23)])
 def test_phase_recoveries_encode_as_their_lists_do(m, seed):
     rec = _phase_recovery(m, seed)
-    text = dumps_canonical(recovery_document(rec))
-    assert text == dumps_canonical(recovery_to_json(rec))
+    text = dumps_canonical(recovery_to_json(rec))
+    assert text == _stdlib(recovery_to_json(rec))
     _assert_loads_round_trip(text, np.stack(rec.ensemble.operators))
 
 
 def test_phase7_recovery_encodes_as_its_lists_do(phase7_recovery):
-    text = dumps_canonical(recovery_document(phase7_recovery))
-    assert text == dumps_canonical(recovery_to_json(phase7_recovery))
+    text = dumps_canonical(recovery_to_json(phase7_recovery))
+    assert text == _stdlib(recovery_to_json(phase7_recovery))
     _assert_loads_round_trip(text, np.stack(phase7_recovery.ensemble.operators))
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_phase_recoveries_are_written_by_rows(m, monkeypatch):
     rec = _phase_recovery(m, 1)
-    expected = dumps_canonical(recovery_to_json(rec))
+    expected = _stdlib(recovery_to_json(rec))
     monkeypatch.setattr(serialize, "_stdlib_block_text", _refuse)
-    assert dumps_canonical(recovery_document(rec)) == expected
+    assert dumps_canonical(recovery_to_json(rec)) == expected
 
 
 def test_phase7_recovery_is_written_by_rows(phase7_recovery, monkeypatch):
     monkeypatch.setattr(serialize, "_stdlib_block_text", _refuse)
-    assert dumps_canonical(recovery_document(phase7_recovery)).startswith('{"complement_dim":')
+    assert dumps_canonical(recovery_to_json(phase7_recovery)).startswith('{"complement_dim":')
 
 
 def _refuse(block):
@@ -126,11 +129,14 @@ def test_each_distinct_value_is_dumped_once(monkeypatch):
     block = _pairs(np.stack(rec.ensemble.operators))
     values = np.unique(block.view(np.uint64))
     assert 4 * values.size < block.size  # the values do repeat
-    text, dumped = _dumped(monkeypatch, lambda: dumps_canonical(recovery_document(rec)))
-    assert text == dumps_canonical(recovery_to_json(rec))
-    doc, mark, table = dumped  # the document with a mark for the block, the mark, then the value table
+    text, dumped = _dumped(monkeypatch, lambda: dumps_canonical(recovery_to_json(rec)))
+    assert text == _stdlib(recovery_to_json(rec))
+    # the document with a mark for each array, the mark, then the value tables of the block and of the coefficients
+    doc, mark, table, coefficient_table = dumped
     assert isinstance(doc, dict) and mark == serialize._MARK
     assert np.array(table, dtype=np.float64).view(np.uint64).tolist() == values.tolist()  # each once, by bits
+    coefficients = np.unique(_pairs(rec.syndrome_coefficients).view(np.uint64))
+    assert np.array(coefficient_table, dtype=np.float64).view(np.uint64).tolist() == coefficients.tolist()
 
 
 def _written(monkeypatch, a):
@@ -209,7 +215,7 @@ def test_the_kl_report_is_written_as_its_lists_are(monkeypatch):
     code = random_code(8, 2, seed=3, shape=(2, 2, 2))
     channel = build_channel(ChannelSpec("pauli_unitary_basis", {"qubits": 3, "max_errors": 1}))
     report = kl_report_to_json(kl_check(code, channel))
-    lists = {**report, "lambda_matrix": matrix_to_json(report["lambda_matrix"])}
+    lists = {**report, "lambda_matrix": array_to_json(report["lambda_matrix"])}
     expected = json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
     floats = report["lambda_matrix"].view(np.uint64)
     assert 2 * np.unique(floats).size <= floats.size  # λ_ab depends on A_a†A_b only up to a phase
@@ -297,3 +303,85 @@ def test_values_json_cannot_write_are_refused_as_by_the_stdlib():
     for value in (np.float32(1.0), np.int64(3), {1, 2}, 1j):
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps_canonical({"x": value, "a": np.zeros((2, 2))})
+
+
+def _same_code(a, b):
+    assert (a.n, a.k, a.shape, a.label) == (b.n, b.k, b.shape, b.label)
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def _same_ensemble(a, b):
+    assert (a.label, a.dim) == (b.label, b.dim)
+    assert a.stack.tobytes() == b.stack.tobytes()
+
+
+def _same_recovery(a, b):
+    _same_ensemble(a.ensemble, b.ensemble)
+    assert (a.syndrome_dim, a.complement_dim) == (b.syndrome_dim, b.complement_dim)
+    assert a.syndrome_coefficients.shape == b.syndrome_coefficients.shape
+    assert a.syndrome_coefficients.tobytes() == b.syndrome_coefficients.tobytes()
+
+
+def _same_spec(a, b):
+    assert (a.kind, a.params) == (b.kind, b.params)
+    assert [op.tobytes() for op in a.explicit_operators] == [op.tobytes() for op in b.explicit_operators]
+
+
+def _round_trips(doc, decode, same, source):
+    """The document writes the oracle's bytes, and decodes to its source both as built and from its text."""
+    text = _assert_identical(doc)
+    same(decode(doc), source)
+    same(decode(loads(text)), source)
+
+
+@pytest.mark.parametrize("code", [
+    builtin_code("phase3"), builtin_code("phase5"), builtin_code("pair"), random_code(8, 3, seed=2, shape=(2, 2, 2)),
+], ids=["phase3", "phase5", "pair", "random-k3"])
+def test_code_documents_hold_their_basis_as_one_array(code):
+    doc = serialize.code_to_json(code)
+    assert isinstance(doc["basis"], np.ndarray) and doc["basis"].shape == (code.k, code.n)
+    _round_trips(doc, serialize.code_from_json, _same_code, code)
+
+
+@pytest.mark.parametrize("spec", [
+    ChannelSpec("overlap_example", {"q": 0.25}),
+    ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 3}),
+    ChannelSpec("pauli_unitary_basis", {"qubits": 4, "max_errors": 2}),
+    ChannelSpec("amplitude_damping", {"p": 0.3, "qubits": 3}),
+], ids=["dense", "lifted-tensor-power", "lifted-pauli", "lifted-damping"])
+def test_ensemble_documents_hold_their_stack(spec):
+    ensemble = build_channel(spec)
+    doc = serialize.ensemble_to_json(ensemble)
+    assert doc["operators"] is ensemble.stack
+    _round_trips(doc, serialize.ensemble_from_json, _same_ensemble, ensemble)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_recovery_documents_hold_their_stack(m, phase7_recovery):
+    rec = phase7_recovery if m == 7 else _phase_recovery(m, 3)
+    doc = recovery_to_json(rec)
+    assert doc["operators"] is rec.ensemble.stack
+    _round_trips(doc, serialize.recovery_from_json, _same_recovery, rec)
+
+
+def test_explicit_spec_documents_hold_their_operators():
+    ops = tuple(random_superoperator(4, 3, np.random.default_rng(12)).operators)
+    spec = ChannelSpec("explicit", {}, explicit_operators=ops)
+    doc = serialize.channel_spec_to_json(spec)
+    assert all(isinstance(op, np.ndarray) for op in doc["operators"])
+    _round_trips(doc, serialize.channel_spec_from_json, _same_spec, spec)
+
+
+def test_report_documents_write_the_stdlib_bytes():
+    code = random_code(8, 3, seed=9, shape=(2, 2, 2))
+    channel = random_superoperator(8, 2, np.random.default_rng(73))
+    report = min_fidelity(code, channel)
+    doc = serialize.fidelity_report_to_json(report)
+    amplitudes = report.argmin_state.amplitudes
+    assert doc["argmin_state"] is amplitudes
+    text = _assert_identical(doc)
+    assert serialize.vector_from_json(loads(text)["argmin_state"]).tobytes() == amplitudes.tobytes()
+    family = build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 3, "max_errors": 1}))
+    rec = synthesize_recovery(builtin_code("phase3"), family)
+    _assert_identical(serialize.verification_report_to_json(verify_recovery(builtin_code("phase3"), family, rec)))
+    _assert_identical(kl_report_to_json(kl_check(builtin_code("phase3"), family)))

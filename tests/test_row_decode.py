@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qeckit import ChannelSpec, build_channel, builtin_code, serialize, synthesize_recovery
-from qeckit.serialize import dumps_canonical, loads, recovery_document
+from qeckit.serialize import dumps_canonical, loads, recovery_to_json
 from test_fast_decode import A, BASE, MUTATIONS, _assert_decodes_as_through_the_stdlib, _assert_same_decode
 
 
@@ -174,7 +174,7 @@ def _loads_and_parses(text, monkeypatch):
 def test_each_distinct_row_is_parsed_once(monkeypatch):
     family = ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 5, "max_errors": 2})
     rec = synthesize_recovery(builtin_code("phase5"), build_channel(family), seed=3)
-    text = dumps_canonical(recovery_document(rec))
+    text = dumps_canonical(recovery_to_json(rec))
     rows = list(dict.fromkeys(json.dumps(row, separators=(",", ":")) for op in json.loads(text)["operators"] for row in op))
     expected = b"[" + ",".join(re.findall(r"[^\[\],]+", ",".join(rows))).encode() + b"]"
     assert len(expected) < len(text) // 4  # the rows do repeat

@@ -6,6 +6,7 @@ import pytest
 from qeckit import ChannelSpec, build_channel, builtin_code, repetition_phase_code, synthesize_recovery
 from qeckit.catalog import phase_error_family
 from qeckit.serialize import (
+    array_to_json,
     channel_spec_from_json,
     channel_spec_to_json,
     code_from_json,
@@ -13,8 +14,8 @@ from qeckit.serialize import (
     dumps_canonical,
     ensemble_from_json,
     ensemble_to_json,
+    loads,
     matrix_from_json,
-    matrix_to_json,
     recovery_from_json,
     recovery_to_json,
 )
@@ -23,7 +24,7 @@ from qeckit.serialize import (
 def test_matrix_roundtrip_bit_exact():
     rng = np.random.default_rng(97)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    encoded = matrix_to_json(m)
+    encoded = array_to_json(m)
     import json
 
     decoded = matrix_from_json(json.loads(json.dumps(encoded)))
@@ -104,20 +105,20 @@ def _pairwise_rows(m):
 def test_codec_matches_pairwise_reference_bit_exact():
     import json
 
-    from qeckit.serialize import vector_from_json, vector_to_json
+    from qeckit.serialize import vector_from_json
 
     rng = np.random.default_rng(211)
     m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
     for a in (m, m.T, m.real, np.zeros((3, 0), dtype=complex), np.eye(2, dtype=int)):
-        text = json.dumps(matrix_to_json(a))
+        text = json.dumps(array_to_json(np.asarray(a, dtype=np.complex128)))
         assert text == json.dumps(_pairwise_rows(a))
         back = matrix_from_json(json.loads(text))
         assert back.shape == np.shape(a)
         assert back.tobytes() == np.asarray(a, dtype=np.complex128).tobytes()  # keeps the sign of -0.0
     v = m[:, 0]
-    assert vector_to_json(v) == _pairwise_rows(v[None])[0]
-    assert vector_from_json(vector_to_json(v)).tobytes() == v.tobytes()
+    assert array_to_json(v) == _pairwise_rows(v[None])[0]
+    assert vector_from_json(array_to_json(v)).tobytes() == v.tobytes()
     assert matrix_from_json([]).shape == (0,) and vector_from_json([]).shape == (0,)
     assert matrix_from_json([[], []]).shape == (2, 0)
 
@@ -179,3 +180,37 @@ def test_declared_dim_must_match_the_operators():
         recovery_from_json({**data, "syndrome_dim": 1, "complement_dim": 0, "syndrome_coefficients": []})
     assert ensemble_from_json({**data, "dim": 2}).dim == 2
     assert ensemble_from_json({"operators": [identity]}).dim == 2  # dim is optional
+
+
+def _phase3_documents():
+    """The phase3 code and its recovery as read back from their canonical files."""
+    family = ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 3, "max_errors": 1})
+    code = builtin_code("phase3")
+    rec = synthesize_recovery(code, build_channel(family), seed=3)
+    return {"code": loads(dumps_canonical(code_to_json(code))), "recovery": loads(dumps_canonical(recovery_to_json(rec)))}
+
+
+@pytest.mark.parametrize("decode, document, field, value", [
+    *[(code_from_json, "code", field, value) for field, value in [
+        ("n", 8.0), ("n", "8"), ("n", True), ("k", 2.9), ("k", 2.0), ("k", "2"), ("k", True),
+    ]],
+    *[(recovery_from_json, "recovery", field, value) for field, value in [
+        ("syndrome_dim", 64.7), ("syndrome_dim", 4.0), ("syndrome_dim", "4"), ("syndrome_dim", True),
+        ("complement_dim", True), ("complement_dim", 0.0), ("complement_dim", "0"),
+    ]],
+    *[(ensemble_from_json, "recovery", "dim", value) for value in (8.0, "8", True)],
+    *[(recovery_from_json, "recovery", "dim", value) for value in (8.0, "8", True)],
+])
+def test_integer_fields_refuse_anything_but_a_json_integer(decode, document, field, value):
+    data = _phase3_documents()[document]
+    decode(data)  # the unedited file loads
+    with pytest.raises(ValueError, match=re.escape(f"JSON field {field!r} must be an integer, got {value!r}")):
+        decode({**data, field: value})
+
+
+@pytest.mark.parametrize("shape", [[2.5, 2, 2], [2.0, 2, 2], [True, 2, 2], ["2", 2, 2]])
+def test_code_shape_entries_must_be_json_integers(shape):
+    data = _phase3_documents()["code"]
+    assert code_from_json(data).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match=re.escape(f"code JSON field 'shape' must list integers, got {shape!r}")):
+        code_from_json({**data, "shape": shape})

@@ -46,7 +46,7 @@ from qeckit import (
 )
 from qeckit import fidelity, memory
 from qeckit.channels import _LiftedEnsemble, _sum_adag_a
-from qeckit.serialize import dumps_canonical, loads, recovery_document, recovery_from_json, recovery_to_json
+from qeckit.serialize import dumps_canonical, loads, recovery_from_json, recovery_to_json
 
 
 def _random_family(n, m, rng):
@@ -224,7 +224,7 @@ def test_a_read_only_stack_is_adopted_and_the_decoded_block_is_not_copied():
 
     pm = build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": 0.1}))
     rec = synthesize_recovery(builtin_code("phase3"), e_error_family(pm, 3, 1))
-    assert recovery_document(rec)["operators"] is rec.ensemble.stack
+    assert recovery_to_json(rec)["operators"] is rec.ensemble.stack
     data = loads(dumps_canonical(recovery_to_json(rec)))
     assert isinstance(data["operators"], np.ndarray) and data["operators"].shape == (len(rec.ensemble), 8, 8, 2)
     decoded = recovery_from_json(data)
