@@ -221,19 +221,17 @@ def _cmd_synthesize(args) -> int:
     tol = _tolerance(args)
     code = _resolve_code(args.code, tol)
     channel = _resolve_channel(args.channel, tol)
+    out = _envelope(args, "synthesize", tol)
+    out["inputs"] = {"code": args.code, "channel": args.channel}
     try:
         rec = synthesize_recovery(code, channel, tol, seed=args.seed)
     except NotCorrectableError as exc:
-        out = _envelope(args, "synthesize", tol)
-        out["inputs"] = {"code": args.code, "channel": args.channel}
         out["error"] = str(exc)
         if exc.report is not None:
             out["result"] = ser.kl_report_to_json(exc.report)
         _emit(out, args.format, None)  # never write a recovery file for a failure
         return 1
     verification = verify_recovery(code, channel, rec, tol)
-    out = _envelope(args, "synthesize", tol)
-    out["inputs"] = {"code": args.code, "channel": args.channel}
     out["result"] = {
         "syndrome_dim": rec.syndrome_dim,
         "complement_dim": rec.complement_dim,
@@ -274,7 +272,7 @@ def _cmd_memory(args) -> int:
     if args.compare:
         if args.gamma is None:
             raise _InputError("--compare requires --gamma")
-        given = {"channel": args.channel, "--recovery": args.recovery, "--p": args.p}
+        given = {"channel": args.channel, "--recovery": args.recovery, "--p": args.p, "--e": args.e}
         ignored = [name for name, value in given.items() if value is not None]
         if ignored:
             raise _InputError(f"memory --compare runs a fixed pipeline and takes no {', '.join(ignored)}")
@@ -282,13 +280,18 @@ def _cmd_memory(args) -> int:
         cmp = compare_coded_uncoded(args.gamma, args.cycles)
         text = comparison_csv(cmp)
     else:
+        if args.gamma is not None:
+            raise _InputError("memory --gamma is the dephasing rate of --compare and is refused without it")
+        if args.p is None and args.e is not None:
+            raise _InputError("memory --e sets the bound column and is refused without --p")
         if args.channel is None:
             raise _InputError("memory requires a channel (or --compare)")
         code = _resolve_code(args.code, tol)
         if args.p is not None and (code.shape is None or any(f != 2 for f in code.shape)):
             raise _InputError(f"memory --p requires a code with an all-qubit register shape, got shape {code.shape}")
+        e = 1 if args.e is None else args.e
         if args.p is not None:
-            binomial_fidelity_bound(len(code.shape), args.e, args.p)  # a bad --e or --p is refused before any channel is read
+            binomial_fidelity_bound(len(code.shape), e, args.p)  # a bad --e or --p is refused before any channel is read
         channel = _resolve_channel(args.channel, tol)
         if args.recovery:
             rec = _read_file(args.recovery, ser.recovery_from_json)
@@ -298,7 +301,7 @@ def _cmd_memory(args) -> int:
             except NotCorrectableError as exc:
                 sys.stderr.write(f"error: cannot synthesize recovery: {exc}\n")
                 return 1
-        bound_params = None if args.p is None else (len(code.shape), args.e, args.p)
+        bound_params = None if args.p is None else (len(code.shape), e, args.p)
         run = run_memory(code, channel, rec, code.basis[0], args.cycles, bound_params=bound_params, tol=tol)
         text = trajectory_csv(run)
     _write(text, args.out)
@@ -391,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=10)
     p.add_argument("--gamma", type=float, default=None, help="dephasing rate for --compare")
     p.add_argument("--p", type=float, default=None, help="per-qubit flip probability for the bound column")
-    p.add_argument("--e", type=int, default=1, help="correctable error count for the bound column")
+    p.add_argument("--e", type=int, default=None, help="correctable error count for the bound column (default 1; needs --p)")
     p.add_argument("--compare", action="store_true", help="coded vs bare-qubit comparison")
     common(p)
     p.set_defaults(func=_cmd_memory)
@@ -416,10 +419,7 @@ def main(argv=None) -> int:
     try:
         _refuse_bad_arguments(args)
         return args.func(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (CapacityError, NotSuperoperatorError) as exc:
+    except (_InputError, CapacityError, NotSuperoperatorError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except QecError as exc:

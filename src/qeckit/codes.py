@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import OperatorEnsemble
 from .config import DEFAULT_TOL, ToleranceConfig
-from .linalg import DensityMatrix, PureState, QubitSubset, _check_bytes, _check_dim, dagger, kron_all, orthonormalize, partial_trace
+from .linalg import PureState, QubitSubset, _check_bytes, _check_dim, dagger, kron_all, orthonormalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +66,6 @@ class QuantumCode:
         """n x k matrix whose columns are the logical basis states."""
         return self._matrix
 
-    def projector(self) -> np.ndarray:
-        return self._matrix @ dagger(self._matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class KLReport:
@@ -96,11 +93,11 @@ def _error_images(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
 
 
 def _image_gram(images: np.ndarray) -> np.ndarray:
-    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the stacked images, refused before it is formed."""
+    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the images in logical-block order, refused before it is formed."""
     n, m, k = images.shape
     _check_bytes(16 * (m * k) ** 2, f"image Gram ({m * k} x {m * k})")
-    flat = images.reshape(n, m * k)
-    return (dagger(flat) @ flat).reshape(m, k, m, k).transpose(0, 2, 1, 3)
+    flat = images.transpose(0, 2, 1).reshape(n, k * m)
+    return (dagger(flat) @ flat).reshape(k, m, k, m).transpose(1, 3, 0, 2)
 
 
 def _slice_max(k: int, values) -> tuple[float, tuple[int, int, int, int]]:
@@ -129,8 +126,8 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig =
     within ``tol.check`` (absolute; the inputs are unit vectors). G as an (mk) x
     (mk) matrix over k, and sum_i G[:, :, i, i] / k, carry the spectra of the
     corrupted mixed and entangled codeword states (``entropy_test``, quant-ph/9604022).
-    Violations are reduced one m x m logical slice at a time, so no second
-    array of the Gram's size is formed.
+    Violations are reduced one m x m logical slice at a time, each a block with
+    contiguous rows in the Gram's logical-block order, so no second array of the Gram's size is formed.
     """
     gram = _image_gram(_error_images(code, errors))
     m, k = gram.shape[0], code.k
@@ -172,34 +169,33 @@ class ReducedDMReport:
 
 
 def reduced_dm_check(code: QuantumCode, e: int, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedDMReport:
-    """e-error correction criterion via reduced density matrices, both residuals within ``tol.check``."""
+    """e-error correction criterion via reduced density matrices, both residuals within ``tol.check``.
+
+    Each marginal is read off the code vectors: |i_L> as a 2^(2e) x 2^(r-2e) matrix M_i (rows on the subset U) has
+    the marginals M_i M_i^dag on U and M_i^T conj(M_i) on its complement, about k 2^r work per subset.
+    """
     if code.shape is None or any(f != 2 for f in code.shape):
         raise ValueError("reduced-density-matrix check requires an all-qubit register shape")
     r = len(code.shape)
     if e < 0 or 2 * e > r:
         raise ValueError(f"need 0 <= 2e <= number of qubits, got e={e}, r={r}")
 
-    densities = [s.density() for s in code.basis]
-    max_mismatch = 0.0
-    max_overlap = 0.0
+    amplitudes = code.matrix.T.reshape((code.k, *code.shape))  # axis q holds qubit q
+    max_mismatch = max_overlap = 0.0
     witness_subset: QubitSubset | None = None
     witness_pair: tuple[int, int] | None = None
-
-    def marginals(subset: tuple[int, ...]) -> list[DensityMatrix]:
-        return [partial_trace(d, subset) for d in densities]
-
     for u in combinations(range(1, r + 1), 2 * e):
-        on_u = marginals(u)
-        complement = tuple(q for q in range(1, r + 1) if q not in u)
-        on_comp = marginals(complement)
-        for i in range(code.k):
-            for j in range(i + 1, code.k):
-                mismatch = float(np.max(np.abs(on_u[i].matrix - on_u[j].matrix)))
-                overlap = float(np.max(np.abs(on_comp[i].matrix @ on_comp[j].matrix)))
-                if mismatch > max_mismatch:
-                    max_mismatch, witness_subset, witness_pair = mismatch, QubitSubset(u), (i, j)
-                if overlap > max_overlap:
-                    max_overlap, witness_subset, witness_pair = overlap, QubitSubset(u), (i, j)
+        rest = tuple(q for q in range(1, r + 1) if q not in u)
+        m = amplitudes.transpose(0, *u, *rest).reshape(code.k, 2 ** (2 * e), -1)
+        on_u = m @ m.conj().transpose(0, 2, 1)
+        on_rest = m.transpose(0, 2, 1) @ m.conj()
+        for i, j in combinations(range(code.k), 2):
+            mismatch = float(np.max(np.abs(on_u[i] - on_u[j])))
+            overlap = float(np.max(np.abs(on_rest[i] @ on_rest[j])))
+            if mismatch > max_mismatch:
+                max_mismatch, witness_subset, witness_pair = mismatch, QubitSubset(u), (i, j)
+            if overlap > max_overlap:
+                max_overlap, witness_subset, witness_pair = overlap, QubitSubset(u), (i, j)
 
     passed = max_mismatch < tol.check and max_overlap < tol.check
     return ReducedDMReport(

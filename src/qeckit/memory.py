@@ -149,7 +149,7 @@ def run_memory(
     psi = initial.amplitudes
     if psi.size != code.n:
         raise ValueError("initial state dimension does not match the code")
-    outside = float(np.linalg.norm(psi - code.projector() @ psi))
+    outside = float(np.linalg.norm(psi - code.matrix @ (dagger(code.matrix) @ psi)))
     if outside > tol.check:
         raise ValueError(f"initial state is outside the code subspace (residual {outside:.3e})")
     if worst_case and code.k > 2:

@@ -293,7 +293,7 @@ def entropy_test(
     _require_superoperator(errors, "entropy route", tol)
     m, k = len(errors), code.k
     gram = _image_gram(_error_images(code, errors))
-    s_mixed = von_neumann_entropy(gram.transpose(0, 2, 1, 3).reshape(m * k, m * k) / k, tol)
+    s_mixed = von_neumann_entropy(gram.transpose(2, 0, 3, 1).reshape(k * m, k * m) / k, tol)  # the Gram's own layout, no copy
     s_entangled = von_neumann_entropy(np.trace(gram, axis1=2, axis2=3) / k, tol)
     diff = s_mixed - s_entangled
     return EntropyReport(

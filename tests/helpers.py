@@ -6,8 +6,10 @@ from itertools import combinations, product
 import numpy as np
 
 from qeckit import OperatorEnsemble, PureState, tensor_product
+from qeckit.codes import ReducedDMReport
+from qeckit.config import DEFAULT_TOL
 from qeckit.fidelity import _bloch_form, _min_on_sphere, _project_simplex
-from qeckit.linalg import kron_all, orthonormalize, random_unitary
+from qeckit.linalg import QubitSubset, kron_all, orthonormalize, partial_trace, random_unitary
 
 
 def random_superoperator(dim, num_ops, rng):
@@ -163,6 +165,44 @@ def dense_entangled_residual(code, composite):
         lam = np.vdot(ent, image) / (scale * scale)
         worst = max(worst, float(np.linalg.norm(image - lam * ent)) / scale)
     return worst
+
+
+def dense_reduced_dm_check(code, e, tol=DEFAULT_TOL):
+    """Dense oracle for reduced_dm_check: (report, rows), every marginal a ``partial_trace`` of an n x n density matrix.
+
+    ``rows`` holds (subset, pair, mismatch, overlap) for every location in
+    the check's scan order, so a caller can tell where maxima tie.
+    """
+    r = len(code.shape)
+    densities = [s.density() for s in code.basis]
+    max_mismatch = 0.0
+    max_overlap = 0.0
+    witness_subset = None
+    witness_pair = None
+    rows = []
+    for u in combinations(range(1, r + 1), 2 * e):
+        complement = tuple(q for q in range(1, r + 1) if q not in u)
+        on_u = [partial_trace(d, u).matrix for d in densities]
+        on_comp = [partial_trace(d, complement).matrix for d in densities]
+        for i, j in combinations(range(code.k), 2):
+            mismatch = float(np.max(np.abs(on_u[i] - on_u[j])))
+            overlap = float(np.max(np.abs(on_comp[i] @ on_comp[j])))
+            rows.append((u, (i, j), mismatch, overlap))
+            if mismatch > max_mismatch:
+                max_mismatch, witness_subset, witness_pair = mismatch, QubitSubset(u), (i, j)
+            if overlap > max_overlap:
+                max_overlap, witness_subset, witness_pair = overlap, QubitSubset(u), (i, j)
+
+    passed = max_mismatch < tol.check and max_overlap < tol.check
+    report = ReducedDMReport(
+        passed=passed,
+        max_marginal_mismatch=max_mismatch,
+        max_support_overlap=max_overlap,
+        witness_subset=None if passed else witness_subset,
+        witness_pair=None if passed else witness_pair,
+        tol=tol.check,
+    )
+    return report, rows
 
 
 def pairwise_verification(code, errors, recovery):

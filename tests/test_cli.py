@@ -221,6 +221,36 @@ def test_memory_refuses_a_bad_bound_before_any_channel_or_cycle(flags, message, 
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["uniform_phase_flip:p=0.05,qubits=3", "--gamma", "0.3"],
+     "memory --gamma is the dephasing rate of --compare and is refused without it"),
+    (["--compare", "--gamma", "0.05", "--e", "3"], "memory --compare runs a fixed pipeline and takes no --e"),
+    (["--compare", "--gamma", "0.05", "--e", "1"], "memory --compare runs a fixed pipeline and takes no --e"),
+    (["uniform_phase_flip:p=0.05,qubits=3", "--e", "2"], "memory --e sets the bound column and is refused without --p"),
+    (["uniform_phase_flip:p=0.05,qubits=3", "--e", "0"], "memory --e sets the bound column and is refused without --p"),
+])
+def test_memory_refuses_a_flag_it_would_ignore_before_any_input_is_read(flags, message, capsys, monkeypatch):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read, a recovery synthesized or a cycle ran")
+
+    for name in ("_resolve_code", "_resolve_channel", "_read_file", "synthesize_recovery", "run_memory", "compare_coded_uncoded"):
+        monkeypatch.setattr(cli, name, no_input)
+    assert main(["memory", "phase3", *flags, "--cycles", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_memory_bound_column_defaults_to_one_error(capsys):
+    argv = ["memory", "phase3", "uniform_phase_flip:p=0.05,qubits=3", "--cycles", "3", "--p", "0.05"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--e", "1"]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*argv, "--e", "0"]) == 0
+    assert capsys.readouterr().out != default
+
+
 @pytest.mark.parametrize("argv", [
     ["memory", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3", "--cycles", "-1"],
     ["memory", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3", "--recovery", "MISSING", "--cycles", "10001"],

@@ -34,6 +34,8 @@ The ``info`` entries (phase3, ``overlap_example:q=0.25`` and the
 while ``code_to_json``, ``ensemble_to_json`` and ``recovery_to_json``
 still built nested lists; each runs in a fresh directory that holds
 ``recovery3.json``, written first where the command names it.
+``memory-bound`` is the README's ``memory … --p 0.05`` example, recorded
+while ``--e`` still defaulted to 1 in the parser rather than in the command.
 """
 
 import hashlib
@@ -161,6 +163,8 @@ INLINE = {
     "info-recovery": (["info", "recovery3.json"], 0, "1cfc079840ee41082a2d6edc412a856d23a2f3d6df69f89091d40449be1920fc"),
     "info-recovery-text": (["info", "recovery3.json", "--format", "text"], 0,
                            "b0d8026fbb748c1c88947086094bd5a6f66a0080cffa6c4be74dde31f54f5efd"),
+    "memory-bound": (["memory", "phase3", "uniform_phase_flip:p=0.05,qubits=3", "--cycles", "20", "--p", "0.05"], 0,
+                     "3adf499492c856859a42896fe1eee35d611a64d3551ced58c06946b30fd61750"),
 }
 
 

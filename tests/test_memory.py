@@ -86,13 +86,28 @@ def test_run_memory_input_validation():
 
 def test_run_memory_tests_code_membership_at_the_callers_tolerance():
     code, noise, recovery = phase3_flip_setup(0.1)
-    away = np.eye(8, dtype=complex)[:, 1] - code.projector()[:, 1]
+    away = np.eye(8, dtype=complex)[:, 1] - (code.matrix @ code.matrix.conj().T)[:, 1]
     away /= np.linalg.norm(away)
     nearly = PureState(math.cos(1e-8) * code.basis[0].amplitudes + math.sin(1e-8) * away, shape=(2, 2, 2))
     with pytest.raises(ValueError, match="code subspace"):
         run_memory(code, noise, recovery, nearly, 2)
     run = run_memory(code, noise, recovery, nearly, 2, tol=ToleranceConfig(check=1e-6))
     assert len(run.per_cycle_fidelity) == 3
+
+
+@pytest.mark.parametrize("distance, refused", [(2.0, True), (0.5, False)])
+def test_run_memory_refuses_a_state_twice_the_tolerance_outside_the_code(distance, refused):
+    code, noise, recovery = phase3_flip_setup(0.1)
+    tol = ToleranceConfig(check=1e-6)
+    away = np.eye(8, dtype=complex)[:, 1] - (code.matrix @ code.matrix.conj().T)[:, 1]
+    away /= np.linalg.norm(away)
+    angle = math.asin(distance * tol.check)
+    state = PureState(math.cos(angle) * code.basis[1].amplitudes + math.sin(angle) * away, shape=(2, 2, 2))
+    if refused:
+        with pytest.raises(ValueError, match=r"outside the code subspace \(residual 2\.000e-06\)"):
+            run_memory(code, noise, recovery, state, 1, tol=tol)
+    else:
+        assert len(run_memory(code, noise, recovery, state, 1, tol=tol).per_cycle_fidelity) == 2
 
 
 def test_compare_small_gamma_coded_dominates():

@@ -40,7 +40,7 @@ def sigma_z_on(r, j):
 def hand_built_phase3_recovery():
     """Projection onto the code composed with the majority-rule sign fixes."""
     code = repetition_phase_code(3)
-    proj = code.projector()
+    proj = code.matrix @ code.matrix.conj().T
     return OperatorEnsemble(
         (proj, proj @ sigma_z_on(3, 0), proj @ sigma_z_on(3, 1), proj @ sigma_z_on(3, 2)),
         label="hand-built",
