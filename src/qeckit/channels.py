@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSuperoperatorError
-from .linalg import DensityMatrix, _as_matrix, _check_bytes, _check_dim, dagger
+from .linalg import DensityMatrix, _as_matrix, _check_bytes, _check_dim, _check_register, dagger
 
 _ID2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -41,6 +41,9 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 _LIFT = ("qubits", "max_errors")
+
+# Entries whose squared magnitudes sum beyond the float range: every norm and residual of the family would be inf or NaN.
+_OVERFLOW = "matrix entries are too large: the sum of their squared magnitudes overflows"
 
 # The range of each numeric parameter as (low, high, strict); a strict range is open at both ends.
 _RANGES = {"gamma": (0.0, math.inf, False), "p": (0.0, 1.0, False), "q": (0.0, 0.5, True)}
@@ -99,8 +102,8 @@ class OperatorEnsemble:
             raise ValueError("an ensemble needs at least one operator")
         if stack.ndim != 3:
             raise ValueError(f"expected a matrix, got ndim={stack.ndim - 1}")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("matrix entries must be finite")
+        if not math.isfinite(np.vdot(stack, stack).real):  # one pass finds NaN, inf and overflowing squares
+            raise ValueError(_OVERFLOW if np.isfinite(stack).all() else "matrix entries must be finite")
         if stack.shape[1] != stack.shape[2]:
             raise ValueError(f"operators must be square with equal dimension, got {stack.shape[1:]}")
         _check_dim(stack.shape[1])
@@ -152,7 +155,12 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}; known: {CHANNEL_KINDS}")
-        params = {str(k): float(v) for k, v in dict(self.params).items()}
+        params = {}
+        for k, v in dict(self.params).items():
+            try:
+                params[str(k)] = float(v)
+            except (TypeError, ValueError, OverflowError):  # e.g. a JSON integer beyond the float range
+                raise ValueError(f"parameter {k} must be a number within the float range") from None
         object.__setattr__(self, "params", params)
         reads = _KINDS[self.kind][0]
         unread = sorted(set(params) - set(reads))
@@ -209,9 +217,9 @@ def _damping_ops(p: float, jump_slot: tuple[int, int]) -> list[np.ndarray]:
 
 
 def _uniform_phase_flip_ops(p: float, r: int) -> list[np.ndarray]:
-    _check_dim(2**r)
+    dim = _check_register(2, r)
     flips = _kron_words(np.stack([_ID2, SIGMA_Z]), np.eye(r, dtype=np.intp))  # Z on qubit j, for each j
-    return [math.sqrt(1.0 - p) * np.eye(2**r, dtype=np.complex128), *(math.sqrt(p / r) * flips)]
+    return [math.sqrt(1.0 - p) * np.eye(dim, dtype=np.complex128), *(math.sqrt(p / r) * flips)]
 
 
 def _overlap_ops(q: float) -> list[np.ndarray]:
@@ -372,6 +380,8 @@ class _LiftedEnsemble(OperatorEnsemble):
         for letters in words.T:
             cols = (cols[:, :, None] * basis.dim + fcols[letters][:, None, :]).reshape(m, -1)
             vals = (vals[:, :, None] * fvals[letters][:, None, :]).reshape(m, -1)
+        if not math.isfinite(np.vdot(vals, vals).real):
+            raise ValueError(_OVERFLOW)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
 
@@ -402,22 +412,23 @@ def _register(
 ) -> OperatorEnsemble:
     """The ``count`` r-fold products ``basis[w_1] (x) ... (x) basis[w_r]``, one per word.
 
-    The dimension cap and the byte budget are checked from ``count``, as if
-    every member were dense, before the first word is drawn, so ``words``
-    may be a lazy generator of any length. The words are then drawn into a
-    (count, r) array. When every basis operator has at most one nonzero per
-    row, the family is held as its column and value tables; otherwise its
-    members are built at once by ``_kron_words``. Either way a member is
-    ``kron_all``'s left ``np.kron`` fold over its word.
+    The caller has bounded ``r`` by ``_check_register``. The byte budget is
+    checked from ``count``, as if every member were dense, before the first
+    word is drawn, so ``words`` may be a lazy generator of any length. The
+    words are then drawn into a (count, r) array. When every basis operator
+    has at most one nonzero per row, the family is held as its column and
+    value tables; otherwise its members are built at once by
+    ``_kron_words``. Either way a member is ``kron_all``'s left ``np.kron``
+    fold over its word.
     """
     dim = basis.dim**r
-    _check_dim(dim)
     _check_family_bytes(count, dim)
     words = np.array(list(words), dtype=np.intp).reshape(count, r)
     monomials = _monomial(basis.stack)
-    if monomials is not None:
-        return _LiftedEnsemble(basis, monomials, words, label)
-    return OperatorEnsemble(_kron_words(basis.stack, words), label=label)
+    with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is refused by the family, not warned of
+        if monomials is not None:
+            return _LiftedEnsemble(basis, monomials, words, label)
+        return OperatorEnsemble(_kron_words(basis.stack, words), label=label)
 
 
 def tensor_product(a: OperatorEnsemble, b: OperatorEnsemble) -> OperatorEnsemble:
@@ -434,6 +445,7 @@ def tensor_power(ensemble: OperatorEnsemble, r: int) -> OperatorEnsemble:
     """r-fold tensor power acting independently on each subsystem, words in lexicographic order."""
     if r < 1:
         raise ValueError(f"tensor power needs r >= 1, got {r}")
+    _check_register(ensemble.dim, r)
     m = len(ensemble)
     return _register(ensemble, r, product(range(m), repeat=r), m**r, f"{ensemble.label}^(x){r}")
 
@@ -470,6 +482,7 @@ def e_error_family(
     """
     if e < 0 or e > r:
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
+    _check_register(one_qubit_basis.dim, r)
     count = sum(math.comb(r, j) * (len(one_qubit_basis) - 1) ** j for j in range(e + 1))
     words = _bounded_words(one_qubit_basis, r, e, tol)
     return _register(one_qubit_basis, r, words, count, f"{one_qubit_basis.label}[r={r},e<={e}]")

@@ -1,9 +1,9 @@
 """Dense complex linear algebra on qubit registers.
 
 Matrices and vectors are plain ``numpy`` arrays of ``complex128``; the
-wrapper types below add register-shape metadata and validate the physical
-invariants (normalization, hermiticity, positivity). All operations are
-pure functions and all values are frozen after construction.
+state types below validate the physical invariants (normalization,
+hermiticity, positivity). All operations are pure functions and all
+values are frozen after construction.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def _check_dim(dim: int) -> None:
     """Refuse (``CapacityError``) a dimension above ``DIM_CAP``."""
     if dim > DIM_CAP:
         raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
+
+
+def _check_register(dim: int, r: int) -> int:
+    """``dim**r``, the dimension of r subsystems of dimension ``dim``, refused above ``DIM_CAP`` before it is formed."""
+    if dim > 1 and r > math.log2(DIM_CAP) / math.log2(dim):
+        shown = dim**r if r <= 64 else f"{dim}**{r:.6g}"  # a huge power is named, not formed
+        raise CapacityError(f"dimension {shown} exceeds the cap {DIM_CAP}")
+    return dim**r
 
 
 def _check_bytes(need: int, what: str) -> None:
@@ -91,9 +99,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), shape=self.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,19 +163,6 @@ class QubitSubset:
             raise IndexError(f"qubit positions are 1-based, got {idx}")
         object.__setattr__(self, "indices", tuple(sorted(idx)))
 
-    def validate(self, num_qubits: int) -> None:
-        for i in self.indices:
-            if i > num_qubits:
-                raise IndexError(f"qubit position {i} out of range 1..{num_qubits}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two matrices (row-major, first factor most significant)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
 
 def kron_all(mats: Sequence) -> np.ndarray:
     """Tensor product of a sequence of matrices, left to right."""
@@ -178,33 +170,6 @@ def kron_all(mats: Sequence) -> np.ndarray:
     for m in mats:
         out = np.kron(out, _as_matrix(m))
     return out
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not in ``keep`` (1-based positions).
-
-    Requires an all-qubit register shape on ``rho``. Keeping the empty
-    subset returns the 1x1 matrix holding the trace.
-    """
-    if rho.shape is None:
-        raise ValueError("partial trace requires the register shape of the density matrix")
-    if any(f != 2 for f in rho.shape):
-        raise ValueError(f"partial trace requires an all-qubit register, got shape {rho.shape}")
-    r = len(rho.shape)
-    subset = keep if isinstance(keep, QubitSubset) else QubitSubset(tuple(keep))
-    subset.validate(r)
-    keep0 = [i - 1 for i in subset.indices]
-    traced = sorted((q for q in range(r) if q not in keep0), reverse=True)
-
-    work = rho.matrix.reshape((2,) * (2 * r))
-    remaining = r
-    for q in traced:
-        work = np.trace(work, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    dim = 2 ** len(keep0)
-    mat = work.reshape(dim, dim)
-    shape = (2,) * len(keep0) if keep0 else None
-    return DensityMatrix(mat, shape=shape, subnormalized=rho.subnormalized)
 
 
 def orthonormalize(
@@ -259,54 +224,11 @@ def orthonormalize(
     return basis, coeffs, rank
 
 
-def _check_frame(vectors: list[np.ndarray], tol: float, role: str) -> None:
-    frame = np.column_stack(vectors)
-    gram = dagger(frame) @ frame
-    viol = float(np.max(np.abs(gram - np.eye(len(vectors)))))
-    if viol > tol:
-        raise ValueError(f"{role} vectors are not orthonormal (max violation {viol:.3e})")
-
-
 def _complete_frame(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
     """Deterministic orthonormal completion: project out the standard basis in index order."""
     seed = list(vectors) + [np.eye(dim, dtype=np.complex128)[:, j] for j in range(dim)]
     basis, _, _ = orthonormalize(seed, rank_tol=1e-8)
     return basis[len(vectors):]
-
-
-def unitary_extension(
-    pairs: Sequence[tuple], dim: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Unitary matrix sending each input vector to its paired output.
-
-    Inputs and outputs must each form orthonormal sets of a common
-    dimension, within ``tol.check``. The map is completed deterministically
-    by orthonormalizing the complements of the input and output spans and
-    pairing them in index order; an empty list yields the identity (``dim``
-    required then).
-    """
-    pairs = list(pairs)
-    if not pairs:
-        if dim is None:
-            raise ValueError("dim is required to extend an empty map")
-        return np.eye(dim, dtype=np.complex128)
-
-    ins = [_as_vector(x) for x, _ in pairs]
-    outs = [_as_vector(y) for _, y in pairs]
-    d = ins[0].size
-    if any(v.size != d for v in ins + outs):
-        raise ValueError("all inputs and outputs must share one dimension")
-    if dim is not None and dim != d:
-        raise ValueError(f"dim={dim} conflicts with vector dimension {d}")
-    _check_frame(ins, tol.check, "input")
-    _check_frame(outs, tol.check, "output")
-
-    comp_in = _complete_frame(ins, d)
-    comp_out = _complete_frame(outs, d)
-    w = np.zeros((d, d), dtype=np.complex128)
-    for x, y in zip(ins + comp_in, outs + comp_out):
-        w += np.outer(y, x.conj())
-    return w
 
 
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .channels import ChannelSpec, OperatorEnsemble, _require_superoperator, build_channel, e_error_family, tensor_power
 from .codes import QuantumCode, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL, ToleranceConfig
-from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound, min_fidelity
+from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound
 from .linalg import PureState, _check_bytes, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
 
@@ -271,45 +271,6 @@ def compare_coded_uncoded(gamma: float, cycles: int) -> MemoryComparison:
         bound_curve=coded.bound_curve,
         coded_dominates=crossover is None,
         crossover_cycle=crossover,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ScalingFit:
-    """Log-log fit of single-cycle infidelity against the dephasing rate."""
-
-    qubits: int
-    exponent: float
-    constant: float
-    gammas: tuple[float, ...]
-    infidelities: tuple[float, ...]
-
-
-def scaling_exponent_fit(m: int, gammas=None) -> ScalingFit:
-    """Measure how the corrected infidelity scales with the dephasing rate.
-
-    For the m-qubit phase repetition code the infidelity after one cycle
-    behaves like a power of gamma; the exponent and constant are fitted
-    empirically (log-log least squares) rather than asserted.
-    """
-    if m not in (1, 3, 5):
-        raise ValueError(f"scaling fit supports m in (1, 3, 5), got {m}")
-    if gammas is None:
-        gammas = np.geomspace(3e-3, 3e-2, 5)
-    code = repetition_phase_code(m)
-    ys = []
-    for gamma in gammas:
-        pm = build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": float(gamma)}))
-        noise = tensor_power(pm, m)
-        recovery = synthesize_recovery(code, e_error_family(pm, m, (m - 1) // 2))
-        ys.append(1.0 - min_fidelity(code, noise, recovery=recovery).value)
-    slope, intercept = np.polyfit(np.log(np.asarray(gammas, dtype=float)), np.log(ys), 1)
-    return ScalingFit(
-        qubits=m,
-        exponent=float(slope),
-        constant=float(math.exp(intercept)),
-        gammas=tuple(float(g) for g in gammas),
-        infidelities=tuple(ys),
     )
 
 

@@ -44,11 +44,6 @@ from .linalg import DIM_CAP, PureState, _check_dim
 from .recovery import EntropyReport, RecoveryOperator, VerificationReport
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def _pair_array(a: np.ndarray) -> np.ndarray:
     """``a`` as a float64 array of [re, im] pairs: one more axis, of length 2."""
     a = np.asarray(a, dtype=np.complex128, order="C")

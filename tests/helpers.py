@@ -5,11 +5,44 @@ from itertools import combinations, product
 
 import numpy as np
 
-from qeckit import OperatorEnsemble, PureState, tensor_product
+from qeckit import DensityMatrix, OperatorEnsemble, PureState, tensor_product
 from qeckit.codes import ReducedDMReport
 from qeckit.config import DEFAULT_TOL
 from qeckit.fidelity import _bloch_form, _min_on_sphere, _project_simplex
-from qeckit.linalg import QubitSubset, kron_all, orthonormalize, partial_trace, random_unitary
+from qeckit.linalg import QubitSubset, kron_all, orthonormalize, random_unitary
+
+
+def density(state):
+    """The density matrix of a ``PureState``, with its register shape."""
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), shape=state.shape)
+
+
+def partial_trace(rho, keep):
+    """Trace out every qubit of ``rho`` not in ``keep`` (1-based positions).
+
+    Requires an all-qubit register shape on ``rho``. Keeping the empty
+    subset returns the 1x1 matrix holding the trace.
+    """
+    if rho.shape is None:
+        raise ValueError("partial trace requires the register shape of the density matrix")
+    if any(f != 2 for f in rho.shape):
+        raise ValueError(f"partial trace requires an all-qubit register, got shape {rho.shape}")
+    r = len(rho.shape)
+    subset = QubitSubset(tuple(keep))
+    for i in subset.indices:
+        if i > r:
+            raise IndexError(f"qubit position {i} out of range 1..{r}")
+    keep0 = [i - 1 for i in subset.indices]
+    traced = sorted((q for q in range(r) if q not in keep0), reverse=True)
+
+    work = rho.matrix.reshape((2,) * (2 * r))
+    remaining = r
+    for q in traced:
+        work = np.trace(work, axis1=q, axis2=q + remaining)
+        remaining -= 1
+    dim = 2 ** len(keep0)
+    shape = (2,) * len(keep0) if keep0 else None
+    return DensityMatrix(work.reshape(dim, dim), shape=shape, subnormalized=rho.subnormalized)
 
 
 def random_superoperator(dim, num_ops, rng):
@@ -174,7 +207,7 @@ def dense_reduced_dm_check(code, e, tol=DEFAULT_TOL):
     the check's scan order, so a caller can tell where maxima tie.
     """
     r = len(code.shape)
-    densities = [s.density() for s in code.basis]
+    densities = [density(s) for s in code.basis]
     max_mismatch = 0.0
     max_overlap = 0.0
     witness_subset = None

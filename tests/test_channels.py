@@ -24,7 +24,7 @@ from qeckit import (
 )
 from qeckit import channels, linalg
 from qeckit.channels import SIGMA_X, SIGMA_Z
-from helpers import random_superoperator
+from helpers import density, random_superoperator
 
 I2 = np.eye(2, dtype=complex)
 
@@ -60,7 +60,7 @@ def test_pm_and_plain_decoherence_agree_on_states():
     rng = np.random.default_rng(5)
     for _ in range(10):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        rho = PureState(v / np.linalg.norm(v)).density()
+        rho = density(PureState(v / np.linalg.norm(v)))
         out1 = apply_channel(plain, rho)
         out2 = apply_channel(pm, rho)
         assert np.max(np.abs(out1.matrix - out2.matrix)) < 1e-10
@@ -70,7 +70,7 @@ def test_decoherence_damps_offdiagonals():
     gamma = 0.7
     ch = build_channel(ChannelSpec("decoherence", {"gamma": gamma}))
     plus = PureState(np.array([1, 1]) / math.sqrt(2))
-    out = apply_channel(ch, plus.density())
+    out = apply_channel(ch, density(plus))
     assert abs(out.matrix[0, 1] - 0.5 * math.exp(-gamma)) < 1e-14
     assert abs(out.matrix[0, 0] - 0.5) < 1e-14
 
@@ -84,7 +84,7 @@ def test_spontaneous_emission_as_printed_and_damping_variant():
     assert abs(ad.operators[1][0, 1] - p) < 1e-15
     assert validate_superoperator(ad) < DEFAULT_TOL.check
     # the damping variant moves population to |0>, the printed one does not
-    one = PureState([0.0, 1.0]).density()
+    one = density(PureState([0.0, 1.0]))
     assert apply_channel(ad, one).matrix[0, 0] > 0.0
     assert apply_channel(se, one).matrix[0, 0] == 0.0
 
@@ -115,7 +115,7 @@ def test_depolarizing_preserves_state_validity():
     ch = build_channel(ChannelSpec("depolarizing_third", {}))
     rng = np.random.default_rng(9)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    out = apply_channel(ch, PureState(v / np.linalg.norm(v)).density())
+    out = apply_channel(ch, density(PureState(v / np.linalg.norm(v))))
     assert abs(out.trace - 1.0) < 1e-12
 
 
@@ -188,11 +188,11 @@ def test_validate_superoperator_is_the_completeness_residual():
 
 
 def test_apply_channel_identity_and_errors():
-    rho = PureState([1.0, 0.0]).density()
+    rho = density(PureState([1.0, 0.0]))
     ident = OperatorEnsemble((I2.copy(),))
     assert np.allclose(apply_channel(ident, rho).matrix, rho.matrix)
     with pytest.raises(ValueError, match="mismatch"):
-        apply_channel(ident, PureState([1, 0, 0, 0], shape=(2, 2)).density())
+        apply_channel(ident, density(PureState([1, 0, 0, 0], shape=(2, 2))))
     basis = build_channel(ChannelSpec("measurement_basis", {}))
     with pytest.raises(ValueError, match="strength"):
         apply_channel(basis, rho)
@@ -202,7 +202,7 @@ def test_apply_incomplete_family_subnormalizes():
     gamma = 0.3
     pm = build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": gamma}))
     only_plus = OperatorEnsemble((pm.operators[0],))
-    out = apply_channel(only_plus, PureState([1.0, 0.0]).density())
+    out = apply_channel(only_plus, density(PureState([1.0, 0.0])))
     assert out.subnormalized
     assert out.trace == pytest.approx((1 + math.exp(-gamma)) / 2)
 
@@ -210,7 +210,7 @@ def test_apply_incomplete_family_subnormalizes():
 def test_apply_channel_decides_trace_preservation_with_the_callers_tolerance():
     # residual (1 + 5e-9)**2 - 1 = 1e-8: trace preserving at check=1e-7, not at the default 1e-9
     nearly = OperatorEnsemble(((1 + 5e-9) * I2,))
-    rho = PureState([1.0, 0.0]).density()
+    rho = density(PureState([1.0, 0.0]))
     loose = ToleranceConfig(check=1e-7)
     assert not apply_channel(nearly, rho, tol=loose).subnormalized
     with pytest.raises(ValueError, match="strength above 1"):

@@ -26,7 +26,7 @@ from qeckit import (
 )
 from qeckit.catalog import phase_error_family
 from qeckit.serialize import entangled_report_to_json
-from helpers import random_state, random_superoperator
+from helpers import density, random_state, random_superoperator
 
 I2 = np.eye(2, dtype=complex)
 QUBIT = builtin_code("trivial(2)")
@@ -43,7 +43,7 @@ def test_pure_fidelity_two_route_agreement_plus_state():
     ch = build_channel(ChannelSpec("decoherence", {"gamma": gamma}))
     plus = PureState(np.array([1, 1]) / math.sqrt(2))
     direct = pure_fidelity(plus, ch)
-    rho_out = apply_channel(ch, plus.density())
+    rho_out = apply_channel(ch, density(plus))
     via_density = float(np.vdot(plus.amplitudes, rho_out.matrix @ plus.amplitudes).real)
     assert direct == pytest.approx(via_density, abs=1e-12)
     assert direct == pytest.approx((1 + math.exp(-gamma)) / 2, abs=1e-12)
@@ -62,7 +62,7 @@ def test_pure_fidelity_two_route_agreement_random():
         shape = (2,) * int(math.log2(dim))
         psi = random_state(dim, rng, shape)
         direct = pure_fidelity(psi, ch)
-        rho_out = apply_channel(ch, psi.density())
+        rho_out = apply_channel(ch, density(psi))
         via_density = float(np.vdot(psi.amplitudes, rho_out.matrix @ psi.amplitudes).real)
         assert abs(direct - via_density) < 1e-12
 

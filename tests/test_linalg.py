@@ -9,14 +9,13 @@ from qeckit import (
     PureState,
     QubitSubset,
     ToleranceConfig,
-    kron,
     kron_all,
     orthonormalize,
-    partial_trace,
-    unitary_extension,
     von_neumann_entropy,
 )
 from qeckit.linalg import random_unitary
+
+from helpers import density, partial_trace
 
 I2 = np.eye(2, dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -27,52 +26,15 @@ def random_state(dim, rng, shape=None):
     return PureState(v / np.linalg.norm(v), shape)
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_diagonal_structure():
-    assert np.array_equal(kron(SZ, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_mixed_product_oracle():
-    # (a (x) b)(x (x) y) == (a x) (x) (b y), checked by direct elementwise products
-    gamma = 0.1
-    g = math.exp(-gamma)
-    a_plus = math.sqrt((1 + g) / 2) * I2
-    a_minus = math.sqrt((1 - g) / 2) * SZ
-    prod = kron(a_plus, a_minus)
-    oracle = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    oracle[2 * i + k, 2 * j + l] = a_plus[i, j] * a_minus[k, l]
-    assert np.allclose(prod, oracle, atol=1e-15)
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-12
-
-
-def test_kron_bilinear():
-    rng = np.random.default_rng(4)
-    a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.allclose(kron(a + b, c), kron(a, c) + kron(b, c), atol=1e-13)
-
-
 def test_partial_trace_computational_state():
-    rho = PureState([1, 0, 0, 0], shape=(2, 2)).density()
+    rho = density(PureState([1, 0, 0, 0], shape=(2, 2)))
     reduced = partial_trace(rho, (1,))
     assert np.allclose(reduced.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     bell = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2), shape=(2, 2))
-    reduced = partial_trace(bell.density(), (1,))
+    reduced = partial_trace(density(bell), (1,))
     assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
 
 
@@ -81,7 +43,7 @@ def test_partial_trace_index_sum_oracle():
     # traced indices directly
     rng = np.random.default_rng(7)
     psi = random_state(16, rng, shape=(2, 2, 2, 2))
-    reduced = partial_trace(psi.density(), (1, 2))
+    reduced = partial_trace(density(psi), (1, 2))
     amps = psi.amplitudes.reshape(4, 4)  # (kept pair, traced pair)
     oracle = np.zeros((4, 4), dtype=complex)
     for a in range(4):
@@ -93,7 +55,7 @@ def test_partial_trace_index_sum_oracle():
 def test_partial_trace_keep_all_and_none():
     rng = np.random.default_rng(11)
     psi = random_state(8, rng, shape=(2, 2, 2))
-    rho = psi.density()
+    rho = density(psi)
     assert np.allclose(partial_trace(rho, (1, 2, 3)).matrix, rho.matrix, atol=1e-13)
     scalar = partial_trace(rho, ())
     assert scalar.dim == 1
@@ -104,12 +66,12 @@ def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(13)
     for keep in [(1,), (2,), (1, 3)]:
         psi = random_state(8, rng, shape=(2, 2, 2))
-        reduced = partial_trace(psi.density(), keep)
+        reduced = partial_trace(density(psi), keep)
         assert abs(reduced.trace - 1.0) < 1e-12
 
 
 def test_partial_trace_errors():
-    rho = PureState([1, 0, 0, 0], shape=(2, 2)).density()
+    rho = density(PureState([1, 0, 0, 0], shape=(2, 2)))
     with pytest.raises(IndexError):
         partial_trace(rho, (3,))
     bare = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex))
@@ -168,42 +130,6 @@ def test_orthonormalize_roundtrip_and_staircase():
 def test_orthonormalize_zero_input():
     basis, coeffs, rank = orthonormalize([np.zeros(3, dtype=complex)])
     assert rank == 0 and basis == [] and coeffs.shape == (0, 1)
-
-
-def test_unitary_extension_empty_is_identity():
-    assert np.array_equal(unitary_extension([], dim=2), np.eye(2))
-
-
-def test_unitary_extension_single_column():
-    w = unitary_extension([(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))])
-    assert np.allclose(w[:, 0], [0, 1])
-    assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-10
-
-
-def test_unitary_extension_full_basis_is_hadamard():
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
-    w = unitary_extension([(np.array([1, 0], dtype=complex), plus), (np.array([0, 1], dtype=complex), minus)])
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    assert np.max(np.abs(w - hadamard)) < 1e-12
-
-
-def test_unitary_extension_random_partial_maps():
-    rng = np.random.default_rng(23)
-    for dim, m in [(4, 1), (6, 3), (8, 5)]:
-        u = random_unitary(dim, rng)
-        v = random_unitary(dim, rng)
-        pairs = [(u[:, i], v[:, i]) for i in range(m)]
-        w = unitary_extension(pairs)
-        assert np.max(np.abs(w.conj().T @ w - np.eye(dim))) < 1e-10
-        for x, y in pairs:
-            assert np.linalg.norm(w @ x - y) < 1e-10
-
-
-def test_unitary_extension_rejects_nonorthonormal():
-    v = np.array([1, 0], dtype=complex)
-    with pytest.raises(ValueError, match="violation"):
-        unitary_extension([(v, v), (v, np.array([0, 1], dtype=complex))])
 
 
 def test_entropy_pure_and_mixed():

@@ -96,10 +96,8 @@ def test_channel_spec_requires_kind():
 
 
 def _pairwise_rows(m):
-    """Per-element reference encoding: one complex_to_pair call per entry."""
-    from qeckit.serialize import complex_to_pair
-
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+    """Per-element reference encoding: one [re, im] pair of Python floats per entry."""
+    return [[[float(complex(z).real), float(complex(z).imag)] for z in row] for row in np.asarray(m)]
 
 
 def test_codec_matches_pairwise_reference_bit_exact():
