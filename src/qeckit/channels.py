@@ -408,27 +408,29 @@ class _LiftedEnsemble(OperatorEnsemble):
 
 
 def _register(
-    basis: OperatorEnsemble, r: int, words: Iterable[Iterable[int]], count: int, label: str
+    basis: OperatorEnsemble, dim: int, r: int, words: Iterable[Iterable[int]], count: int, label: str
 ) -> OperatorEnsemble:
     """The ``count`` r-fold products ``basis[w_1] (x) ... (x) basis[w_r]``, one per word.
 
-    The caller has bounded ``r`` by ``_check_register``. The byte budget is
-    checked from ``count``, as if every member were dense, before the first
-    word is drawn, so ``words`` may be a lazy generator of any length. The
-    words are then drawn into a (count, r) array. When every basis operator
-    has at most one nonzero per row, the family is held as its column and
-    value tables; otherwise its members are built at once by
+    ``dim`` is ``basis.dim**r`` as ``_check_register`` returned it. The
+    byte budget is checked from ``count``, as if every member were dense,
+    before the first word is drawn, so ``words`` may be a lazy generator of
+    any length. The words are then drawn into a (count, r) array. When every
+    basis operator has at most one nonzero per row, the family is held as
+    its column and value tables; otherwise its members are built at once by
     ``_kron_words``. Either way a member is ``kron_all``'s left ``np.kron``
     fold over its word.
     """
-    dim = basis.dim**r
     _check_family_bytes(count, dim)
     words = np.array(list(words), dtype=np.intp).reshape(count, r)
     monomials = _monomial(basis.stack)
     with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is refused by the family, not warned of
         if monomials is not None:
             return _LiftedEnsemble(basis, monomials, words, label)
-        return OperatorEnsemble(_kron_words(basis.stack, words), label=label)
+        stack = _kron_words(basis.stack, words)
+        if not math.isfinite(np.vdot(stack, stack).real):  # the factors are finite, so a non-finite product overflowed
+            raise ValueError(_OVERFLOW)
+    return OperatorEnsemble(stack, label=label)
 
 
 def tensor_product(a: OperatorEnsemble, b: OperatorEnsemble) -> OperatorEnsemble:
@@ -445,9 +447,9 @@ def tensor_power(ensemble: OperatorEnsemble, r: int) -> OperatorEnsemble:
     """r-fold tensor power acting independently on each subsystem, words in lexicographic order."""
     if r < 1:
         raise ValueError(f"tensor power needs r >= 1, got {r}")
-    _check_register(ensemble.dim, r)
+    dim = _check_register(ensemble.dim, r)
     m = len(ensemble)
-    return _register(ensemble, r, product(range(m), repeat=r), m**r, f"{ensemble.label}^(x){r}")
+    return _register(ensemble, dim, r, product(range(m), repeat=r), m**r, f"{ensemble.label}^(x){r}")
 
 
 def _bounded_words(basis: OperatorEnsemble, r: int, e: int, tol: ToleranceConfig) -> Iterator[list[int]]:
@@ -482,10 +484,10 @@ def e_error_family(
     """
     if e < 0 or e > r:
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
-    _check_register(one_qubit_basis.dim, r)
+    dim = _check_register(one_qubit_basis.dim, r)
     count = sum(math.comb(r, j) * (len(one_qubit_basis) - 1) ** j for j in range(e + 1))
     words = _bounded_words(one_qubit_basis, r, e, tol)
-    return _register(one_qubit_basis, r, words, count, f"{one_qubit_basis.label}[r={r},e<={e}]")
+    return _register(one_qubit_basis, dim, r, words, count, f"{one_qubit_basis.label}[r={r},e<={e}]")
 
 
 def strength(ensemble: OperatorEnsemble) -> float:

