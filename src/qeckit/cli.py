@@ -31,7 +31,7 @@ from .codes import (
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import CapacityError, NotCorrectableError, NotSuperoperatorError, QecError
 from .fidelity import binomial_fidelity_bound, min_fidelity
-from .memory import CYCLE_CAP, compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
+from .memory import CYCLE_CAP, bound_trajectory, compare_coded_uncoded, comparison_csv, run_memory, trajectory_csv
 from .recovery import synthesize_recovery, verify_recovery
 from . import serialize as ser
 
@@ -290,8 +290,8 @@ def _cmd_memory(args) -> int:
         if args.p is not None and (code.shape is None or any(f != 2 for f in code.shape)):
             raise _InputError(f"memory --p requires a code with an all-qubit register shape, got shape {code.shape}")
         e = 1 if args.e is None else args.e
-        if args.p is not None:
-            binomial_fidelity_bound(len(code.shape), e, args.p)  # a bad --e or --p is refused before any channel is read
+        # a bad --e or --p is refused before any channel is read
+        bound = None if args.p is None else bound_trajectory(len(code.shape), e, args.p, args.cycles)
         channel = _resolve_channel(args.channel, tol)
         if args.recovery:
             rec = _read_file(args.recovery, ser.recovery_from_json)
@@ -301,9 +301,8 @@ def _cmd_memory(args) -> int:
             except NotCorrectableError as exc:
                 sys.stderr.write(f"error: cannot synthesize recovery: {exc}\n")
                 return 1
-        bound_params = None if args.p is None else (len(code.shape), e, args.p)
-        run = run_memory(code, channel, rec, code.basis[0], args.cycles, bound_params=bound_params, tol=tol)
-        text = trajectory_csv(run)
+        run = run_memory(code, channel, rec, code.basis[0], args.cycles, tol=tol)
+        text = trajectory_csv(run, bound)
     _write(text, args.out)
     return 0
 

@@ -93,11 +93,17 @@ def _error_images(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
 
 
 def _image_gram(images: np.ndarray) -> np.ndarray:
-    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the images in logical-block order, refused before it is formed."""
+    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the images in logical-block order."""
     n, m, k = images.shape
-    _check_bytes(16 * (m * k) ** 2, f"image Gram ({m * k} x {m * k})")
     flat = images.transpose(0, 2, 1).reshape(n, k * m)
     return (dagger(flat) @ flat).reshape(k, m, k, m).transpose(1, 3, 0, 2)
+
+
+def _error_gram(code: QuantumCode, errors: OperatorEnsemble) -> np.ndarray:
+    """``_image_gram`` of the error images, refused from m and k alone before any image is formed."""
+    mk = len(errors) * code.k
+    _check_bytes(16 * mk**2, f"image Gram ({mk} x {mk})")
+    return _image_gram(_error_images(code, errors))
 
 
 def _slice_max(k: int, values) -> tuple[float, tuple[int, int, int, int]]:
@@ -129,7 +135,7 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig =
     Violations are reduced one m x m logical slice at a time, each a block with
     contiguous rows in the Gram's logical-block order, so no second array of the Gram's size is formed.
     """
-    gram = _image_gram(_error_images(code, errors))
+    gram = _error_gram(code, errors)
     m, k = gram.shape[0], code.k
     idx = np.arange(k)
     diags = gram[:, :, idx, idx]  # (m, m, k)

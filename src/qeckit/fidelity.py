@@ -203,6 +203,18 @@ def _quartic(m_ops: np.ndarray) -> np.ndarray:
     return np.einsum("aji,alk->ijkl", m_ops, m_ops.conj())
 
 
+def _choi_kraus(q: np.ndarray) -> np.ndarray:
+    """At most k^2 Kraus matrices M_a, T(X) = sum_a M_a X M_a^dag, of the CP map with q[i, j, kk, ll] = <kk|T(|i><j|)|ll>.
+
+    The eigenvectors of the hermitian Choi matrix J[(kk, i), (ll, j)] = q[i, j, kk, ll]
+    (Choi, Linear Algebra Appl. 10, 285, 1975), scaled by the square roots of their
+    eigenvalues with negative round-off clipped to 0, are the vec(M_a).
+    """
+    k = q.shape[0]
+    vals, vecs = np.linalg.eigh(q.transpose(2, 0, 3, 1).reshape(k * k, k * k))
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))).T.reshape(-1, k, k)
+
+
 def _sphere_form(m_ops: np.ndarray, leak: np.ndarray) -> np.ndarray:
     """``_bloch_form`` of F(rho) - tr(L rho) for k = 2, writing tr(L rho) as tr(L rho) tr(rho)."""
     return _bloch_form(_quartic(m_ops) - np.einsum("ji,lk->ijkl", leak, np.eye(2)))

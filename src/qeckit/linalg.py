@@ -85,7 +85,8 @@ class PureState:
         vec = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if not np.all(np.isfinite(vec)):
             raise ValueError("state amplitudes must be finite")
-        nrm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused as unnormalized, not warned of
+            nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > tol.check:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         if self.shape is not None:

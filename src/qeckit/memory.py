@@ -4,7 +4,8 @@ A memory run starts from a pure state in the code, alternates the noise
 channel and the recovery superoperator on its density matrix, and records
 the overlap with the initial state after every cycle. The optional
 worst-case mode re-minimizes the fidelity over the whole code at every
-cycle (two-dimensional codes only, solved exactly on the Bloch sphere).
+cycle with ``min_fidelity``'s pure-state solver, for any code dimension k:
+exact for k <= 2, an upper bound for k > 2.
 
 Every cycle runs in one orthonormal frame W, a basis of the range of
 ``B B^dag + sum_r R_r R_r^dag``: it holds the code and every recovery
@@ -28,7 +29,7 @@ import numpy as np
 from .channels import ChannelSpec, OperatorEnsemble, _require_superoperator, build_channel, e_error_family, tensor_power
 from .codes import QuantumCode, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL, ToleranceConfig
-from .fidelity import _bloch_form, _min_on_sphere, binomial_fidelity_bound
+from .fidelity import _choi_kraus, _min_pure, binomial_fidelity_bound
 from .linalg import PureState, _check_bytes, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
 
@@ -40,12 +41,11 @@ class MemoryRun:
     """Fidelity trajectory of an iterated coded memory.
 
     ``per_cycle_fidelity`` has ``cycles + 1`` entries, starting at 1.0 for
-    the initial state itself. ``bound_curve``, when present, is the
-    single-cycle tail bound compounded per cycle; the compounding is a
-    heuristic, only the single-cycle value is a proven bound.
-    ``worst_case_fidelity`` holds per-cycle minima over the code when the
-    run was asked for them. ``monotone`` records (without asserting)
-    whether the trajectory never increased. ``min_eigenvalue`` is the
+    the initial state itself. ``worst_case_fidelity`` holds per-cycle
+    minima over pure code states when the run was asked for them: exact for
+    k <= 2 and, as in ``min_fidelity``, an upper bound for k > 2.
+    ``monotone`` records (without asserting) whether the trajectory never
+    increased. ``min_eigenvalue`` is the
     smallest eigenvalue of any cycle's state (1.0 for zero cycles); the
     state has exact zeros outside its frame, so it is at most 0 when the
     frame is smaller than the space. ``frame_dim`` is the frame's dimension
@@ -58,7 +58,6 @@ class MemoryRun:
     initial_state: PureState
     channel_label: str
     recovery: RecoveryOperator
-    bound_curve: tuple[float, ...] | None
     worst_case_fidelity: tuple[float, ...] | None
     max_trace_deviation: float
     min_eigenvalue: float
@@ -106,13 +105,12 @@ def _worst_case_values(v: np.ndarray, sectors: np.ndarray) -> float:
     """Minimum of <psi| T^t(|psi><psi|) |psi> over the code, from the evolved sector matrices.
 
     ``v`` holds the code basis in frame coordinates (d x k) and
-    ``sectors[i * k + j]`` the evolved image of |i_L><j_L|.
+    ``sectors[i * k + j]`` the evolved image of |i_L><j_L|. ``_min_pure`` finds
+    the witness from the logical channel's Kraus matrices; q re-evaluates it.
     """
     k = v.shape[1]
     q = (dagger(v) @ sectors @ v).reshape(k, k, k, k)  # q[i, j, kk, ll]
-    if k == 1:
-        return float(q[0, 0, 0, 0].real)
-    c, _ = _min_on_sphere(_bloch_form(q))
+    c, _, _ = _min_pure(_choi_kraus(q), np.zeros((k, k)))
     return float(np.einsum("ijkl,i,j,k,l->", q, c, c.conj(), c.conj(), c).real)
 
 
@@ -122,7 +120,6 @@ def run_memory(
     recovery: RecoveryOperator,
     initial: PureState,
     cycles: int,
-    bound_params: tuple[int, int, float] | None = None,
     worst_case: bool = False,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MemoryRun:
@@ -130,8 +127,7 @@ def run_memory(
 
     Both the channel and the recovery must be trace preserving (within
     ``tol.check``), and so must the initial state's distance from the code
-    subspace. ``bound_params = (r, e, p)`` attaches the
-    compounded tail-bound curve. The state is carried as the d x d matrix
+    subspace. The state is carried as the d x d matrix
     sigma in the frame W of the module docstring, so a cycle costs about
     n^2 d (m_A + m_R) multiply-adds; with ``worst_case`` the k^2
     sector matrices |i_L><j_L| ride along in the same batch. The frame
@@ -152,11 +148,7 @@ def run_memory(
     outside = float(np.linalg.norm(psi - code.matrix @ (dagger(code.matrix) @ psi)))
     if outside > tol.check:
         raise ValueError(f"initial state is outside the code subspace (residual {outside:.3e})")
-    if worst_case and code.k > 2:
-        raise ValueError("worst-case trajectories are implemented for codes of dimension <= 2")
 
-    # a bad (r, e, p) is refused before any frame is built or cycle runs
-    bound = None if bound_params is None else tuple(bound_trajectory(*bound_params, cycles))
     w = _frame(code, recovery)
     n, d = w.shape
     m_a, m_r, s = len(channel), len(recovery.ensemble), 1 + (code.k**2 if worst_case else 0)
@@ -202,7 +194,6 @@ def run_memory(
         initial_state=initial,
         channel_label=channel.label,
         recovery=recovery,
-        bound_curve=bound,
         worst_case_fidelity=tuple(worst_values) if worst_values is not None else None,
         max_trace_deviation=max_trace_dev,
         min_eigenvalue=min_eig,
@@ -244,42 +235,32 @@ def compare_coded_uncoded(gamma: float, cycles: int) -> MemoryComparison:
     noise = tensor_power(pm, 3)
     recovery = synthesize_recovery(code, e_error_family(pm, 3, 1))
     p_flip = (1.0 - math.exp(-gamma)) / 2.0
-    coded = run_memory(
-        code, noise, recovery, code.basis[0], cycles,
-        bound_params=(3, 1, p_flip), worst_case=True,
-    )
+    coded = run_memory(code, noise, recovery, code.basis[0], cycles, worst_case=True)
 
     qubit = builtin_code("trivial(2)")
     bare_channel = build_channel(ChannelSpec("decoherence", {"gamma": gamma}))
     plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), shape=(2,))
-    uncoded = run_memory(
-        qubit, bare_channel, identity_recovery(2), plus, cycles, worst_case=True
-    )
+    uncoded = run_memory(qubit, bare_channel, identity_recovery(2), plus, cycles, worst_case=True)
 
-    coded_vals = coded.worst_case_fidelity
-    uncoded_vals = uncoded.worst_case_fidelity
-    crossover = None
-    for t, (c, u) in enumerate(zip(coded_vals, uncoded_vals)):
-        if c < u - 1e-12:
-            crossover = t
-            break
+    coded_vals, uncoded_vals = coded.worst_case_fidelity, uncoded.worst_case_fidelity
+    crossover = next((t for t, (c, u) in enumerate(zip(coded_vals, uncoded_vals)) if c < u - 1e-12), None)
     return MemoryComparison(
         gamma=gamma,
         cycles=cycles,
         coded=coded_vals,
         uncoded=uncoded_vals,
-        bound_curve=coded.bound_curve,
+        bound_curve=tuple(bound_trajectory(3, 1, p_flip, cycles)),
         coded_dominates=crossover is None,
         crossover_cycle=crossover,
     )
 
 
-def trajectory_csv(run: MemoryRun) -> str:
-    """Render a run as CSV with header ``cycle,fidelity,bound`` (17 significant digits)."""
+def trajectory_csv(run: MemoryRun, bound: list[float] | None = None) -> str:
+    """Render a run as CSV ``cycle,fidelity,bound`` (17 significant digits); ``bound``, a per-cycle curve such as ``bound_trajectory``'s, fills the last column."""
     lines = ["cycle,fidelity,bound"]
     for t, f in enumerate(run.per_cycle_fidelity):
-        bound = f"{run.bound_curve[t]:.17g}" if run.bound_curve is not None else ""
-        lines.append(f"{t},{f:.17g},{bound}")
+        cell = f"{bound[t]:.17g}" if bound is not None else ""
+        lines.append(f"{t},{f:.17g},{cell}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import OperatorEnsemble, _require_superoperator
-from .codes import QuantumCode, _error_images, _image_gram, kl_check
+from .codes import QuantumCode, _error_gram, _error_images, kl_check
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotCorrectableError
 from .linalg import _RANK_TOL, _complete_frame, dagger, orthonormalize, random_unitary, von_neumann_entropy
@@ -292,7 +292,7 @@ def entropy_test(
     """
     _require_superoperator(errors, "entropy route", tol)
     m, k = len(errors), code.k
-    gram = _image_gram(_error_images(code, errors))
+    gram = _error_gram(code, errors)
     s_mixed = von_neumann_entropy(gram.transpose(2, 0, 3, 1).reshape(k * m, k * m) / k, tol)  # the Gram's own layout, no copy
     s_entangled = von_neumann_entropy(np.trace(gram, axis1=2, axis2=3) / k, tol)
     diff = s_mixed - s_entangled

@@ -91,3 +91,25 @@ def test_every_tolerance_parameter_is_a_config():
 
 def test_the_tolerance_config_has_one_field():
     assert tuple(f.name for f in dataclasses.fields(ToleranceConfig)) == ("check",)
+
+
+SPHERE_SOLVER = {"_bloch_form", "_min_on_sphere", "_sphere_form"}
+
+
+def test_only_fidelity_reaches_the_sphere_solver():
+    """Every pure worst case goes through ``fidelity._min_pure``; no other module forms or solves a Bloch form itself."""
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "fidelity":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                else {node.id} if isinstance(node, ast.Name)
+                else {node.attr} if isinstance(node, ast.Attribute)
+                else set()
+            )
+            if names & SPHERE_SOLVER:
+                users.append(path.stem)
+                break
+    assert not users, f"modules other than fidelity that refer to the sphere solver: {users}"

@@ -303,17 +303,9 @@ def test_info_of_a_lifted_family_keeps_its_peak_small():
     ((3, 5, 0.05), "need 0 <= e <= r, got e=5, r=3"),
     ((3, 1, 1.5), "p must be in [0, 1], got 1.5"),
 ])
-def test_run_memory_refuses_a_bad_bound_before_any_cycle(bound_params, message, monkeypatch):
-    def no_cycles(*args, **kwargs):
-        raise AssertionError("a memory frame was built or a cycle ran")
-
-    code = builtin_code("phase3")
-    channel = build_channel(ChannelSpec("uniform_phase_flip", {"p": 0.05, "qubits": 3}))
-    rec = identity_recovery(code.n)
-    monkeypatch.setattr(memory, "_frame", no_cycles)
-    monkeypatch.setattr(memory, "_cycle", no_cycles)
+def test_bound_trajectory_refuses_a_bad_bound(bound_params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        memory.run_memory(code, channel, rec, code.basis[0], 3, bound_params=bound_params)
+        memory.bound_trajectory(*bound_params, 3)
 
 
 def test_info_code_and_channel(capsys):

@@ -217,7 +217,11 @@ def test_image_gram_refused_before_it_is_formed(monkeypatch):
     def no_product(*args):
         raise AssertionError("the Gram was formed before the refusal")
 
+    def no_images(*args):
+        raise AssertionError("the error images were formed before the refusal")
+
     monkeypatch.setattr(codes, "dagger", no_product)
+    monkeypatch.setattr(codes, "_error_images", no_images)
     with pytest.raises(CapacityError, match="image Gram"):
         kl_check(code, pauli)
     with pytest.raises(CapacityError, match="image Gram"):

@@ -69,9 +69,10 @@ def test_state_validity_diagnostics():
 def test_single_cycle_meets_bound():
     for p in (0.02, 0.1):
         code, noise, recovery = phase3_flip_setup(p)
-        run = run_memory(code, noise, recovery, code.basis[0], 1, bound_params=(3, 1, p))
+        run = run_memory(code, noise, recovery, code.basis[0], 1)
+        bound_curve = bound_trajectory(3, 1, p, 1)
         assert run.per_cycle_fidelity[1] >= binomial_fidelity_bound(3, 1, p) - 1e-6
-        assert run.bound_curve[1] == pytest.approx(binomial_fidelity_bound(3, 1, p))
+        assert bound_curve[1] == pytest.approx(binomial_fidelity_bound(3, 1, p))
 
 
 def test_run_memory_input_validation():
@@ -144,8 +145,8 @@ def test_bound_trajectory_values():
 
 def test_trajectory_csv_format():
     code, noise, recovery = phase3_flip_setup(0.1)
-    run = run_memory(code, noise, recovery, code.basis[0], 3, bound_params=(3, 1, 0.1))
-    text = trajectory_csv(run)
+    run = run_memory(code, noise, recovery, code.basis[0], 3)
+    text = trajectory_csv(run, bound_trajectory(3, 1, 0.1, 3))
     lines = text.strip().split("\n")
     assert lines[0] == "cycle,fidelity,bound"
     assert len(lines) == 5
