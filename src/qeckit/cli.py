@@ -267,6 +267,8 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_memory(args) -> int:
     tol = _tolerance(args)
+    if args.format == "text":  # the trajectory is always CSV
+        raise _InputError("memory writes CSV and takes no --format text")
     if not 0 <= args.cycles <= CYCLE_CAP:  # refused before any input is read
         raise _InputError(f"--cycles must be in 0..{CYCLE_CAP}, got {args.cycles}")
     if args.compare:

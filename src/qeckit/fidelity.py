@@ -11,7 +11,7 @@ pure-state and entangled-state fidelities, and the code-frame Gram
 sum_a (A_a B)^dag (A_a B) for the deviation ``code_error``. Two solvers
 minimize it. ``_min_pure`` works over pure code states: closed form for
 k = 1, exact on the Bloch sphere for k = 2 (with a multiplier certifying
-optimality), and fixed-seed random-restart projected gradient descent for
+optimality), and fixed-seed random restarts of Barzilai-Borwein descent for
 larger codes, an upper bound on the minimum. ``_min_over_states`` works
 over mixed code states, where the objective is convex: its minimum is the
 entangled-state fidelity and, for k > 2, less its Frank-Wolfe gap, a
@@ -30,18 +30,18 @@ import numpy as np
 
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_images
-from .linalg import PureState, dagger
+from .linalg import PureState, _check_bytes, dagger
 from .recovery import RecoveryOperator
 
 #: Numerical slack granted to optimizer-derived quantities in bound checks.
 BOUND_SLACK = 1e-6
 
-#: Random starts of the pure-state descent for codes with k > 2, and the seed they are drawn with.
+#: Random starts of the pure-state descent for codes with k > 2, and the seed they are drawn with;
+#: the relative gradient norm at which each descent stops, and its step guard.
 _RESTARTS = 32
 _SEED = 0
-
-#: Smallest line-search step of the random-restart descent.
-_STEP_FLOOR = 1e-10
+_GRAD_TOL = 1e-10
+_DESCENT_STEPS = 5_000
 
 #: Frank-Wolfe gap at which the state solve for codes with k > 2 stops.
 _GAP_TOL = 1e-12
@@ -126,6 +126,8 @@ def _logical(code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOp
     """
     if recovery is not None and recovery.dim != code.n:
         raise ValueError(f"dimension mismatch: recovery {recovery.dim}, code {code.n}")
+    mm = len(ensemble) * (1 if recovery is None else len(recovery.ensemble))  # refused before any image is formed
+    _check_bytes(16 * mm * code.k**2, f"logical channel ({mm} x {code.k} x {code.k})")
     images = _error_images(code, ensemble)  # (n, m_A, k)
     n, m, k = images.shape
     bh = dagger(code.matrix)
@@ -224,9 +226,13 @@ def _min_pure(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, str, dic
     """Minimize F(rho) - tr(L rho) over pure code states rho = |c><c|: (c, method, trace).
 
     k = 1 is closed form and k = 2 exact on the Bloch sphere
-    (``_min_on_sphere``). Larger codes run ``_RESTARTS`` projected-gradient
-    descents on the unit sphere from random starts drawn with ``_SEED``;
-    their best value is only an upper bound on the minimum.
+    (``_min_on_sphere``). Larger codes run ``_RESTARTS`` descents on the
+    unit sphere from starts drawn with ``_SEED``, each by alternating
+    Barzilai-Borwein steps (Wen and Yin, Math. Program. 142, 397, 2013) of
+    the last move s and gradient change y, capped so that c turns by at most
+    45 degrees, until the tangent gradient g has |g| <= ``_GRAD_TOL``
+    max(1, |G - L|_F) or ``_DESCENT_STEPS`` steps ran (``converged`` False).
+    The best evaluated state's value is an upper bound on the minimum.
     """
     k = leak.shape[0]
     if k == 1:
@@ -235,37 +241,29 @@ def _min_pure(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, str, dic
         c, trace = _min_on_sphere(_sphere_form(m_ops, leak))
         return c, "bloch_exact", trace
 
-    def at(c):
-        return _objective(m_ops, leak, np.outer(c, c.conj()))
-
     rng = np.random.default_rng(_SEED)
-    best_c, best_v = None, math.inf
+    best_c, best_v, counts = None, math.inf, []
     for _ in range(_RESTARTS):
-        c = rng.normal(size=k) + 1j * rng.normal(size=k)
-        c /= np.linalg.norm(c)
-        fc, grad, _ = at(c)
-        step = 0.5
-        for _ in range(500):
+        c, prev = rng.normal(size=k) + 1j * rng.normal(size=k), None
+        for steps in range(_DESCENT_STEPS + 1):
+            c = c / np.linalg.norm(c)
+            value, grad, _ = _objective(m_ops, leak, np.outer(c, c.conj()))
             g = grad @ c
             g = g - c * np.vdot(c, g)  # tangent projection
-            if np.linalg.norm(g) < 1e-13:
+            if value < best_v:
+                best_c, best_v = c, value
+            if (norm := np.linalg.norm(g)) <= _GRAD_TOL * max(1.0, np.linalg.norm(grad)) or steps == _DESCENT_STEPS:
                 break
-            improved = False
-            while step > _STEP_FLOOR:
-                cand = c - step * g
-                cand /= np.linalg.norm(cand)
-                fcand, gcand, _ = at(cand)
-                if fcand < fc - 1e-15:
-                    c, fc, grad = cand, fcand, gcand
-                    step *= 1.5
-                    improved = True
-                    break
-                step /= 2.0
-            if not improved:
-                break
-        if fc < best_v:
-            best_c, best_v = c, fc
-    return best_c, "random_restart", {"restarts": _RESTARTS, "seed": _SEED, "best_restart_value": best_v}
+            step = 1.0 / norm  # turns c by 45 degrees, the most any step may
+            if prev is not None:  # <s, s> / |Re<s, y>| and |Re<s, y>| / <y, y> in turn, at most 1 / |g|
+                s, y = c - prev[0], g - prev[1]
+                ss, sy, yy = np.vdot(s, s).real, abs(np.vdot(s, y).real), np.vdot(y, y).real
+                step = ss / max(sy, ss * norm) if steps % 2 or not sy else sy / max(yy, sy * norm)
+            prev = c, g
+            c = c - step * g
+        counts.append(steps)
+    trace = {"restarts": _RESTARTS, "seed": _SEED, "best_restart_value": best_v, "steps": sum(counts)}
+    return best_c, "random_restart", {**trace, "converged": max(counts) < _DESCENT_STEPS}
 
 
 def _witness(code: QuantumCode, c: np.ndarray) -> PureState:

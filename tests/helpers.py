@@ -8,7 +8,7 @@ import numpy as np
 from qeckit import DensityMatrix, OperatorEnsemble, PureState, tensor_product
 from qeckit.codes import ReducedDMReport
 from qeckit.config import DEFAULT_TOL
-from qeckit.fidelity import _bloch_form, _min_on_sphere, _project_simplex
+from qeckit.fidelity import _bloch_form, _min_on_sphere, _objective, _project_simplex
 from qeckit.linalg import QubitSubset, kron_all, orthonormalize, random_unitary
 
 
@@ -317,6 +317,49 @@ def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
     starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
     starts += [random_unitary(k, rng) for _ in range(max(restarts // 4, 2))]
     return min((optimize_frame(u) for u in starts), key=lambda vp: vp[0])
+
+
+def line_search_pure_minimum(m_ops, leak):
+    """Upper-bound oracle for the pure minimum of F(rho) - tr(L rho) for k > 2: (c, value).
+
+    32 descents on the unit sphere from starts drawn with seed 0, each at
+    most 500 steepest-descent steps with a backtracking line search that
+    stops when the step falls to 1e-10. Every value it reports is that of
+    an evaluated pure state, so it can only land on or above the minimum.
+    """
+    k = leak.shape[0]
+
+    def at(c):
+        return _objective(m_ops, leak, np.outer(c, c.conj()))
+
+    rng = np.random.default_rng(0)
+    best_c, best_v = None, math.inf
+    for _ in range(32):
+        c = rng.normal(size=k) + 1j * rng.normal(size=k)
+        c /= np.linalg.norm(c)
+        fc, grad, _ = at(c)
+        step = 0.5
+        for _ in range(500):
+            g = grad @ c
+            g = g - c * np.vdot(c, g)  # tangent projection
+            if np.linalg.norm(g) < 1e-13:
+                break
+            improved = False
+            while step > 1e-10:
+                cand = c - step * g
+                cand /= np.linalg.norm(cand)
+                fcand, gcand, _ = at(cand)
+                if fcand < fc - 1e-15:
+                    c, fc, grad = cand, fcand, gcand
+                    step *= 1.5
+                    improved = True
+                    break
+                step /= 2.0
+            if not improved:
+                break
+        if fc < best_v:
+            best_c, best_v = c, fc
+    return best_c, best_v
 
 
 def _apply_raw(ops, mat):

@@ -228,6 +228,8 @@ def test_memory_refuses_a_bad_bound_before_any_channel_or_cycle(flags, message, 
     (["--compare", "--gamma", "0.05", "--e", "1"], "memory --compare runs a fixed pipeline and takes no --e"),
     (["uniform_phase_flip:p=0.05,qubits=3", "--e", "2"], "memory --e sets the bound column and is refused without --p"),
     (["uniform_phase_flip:p=0.05,qubits=3", "--e", "0"], "memory --e sets the bound column and is refused without --p"),
+    (["uniform_phase_flip:p=0.05,qubits=3", "--format", "text"], "memory writes CSV and takes no --format text"),
+    (["--compare", "--gamma", "0.05", "--format", "text"], "memory writes CSV and takes no --format text"),
 ])
 def test_memory_refuses_a_flag_it_would_ignore_before_any_input_is_read(flags, message, capsys, monkeypatch):
     def no_input(*args, **kwargs):

@@ -15,10 +15,12 @@ import pytest
 
 from helpers import grid_refine_minimum, random_state, random_superoperator
 from qeckit import (
+    CapacityError,
     ChannelSpec,
     OperatorEnsemble,
     PureState,
     build_channel,
+    builtin_code,
     code_error,
     compose,
     e_error_family,
@@ -30,6 +32,7 @@ from qeckit import (
     synthesize_recovery,
     tensor_power,
 )
+from qeckit import fidelity, linalg
 from qeckit.recovery import RecoveryOperator
 from test_bloch_exact import deviation_tensor
 
@@ -151,3 +154,25 @@ def test_phase7_min_fidelity_never_forms_the_composite():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_logical_channel_refused_before_it_is_formed(monkeypatch):
+    monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", 2**20)
+    code = builtin_code("trivial(16)")
+    pauli = e_error_family(build_channel(ChannelSpec("pauli_unitary_basis", {})), 4, 2)
+    assert len(pauli) == 67  # family 0.27 MB; with 5 recovery elements the (335, 16, 16) stack is 1.37 MB
+    channel = OperatorEnsemble(tuple(a / math.sqrt(67) for a in pauli))  # trace preserving
+    recovery = _as_recovery(random_superoperator(16, 5, np.random.default_rng(16)))
+
+    def no_images(*args):
+        raise AssertionError("the error images were formed before the refusal")
+
+    def no_solve(*args):
+        raise AssertionError("the logical channel was formed and solved before the refusal")
+
+    monkeypatch.setattr(fidelity, "_error_images", no_images)
+    monkeypatch.setattr(fidelity, "_min_pure", no_solve)
+    with pytest.raises(CapacityError, match="logical channel"):
+        min_fidelity(code, channel, recovery=recovery)
+    with pytest.raises(CapacityError, match="logical channel"):
+        entangled_fidelity(code, channel, recovery=recovery)
