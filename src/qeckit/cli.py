@@ -267,8 +267,6 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_memory(args) -> int:
     tol = _tolerance(args)
-    if args.format == "text":  # the trajectory is always CSV
-        raise _InputError("memory writes CSV and takes no --format text")
     if not 0 <= args.cycles <= CYCLE_CAP:  # refused before any input is read
         raise _InputError(f"--cycles must be in 0..{CYCLE_CAP}, got {args.cycles}")
     if args.compare:
@@ -359,14 +357,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qeckit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, report=True):
         p.add_argument("--tol", type=float, default=None, help="check tolerance (overrides QEC_TOL)")
         p.add_argument(
             "--seed", type=int, default=0,
             help="seed recorded in reports; rotates synthesized syndrome frames (optimizers use a fixed seed)",
         )
         p.add_argument("--out", default=None, help="output file (report, recovery JSON, or CSV)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if report:  # memory writes CSV, so it takes no --format
+            p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("check", help="check the correctability conditions")
     p.add_argument("code")
@@ -397,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="per-qubit flip probability for the bound column")
     p.add_argument("--e", type=int, default=None, help="correctable error count for the bound column (default 1; needs --p)")
     p.add_argument("--compare", action="store_true", help="coded vs bare-qubit comparison")
-    common(p)
+    common(p, report=False)
     p.set_defaults(func=_cmd_memory)
 
     p = sub.add_parser("bounds", help="qubit-count and fidelity bounds")

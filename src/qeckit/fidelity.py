@@ -15,10 +15,12 @@ optimality), and fixed-seed random restarts of Barzilai-Borwein descent for
 larger codes, an upper bound on the minimum. ``_min_over_states`` works
 over mixed code states, where the objective is convex: its minimum is the
 entangled-state fidelity and, for k > 2, less its Frank-Wolfe gap, a
-certified bound on the pure one. Optimizer outputs always carry the witness
-state at which the reported value was re-evaluated. ``min_fidelity`` runs
-each solver once and its report carries the entangled-state report, which
-``entangled_fidelity`` and ``entangled_bound_check`` read.
+certified bound on the pure one. For k > 2 both run ``_descent``, on unit
+vectors c (rho = c c^dag) and on a purification Y (rho = Y Y^dag). Optimizer
+outputs always carry the witness state at which the reported value was
+re-evaluated. ``min_fidelity`` runs each solver once and its report carries
+the entangled-state report, which ``entangled_fidelity`` and
+``entangled_bound_check`` read.
 """
 
 from __future__ import annotations
@@ -37,17 +39,14 @@ from .recovery import RecoveryOperator
 BOUND_SLACK = 1e-6
 
 #: Random starts of the pure-state descent for codes with k > 2, and the seed they are drawn with;
-#: the relative gradient norm at which each descent stops, and its step guard.
+#: the relative gradient norm at which each descent stops, and the step guard of every descent.
 _RESTARTS = 32
 _SEED = 0
 _GRAD_TOL = 1e-10
-_DESCENT_STEPS = 5_000
+_DESCENT_STEPS = 10_000
 
-#: Frank-Wolfe gap at which the state solve for codes with k > 2 stops.
+#: Frank-Wolfe gap at which the mixed-state descent for codes with k > 2 stops.
 _GAP_TOL = 1e-12
-
-#: Most projected-gradient steps that state solve takes before reporting its gap.
-_MAX_STEPS = 10_000
 
 #: Relative size below which an eigenvalue gap or a linear coefficient counts
 #: as zero when the sphere minimizer decides between its two cases.
@@ -126,14 +125,15 @@ def _logical(code: QuantumCode, ensemble: OperatorEnsemble, recovery: RecoveryOp
     """
     if recovery is not None and recovery.dim != code.n:
         raise ValueError(f"dimension mismatch: recovery {recovery.dim}, code {code.n}")
-    mm = len(ensemble) * (1 if recovery is None else len(recovery.ensemble))  # refused before any image is formed
-    _check_bytes(16 * mm * code.k**2, f"logical channel ({mm} x {code.k} x {code.k})")
+    n, m, k, m_r = code.n, len(ensemble), code.k, 1 if recovery is None else len(recovery.ensemble)
+    # before any image is formed: the stack twice (product, copy), the images with the Gram's two copies, B^dag, rows
+    _check_bytes(16 * (2 * m * m_r * k * k + n * k * (3 * m + m_r + 1)), f"logical channel ({m * m_r} x {k} x {k})")
     images = _error_images(code, ensemble)  # (n, m_A, k)
-    n, m, k = images.shape
     bh = dagger(code.matrix)
     rows = bh if recovery is None else (bh @ recovery.ensemble.stack).reshape(-1, n)
-    stack = (rows @ images.reshape(n, m * k)).reshape(-1, k, m, k).transpose(0, 2, 1, 3)
-    return stack.reshape(-1, k, k), np.tensordot(images.conj(), images, axes=([0, 1], [0, 1]))
+    # one expression, so the product is freed before the Gram's copies are made
+    stack = (rows @ images.reshape(n, m * k)).reshape(-1, k, m, k).transpose(0, 2, 1, 3).reshape(-1, k, k)
+    return stack, np.tensordot(images.conj(), images, axes=([0, 1], [0, 1]))
 
 
 def _bloch_point(theta: float, phi: float) -> np.ndarray:
@@ -222,17 +222,42 @@ def _sphere_form(m_ops: np.ndarray, leak: np.ndarray) -> np.ndarray:
     return _bloch_form(_quartic(m_ops) - np.einsum("ji,lk->ijkl", leak, np.eye(2)))
 
 
+def _descent(m_ops: np.ndarray, leak: np.ndarray, c: np.ndarray):
+    """Yield (c, rho, value, G - L, tr(L rho), |g|) at each of at most ``_DESCENT_STEPS`` + 1 iterates.
+
+    Descends F(rho) - tr(L rho) over unit-norm c, rho = c c^dag: c is a
+    k-vector or a k x k purification (Burer and Monteiro, Math. Program. 95,
+    329, 2003). Each step moves c against its tangent gradient g by
+    alternating Barzilai-Borwein lengths (Wen and Yin, Math. Program. 142,
+    397, 2013) of the last move s and gradient change y, capped so that c
+    turns by at most 45 degrees. The caller decides when to stop.
+    """
+    prev = None
+    for steps in range(_DESCENT_STEPS + 1):
+        c = c / np.linalg.norm(c)
+        rho = np.outer(c, c.conj()) if c.ndim == 1 else c @ dagger(c)
+        value, grad, lin = _objective(m_ops, leak, rho)
+        g = grad @ c
+        g = g - c * np.vdot(c, g)  # tangent projection
+        norm = np.linalg.norm(g)
+        yield c, rho, value, grad, lin, norm
+        step = 1.0 / norm  # turns c by 45 degrees, the most any step may
+        if prev is not None:  # <s, s> / |Re<s, y>| and |Re<s, y>| / <y, y> in turn, at most 1 / |g|
+            s, y = c - prev[0], g - prev[1]
+            ss, sy, yy = np.vdot(s, s).real, abs(np.vdot(s, y).real), np.vdot(y, y).real
+            step = ss / max(sy, ss * norm) if steps % 2 or not sy else sy / max(yy, sy * norm)
+        prev = c, g
+        c = c - step * g
+
+
 def _min_pure(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, str, dict]:
     """Minimize F(rho) - tr(L rho) over pure code states rho = |c><c|: (c, method, trace).
 
     k = 1 is closed form and k = 2 exact on the Bloch sphere
-    (``_min_on_sphere``). Larger codes run ``_RESTARTS`` descents on the
-    unit sphere from starts drawn with ``_SEED``, each by alternating
-    Barzilai-Borwein steps (Wen and Yin, Math. Program. 142, 397, 2013) of
-    the last move s and gradient change y, capped so that c turns by at most
-    45 degrees, until the tangent gradient g has |g| <= ``_GRAD_TOL``
-    max(1, |G - L|_F) or ``_DESCENT_STEPS`` steps ran (``converged`` False).
-    The best evaluated state's value is an upper bound on the minimum.
+    (``_min_on_sphere``). Larger codes run ``_descent`` from ``_RESTARTS``
+    starts drawn with ``_SEED``, each until |g| <= ``_GRAD_TOL`` max(1, |G - L|_F)
+    or the guard (``converged`` False). The best evaluated state's value is
+    an upper bound on the minimum.
     """
     k = leak.shape[0]
     if k == 1:
@@ -244,23 +269,12 @@ def _min_pure(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, str, dic
     rng = np.random.default_rng(_SEED)
     best_c, best_v, counts = None, math.inf, []
     for _ in range(_RESTARTS):
-        c, prev = rng.normal(size=k) + 1j * rng.normal(size=k), None
-        for steps in range(_DESCENT_STEPS + 1):
-            c = c / np.linalg.norm(c)
-            value, grad, _ = _objective(m_ops, leak, np.outer(c, c.conj()))
-            g = grad @ c
-            g = g - c * np.vdot(c, g)  # tangent projection
+        start = rng.normal(size=k) + 1j * rng.normal(size=k)
+        for steps, (c, _, value, grad, _, norm) in enumerate(_descent(m_ops, leak, start)):
             if value < best_v:
                 best_c, best_v = c, value
-            if (norm := np.linalg.norm(g)) <= _GRAD_TOL * max(1.0, np.linalg.norm(grad)) or steps == _DESCENT_STEPS:
+            if norm <= _GRAD_TOL * max(1.0, np.linalg.norm(grad)):
                 break
-            step = 1.0 / norm  # turns c by 45 degrees, the most any step may
-            if prev is not None:  # <s, s> / |Re<s, y>| and |Re<s, y>| / <y, y> in turn, at most 1 / |g|
-                s, y = c - prev[0], g - prev[1]
-                ss, sy, yy = np.vdot(s, s).real, abs(np.vdot(s, y).real), np.vdot(y, y).real
-                step = ss / max(sy, ss * norm) if steps % 2 or not sy else sy / max(yy, sy * norm)
-            prev = c, g
-            c = c - step * g
         counts.append(steps)
     trace = {"restarts": _RESTARTS, "seed": _SEED, "best_restart_value": best_v, "steps": sum(counts)}
     return best_c, "random_restart", {**trace, "converged": max(counts) < _DESCENT_STEPS}
@@ -345,15 +359,6 @@ def code_error(code: QuantumCode, composite: OperatorEnsemble) -> FidelityReport
     )
 
 
-def _project_simplex(p: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, p.size + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(p - theta, 0.0)
-
-
 def _min_over_states(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, float, dict]:
     """Minimum of the convex F(rho) - tr(L rho) over k x k density matrices.
 
@@ -362,12 +367,13 @@ def _min_over_states(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, f
     multiplier is <= 0 (More and Sorensen; within rounding of 0, as
     ``_min_on_sphere`` decides its hard case); otherwise the minimum is
     interior, at the stationary point r = -Q^-1 b of the convex quadratic.
-    Larger codes run projected gradient from I/k with step 1/C, C the
-    largest curvature of F, projecting through the eigenvalues onto the
-    simplex. They stop when the Frank-Wolfe gap
+    Larger codes run ``_descent`` on rho = Y Y^dag from Y = I / sqrt(k); a
+    full k x k factor leaves the convex objective no spurious local minima
+    (Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2327, 2010). It
+    stops when the Frank-Wolfe gap
     tr((G - L) rho) - lambda_min(G - L) = 2 value + tr(L rho) - lambda_min(G - L),
-    which bounds value - min by convexity, reaches ``_GAP_TOL`` (or after
-    ``_MAX_STEPS`` steps), and report that gap.
+    which bounds value - min by convexity, reaches ``_GAP_TOL`` (``converged``),
+    when its tangent gradient vanishes or at the guard, and reports that gap.
     """
     k = m_ops.shape[1]
     if k == 1:
@@ -381,18 +387,12 @@ def _min_over_states(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, f
             rho, radius = np.tensordot(np.concatenate([[1.0], r]), _PAULIS, axes=1) / 2.0, float(np.linalg.norm(r))
         trace = {"method": "bloch_ball", **trace, "radius": radius}
     else:
-        mh = m_ops.conj().transpose(0, 2, 1)
-        herm = np.concatenate([m_ops + mh, 1j * (mh - m_ops)]).reshape(2 * len(m_ops), k * k) / 2.0
-        curvature = 2.0 * np.linalg.norm(herm, 2) ** 2  # F's Hessian is 2 herm^dag herm on hermitian rho
-        rho = np.eye(k, dtype=np.complex128) / k
-        for steps in range(_MAX_STEPS + 1):
-            value, grad, lin = _objective(m_ops, leak, rho)
+        start = np.eye(k, dtype=np.complex128) / math.sqrt(k)  # rho = I/k
+        for steps, (_, rho, value, grad, lin, norm) in enumerate(_descent(m_ops, leak, start)):
             gap = max(0.0, 2.0 * value + lin - float(np.linalg.eigvalsh(grad)[0]))
-            if gap <= _GAP_TOL or steps == _MAX_STEPS:
+            if gap <= _GAP_TOL or not norm:  # a vanishing gradient leaves no step to take
                 break
-            lam, vecs = np.linalg.eigh(rho - grad / curvature)
-            rho = (vecs * _project_simplex(lam)) @ dagger(vecs)
-        trace = {"method": "projected_gradient", "gap": gap, "steps": steps}
+        trace = {"method": "purified_descent", "gap": gap, "steps": steps, "converged": gap <= _GAP_TOL}
     return rho, _objective(m_ops, leak, rho)[0], trace
 
 

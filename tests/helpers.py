@@ -8,7 +8,7 @@ import numpy as np
 from qeckit import DensityMatrix, OperatorEnsemble, PureState, tensor_product
 from qeckit.codes import ReducedDMReport
 from qeckit.config import DEFAULT_TOL
-from qeckit.fidelity import _bloch_form, _min_on_sphere, _objective, _project_simplex
+from qeckit.fidelity import _bloch_form, _min_on_sphere, _objective
 from qeckit.linalg import QubitSubset, kron_all, orthonormalize, random_unitary
 
 
@@ -251,6 +251,15 @@ def pairwise_verification(code, errors, recovery):
     return lam, worst
 
 
+def _project_simplex(p):
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(p)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, p.size + 1) > (css - 1.0))[0][-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(p - theta, 0.0)
+
+
 def _best_weights(diag_elems):
     """Minimize sum_a |sum_i p_i d_{a,i}|^2 over the probability simplex: (p, value)."""
     k = diag_elems.shape[1]
@@ -279,15 +288,16 @@ def _cayley(h):
     return np.linalg.solve(eye + 0.5j * h, eye - 0.5j * h)
 
 
-def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
-    """Upper-bound oracle for the entangled minimum: (value, weights).
+def frame_search_minimum(m_ops, witness, seed=0, restarts=32, perturbations=60):
+    """Upper-bound oracle for the entangled minimum: (value, weights, frame).
 
     Searches sum_a |sum_i p_i <u_i|M_a|u_i>|^2 over code frames u, with the
-    exact best weights p per frame and 60 random Cayley perturbations per
-    start. The starts are the identity frame (it holds the completely
-    entangled state), the frame led by ``witness`` (code coordinates of the
-    pure-state worst case) and max(restarts // 4, 2) random unitaries drawn
-    with ``seed``. Non-convex, so it may stop above the minimum.
+    exact best weights p per frame and ``perturbations`` random Cayley
+    perturbations per start. The starts are the identity frame (it holds
+    the completely entangled state), the frame led by ``witness`` (code
+    coordinates of the pure-state worst case) and max(restarts // 4, 2)
+    random unitaries drawn with ``seed``. Non-convex, so it may stop above
+    the minimum.
     """
     k = m_ops.shape[1]
     rng = np.random.default_rng(seed)
@@ -298,7 +308,7 @@ def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
     def optimize_frame(u):
         best_p, best_v = _best_weights(frame_diagonals(u))
         delta = 0.3
-        for _ in range(60):
+        for _ in range(perturbations):
             h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
             h = (h + h.conj().T) * (delta / 2.0)
             cand = u @ _cayley(h)
@@ -308,7 +318,7 @@ def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
                 delta = min(delta * 1.2, 0.5)
             else:
                 delta *= 0.8
-        return best_v, best_p
+        return best_v, best_p, u
 
     witness = witness / np.linalg.norm(witness)
     frame_basis, _, _ = orthonormalize(
@@ -316,7 +326,7 @@ def frame_search_minimum(m_ops, witness, seed=0, restarts=32):
     )
     starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
     starts += [random_unitary(k, rng) for _ in range(max(restarts // 4, 2))]
-    return min((optimize_frame(u) for u in starts), key=lambda vp: vp[0])
+    return min((optimize_frame(u) for u in starts), key=lambda found: found[0])
 
 
 def line_search_pure_minimum(m_ops, leak):

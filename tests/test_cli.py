@@ -228,8 +228,6 @@ def test_memory_refuses_a_bad_bound_before_any_channel_or_cycle(flags, message, 
     (["--compare", "--gamma", "0.05", "--e", "1"], "memory --compare runs a fixed pipeline and takes no --e"),
     (["uniform_phase_flip:p=0.05,qubits=3", "--e", "2"], "memory --e sets the bound column and is refused without --p"),
     (["uniform_phase_flip:p=0.05,qubits=3", "--e", "0"], "memory --e sets the bound column and is refused without --p"),
-    (["uniform_phase_flip:p=0.05,qubits=3", "--format", "text"], "memory writes CSV and takes no --format text"),
-    (["--compare", "--gamma", "0.05", "--format", "text"], "memory writes CSV and takes no --format text"),
 ])
 def test_memory_refuses_a_flag_it_would_ignore_before_any_input_is_read(flags, message, capsys, monkeypatch):
     def no_input(*args, **kwargs):
@@ -241,6 +239,18 @@ def test_memory_refuses_a_flag_it_would_ignore_before_any_input_is_read(flags, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("flags", [["uniform_phase_flip:p=0.05,qubits=3"], ["--compare", "--gamma", "0.05"]])
+def test_memory_takes_no_format(flags, fmt, capsys):
+    # memory always writes CSV, so --format is an unknown flag to it, refused by argparse
+    with pytest.raises(SystemExit) as exc:
+        main(["memory", "phase3", *flags, "--format", fmt, "--cycles", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format" in captured.err
 
 
 def test_memory_bound_column_defaults_to_one_error(capsys):

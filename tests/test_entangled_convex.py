@@ -2,10 +2,11 @@
 
 ``entangled_fidelity`` minimizes F(rho) = sum_a |tr(M_a rho)|^2 over code
 density matrices rho = sum_i p_i |psi_i><psi_i|: exactly on the Bloch ball
-for k = 2, by projected gradient with a Frank-Wolfe gap for k > 2. The
-oracle is a non-convex random search over Schmidt frames with exact
-weights per frame (``helpers.frame_search_minimum``); being a search over
-feasible states it can only land on or above the minimum.
+for k = 2, and for k > 2 by a Barzilai-Borwein descent on a purification
+rho = Y Y^dag, stopped on its Frank-Wolfe gap. The oracle is a non-convex
+random search over Schmidt frames with exact weights per frame
+(``helpers.frame_search_minimum``); being a search over feasible states it
+can only land on or above the minimum.
 """
 
 import functools
@@ -24,12 +25,15 @@ from qeckit import (
     random_code,
     repetition_phase_code,
 )
+from qeckit import fidelity
 from qeckit.fidelity import (
     BOUND_SLACK,
+    _GAP_TOL,
     _PAULIS,
     _bloch_form,
     _logical,
     _min_over_states,
+    _objective,
     _quartic,
 )
 from test_logical_channel import SIZES, _as_recovery
@@ -137,7 +141,7 @@ def test_three_dimensional_minimum_carries_a_small_gap(name):
     code, noise, recovery = CASES[name]
     report = entangled_fidelity(code, noise, recovery=recovery)
     trace = report.optimizer_trace
-    assert trace["method"] == "projected_gradient"
+    assert trace["method"] == "purified_descent"
     assert 0.0 <= trace["gap"] <= 1e-9
     fid = min_fidelity(code, noise, recovery=recovery)
     lower = fid.optimizer_trace["lower_bound"]
@@ -166,3 +170,36 @@ def test_one_dimensional_code_is_closed_form():
     report = entangled_fidelity(random_code(4, 1, seed=2), ident)
     assert report.optimizer_trace["method"] == "closed_form"
     assert abs(report.min_value - 1.0) <= 1e-12
+
+
+# the k <= 8 codes of the k > 2 solver table: (n, k, seed, qubits) under decoherence
+SWEEP = [(8, 3, 5, 3), (16, 3, 1603, 4), (16, 4, 1604, 4), (8, 4, 7, 3), (16, 3, 11, 4), (4, 3, 2, 2), (16, 8, 3, 4)]
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+@pytest.mark.parametrize("n, k, seed, qubits", SWEEP)
+def test_mixed_descent_certifies_its_minimum(n, k, seed, qubits, gamma):
+    code = random_code(n, k, seed=seed)
+    m_ops, gram = _logical(code, build_channel(ChannelSpec("decoherence", {"gamma": gamma, "qubits": qubits})))
+    zero = np.zeros((k, k))
+    rho, _, _ = _min_over_states(m_ops, zero)
+    # a frame search led by the solve's top eigenvector; any state it finds is feasible for both objectives
+    _, weights, frame = frame_search_minimum(m_ops, np.linalg.eigh(rho)[1][:, -1], restarts=0, perturbations=10)
+    feasible = (frame * weights) @ frame.conj().T
+    for leak in (zero, gram):
+        _, value, trace = _min_over_states(m_ops, leak)
+        assert trace["converged"]
+        assert 0.0 <= trace["gap"] <= _GAP_TOL
+        assert value - trace["gap"] <= _objective(m_ops, leak, feasible)[0]
+
+
+def test_a_mixed_descent_stopped_by_the_guard_is_reported(monkeypatch):
+    code = random_code(8, 3, seed=5)
+    m_ops, _ = _logical(code, build_channel(ChannelSpec("decoherence", {"gamma": 0.3, "qubits": 3})))
+    zero = np.zeros((3, 3))
+    monkeypatch.setattr(fidelity, "_DESCENT_STEPS", 3)
+    rho, value, trace = _min_over_states(m_ops, zero)
+    assert trace["steps"] == 3 and trace["converged"] is False
+    at_rho, grad, lin = _objective(m_ops, zero, rho)
+    assert value == at_rho
+    assert trace["gap"] == max(0.0, 2.0 * at_rho + lin - float(np.linalg.eigvalsh(grad)[0])) > _GAP_TOL

@@ -156,6 +156,23 @@ def test_phase7_min_fidelity_never_forms_the_composite():
     assert peak < 32 * 2**20
 
 
+def test_logical_channel_peaks_within_the_bytes_it_counts(monkeypatch):
+    code = builtin_code("trivial(16)")
+    channel = build_channel(ChannelSpec("pauli_unitary_basis", {"qubits": 4, "max_errors": 2}))
+    recovery = _as_recovery(random_superoperator(16, 5, np.random.default_rng(16)))
+    counted = []
+    monkeypatch.setattr(fidelity, "_check_bytes", lambda need, what: counted.append(need))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stack, _ = fidelity._logical(code, channel, recovery)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (67 * 5, 16, 16)
+    assert counted and peak <= counted[0]
+
+
 def test_logical_channel_refused_before_it_is_formed(monkeypatch):
     monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", 2**20)
     code = builtin_code("trivial(16)")

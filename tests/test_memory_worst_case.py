@@ -5,23 +5,20 @@ most k^2 Kraus matrices (``fidelity._choi_kraus``) and minimizes it with the
 pure-state solver ``min_fidelity`` runs. For k > 2 that solver gives an upper
 bound, so every cycle is held between the certified mixed-state lower bound
 of the same logical channel and the smallest fidelity of sampled code states
-pushed densely through the cycles. The mixed-state solves stop at
-``MIXED_STEPS``: any iterate's value less its Frank-Wolfe gap is a certified
-lower bound, and here the shorter solve loosens it by about 1e-4, against
-the 1e-3 that separates the pure and mixed minima of these channels.
+pushed densely through the cycles. A mixed-state solve's value less its
+Frank-Wolfe gap is that certified lower bound.
 """
 
 import numpy as np
 import pytest
 
 from helpers import dense_memory_run
-from qeckit import ChannelSpec, PureState, build_channel, fidelity, min_fidelity, random_code, run_memory
+from qeckit import ChannelSpec, PureState, build_channel, min_fidelity, random_code, run_memory
 from qeckit.fidelity import _choi_kraus, _min_over_states
 from qeckit.memory import identity_recovery
 
 CYCLES = 2
 SAMPLES = 64
-MIXED_STEPS = 1_000
 
 
 def _choi_tensor(kraus):
@@ -76,13 +73,11 @@ def bracket(request):
     channel = build_channel(ChannelSpec("decoherence", {"gamma": 0.3, "qubits": qubits}))
     recovery = identity_recovery(n)
     run = run_memory(code, channel, recovery, code.basis[0], CYCLES, worst_case=True)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fidelity, "_MAX_STEPS", MIXED_STEPS)
-        first = min_fidelity(code, channel, recovery)
-        lower = []
-        for kraus in _compressed_cycles(code, channel, recovery, CYCLES):
-            _, value, solve = _min_over_states(kraus, np.zeros((k, k)))
-            lower.append(value - solve["gap"])
+    first = min_fidelity(code, channel, recovery)
+    lower = []
+    for kraus in _compressed_cycles(code, channel, recovery, CYCLES):
+        _, value, solve = _min_over_states(kraus, np.zeros((k, k)))
+        lower.append(value - solve["gap"])
     rng = np.random.default_rng(seed)
     sampled = np.full(CYCLES + 1, np.inf)
     for _ in range(SAMPLES):
