@@ -170,8 +170,6 @@ def _render_text(value, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_fmt_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_fmt_scalar(value)}")
     return lines
 
 
@@ -253,8 +251,6 @@ def _cmd_fidelity(args) -> int:
     rec = None
     if args.recovery:
         rec = _read_file(args.recovery, ser.recovery_from_json)
-        if rec.dim != channel.dim:
-            raise _InputError("recovery and channel dimensions do not match")
     report = min_fidelity(code, channel, recovery=rec)
     out = _envelope(args, "fidelity", tol)
     out["inputs"] = {"code": args.code, "channel": args.channel, "recovery": args.recovery}
@@ -296,11 +292,7 @@ def _cmd_memory(args) -> int:
         if args.recovery:
             rec = _read_file(args.recovery, ser.recovery_from_json)
         else:
-            try:
-                rec = synthesize_recovery(code, channel, tol, seed=args.seed)
-            except NotCorrectableError as exc:
-                sys.stderr.write(f"error: cannot synthesize recovery: {exc}\n")
-                return 1
+            rec = synthesize_recovery(code, channel, tol, seed=args.seed)
         run = run_memory(code, channel, rec, code.basis[0], args.cycles, tol=tol)
         text = trajectory_csv(run, bound)
     _write(text, args.out)

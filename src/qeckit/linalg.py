@@ -225,13 +225,6 @@ def orthonormalize(
     return basis, coeffs, rank
 
 
-def _complete_frame(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Deterministic orthonormal completion: project out the standard basis in index order."""
-    seed = list(vectors) + [np.eye(dim, dtype=np.complex128)[:, j] for j in range(dim)]
-    basis, _, _ = orthonormalize(seed, rank_tol=1e-8)
-    return basis[len(vectors):]
-
-
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Entropy in bits: -sum(lam * log2(lam)) over eigenvalues above the floor."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else _as_matrix(rho)

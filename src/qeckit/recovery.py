@@ -20,7 +20,7 @@ from .channels import OperatorEnsemble, _require_superoperator
 from .codes import QuantumCode, _error_gram, _error_images, kl_check
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotCorrectableError
-from .linalg import _RANK_TOL, _complete_frame, dagger, orthonormalize, random_unitary, von_neumann_entropy
+from .linalg import _RANK_TOL, dagger, orthonormalize, random_unitary, von_neumann_entropy
 
 # Construction residuals above this, or above tol.check when that is larger,
 # indicate the coefficient-replay step broke down (inputs violate the
@@ -97,30 +97,28 @@ class EntropyReport:
 
 
 def _syndrome_frames(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig):
-    """Per-logical syndrome frames Q_i (n x s) and shared coefficients C (s x m).
+    """Syndrome frames as one (k, n, s) array Q and shared coefficients C (s x m).
 
-    Q_0 comes from orthonormalizing the images of the first logical state
-    (ranks cut at ``_RANK_TOL``); Q_i for i > 0 solves X_i = Q_i C in the
-    least-squares sense, which is exact (and Q_i orthonormal) precisely when
+    Q[0] comes from orthonormalizing the images of the first logical state
+    (ranks cut at ``_RANK_TOL``); Q[i] for i > 0 solves X_i = Q[i] C in the
+    least-squares sense, which is exact (and Q[i] orthonormal) precisely when
     the correctability conditions hold. A construction residual (frame
     orthonormality or factorization) above ``max(tol.check,
     _CONSTRUCTION_TOL)`` raises ``NotCorrectableError``. Returns
     (frames, C, rank, residual).
     """
-    images = list(np.moveaxis(_error_images(code, errors), 2, 0).copy())  # k blocks, n x m
+    images = np.moveaxis(_error_images(code, errors), 2, 0)  # k x n x m view
     basis0, coeff, rank = orthonormalize(list(images[0].T))
+    frames = np.empty((code.k, code.n, rank), dtype=np.complex128)
     if rank == 0:
-        empty = np.zeros((code.n, 0), dtype=np.complex128)
-        frames, residual = [empty] * code.k, float(max(np.max(np.abs(x)) for x in images))
+        residual = float(np.max(np.abs(images)))
     else:
-        frames = [np.column_stack(basis0)]
-        gram = coeff @ dagger(coeff)
-        for i in range(1, code.k):
-            frames.append(images[i] @ np.linalg.solve(gram, coeff).conj().T)
-        joint = np.hstack(frames)  # n x ks; an isometry iff the frames are orthonormal together
+        frames[0] = np.column_stack(basis0)
+        frames[1:] = images[1:] @ np.linalg.solve(coeff @ dagger(coeff), coeff).conj().T
+        joint = frames.transpose(1, 0, 2).reshape(code.n, code.k * rank)  # an isometry iff the frames are orthonormal together
         residual = max(
             float(np.max(np.abs(dagger(joint) @ joint - np.eye(code.k * rank)))),
-            max(float(np.max(np.abs(x - q @ coeff))) for x, q in zip(images, frames)),
+            float(np.max(np.abs(images - frames @ coeff))),
         )
     if residual > max(tol.check, _CONSTRUCTION_TOL):
         raise NotCorrectableError(f"syndrome-frame construction is inconsistent (residual {residual:.3e})")
@@ -151,7 +149,7 @@ def synthesize_recovery(
     frames, coeff, rank, _ = _syndrome_frames(code, errors, tol)
     if seed is not None and rank > 0:
         w = random_unitary(rank, np.random.default_rng(seed))
-        frames = [q @ w for q in frames]
+        frames = frames @ w
         coeff = dagger(w) @ coeff
 
     n, k = code.n, code.k
@@ -241,19 +239,22 @@ def syndrome_decomposition(
 ) -> SyndromeDecomposition:
     """Exhibit the coding space as (code x syndrome space) + unreached rest.
 
-    The construction is attempted directly from the error images and
-    validated numerically (frame unitarity and the factorization
-    A_a|i_L> = iso(|i_L> (x) |E(a)>)); residuals above ``tol.check`` (and
-    ``_CONSTRUCTION_TOL``, the same refusal ``synthesize_recovery`` makes) mean
-    it does not exist: ``NotCorrectableError``.
+    The construction is attempted directly from the error images. Column
+    i*s + r of ``iso_map`` is the frame vector |nu_r^i>; the unreached
+    complement is the trailing columns of one complete QR of those k*s
+    frame columns. The result is validated numerically (frame unitarity and
+    the factorization A_a|i_L> = iso(|i_L> (x) |E(a)>)); residuals above
+    ``tol.check`` (and ``_CONSTRUCTION_TOL``, the same refusal
+    ``synthesize_recovery`` makes) mean it does not exist:
+    ``NotCorrectableError``.
     The code is flagged ``perfect`` when nothing is unreached and the
     syndrome vectors span the syndrome space (ranks cut at ``_RANK_TOL``).
     """
     frames, coeff, rank, residual = _syndrome_frames(code, errors, tol)
     n, k = code.n, code.k
-    nu_columns = [frames[i][:, r] for i in range(k) for r in range(rank)]
-    complement = tuple(_complete_frame(nu_columns, n))
-    iso = np.column_stack(nu_columns + list(complement))
+    joint = frames.transpose(1, 0, 2).reshape(n, k * rank)  # column i*rank + r is |nu_r^i>
+    iso = np.linalg.qr(joint, mode="complete")[0]
+    iso[:, : k * rank] = joint
     unitarity = float(np.max(np.abs(dagger(iso) @ iso - np.eye(n))))
     if unitarity > max(tol.check, _CONSTRUCTION_TOL):
         raise NotCorrectableError(f"syndrome map is not unitary (residual {unitarity:.3e})")
@@ -263,7 +264,7 @@ def syndrome_decomposition(
     return SyndromeDecomposition(
         iso_map=iso,
         syndrome_basis=tuple(frames[0][:, r] for r in range(rank)),
-        complement_basis=complement,
+        complement_basis=tuple(iso[:, k * rank :].T),
         syndrome_vectors=coeff,
         syndrome_dim=rank,
         complement_dim=n - k * rank,
@@ -298,7 +299,7 @@ def entropy_test(
     diff = s_mixed - s_entangled
     return EntropyReport(
         difference_bits=diff,
-        passed=abs(diff - np.log2(k)) < _ENTROPY_GAP_BITS,
+        passed=bool(abs(diff - np.log2(k)) < _ENTROPY_GAP_BITS),
         mixed_codeword_entropy=s_mixed,
         entangled_image_entropy=s_entangled,
         tol=_ENTROPY_GAP_BITS,

@@ -228,6 +228,8 @@ def test_memory_refuses_a_bad_bound_before_any_channel_or_cycle(flags, message, 
     (["--compare", "--gamma", "0.05", "--e", "1"], "memory --compare runs a fixed pipeline and takes no --e"),
     (["uniform_phase_flip:p=0.05,qubits=3", "--e", "2"], "memory --e sets the bound column and is refused without --p"),
     (["uniform_phase_flip:p=0.05,qubits=3", "--e", "0"], "memory --e sets the bound column and is refused without --p"),
+    (["--compare"], "--compare requires --gamma"),
+    ([], "memory requires a channel (or --compare)"),
 ])
 def test_memory_refuses_a_flag_it_would_ignore_before_any_input_is_read(flags, message, capsys, monkeypatch):
     def no_input(*args, **kwargs):
@@ -476,6 +478,8 @@ def test_info_rejects_parameters_the_kind_does_not_read(capsys, channel):
     ("pauli_unitary_basis:qubits=inf", "qubits must be a positive integer, got inf"),
     ("pauli_unitary_basis:qubits=3,max_errors=inf", "max_errors must be an integer in 0..qubits, got inf"),
     ("decoherence:gamma=nan", "parameter gamma must be a number, got nan"),
+    ("decoherence:gamma", "bad channel parameter 'gamma'; expected key=value"),
+    ("decoherence:gamma=abc", "channel parameter 'gamma' must be numeric, got 'abc'"),
 ])
 def test_non_finite_channel_parameters_exit_2_naming_the_parameter(capsys, channel, message):
     assert main(["info", channel]) == 2
@@ -713,3 +717,32 @@ def test_inconsistent_recovery_metadata_exits_2_naming_the_file(edit, tmp_path, 
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {rec}: recovery JSON ")
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_memory_reports_a_failed_synthesis_once(out, tmp_path, capsys):
+    # the pair the golden synthesize refusal uses: phase3 does not correct full-rate decoherence
+    target = tmp_path / "trajectory.csv"
+    argv = ["memory", "phase3", "decoherence:gamma=0.3,qubits=3", "--cycles", "2"]
+    assert main([*argv, "--out", str(target)] if out else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_fidelity_refuses_a_recovery_of_another_dimension(tmp_path, capsys):
+    rec = tmp_path / "phase5_rec.json"
+    assert main(["synthesize", "phase5", "decoherence_pm_basis:gamma=0.1,qubits=5,max_errors=2", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    assert main(["fidelity", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3", "--recovery", str(rec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "dimension" in captured.err
+
+
+def test_a_directory_as_the_code_is_an_input_error_naming_it(tmp_path, capsys):
+    assert main(["check", str(tmp_path), "decoherence:gamma=0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1

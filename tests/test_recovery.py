@@ -18,6 +18,7 @@ from qeckit import (
     entropy_test,
     kl_check,
     kron_all,
+    random_code,
     repetition_phase_code,
     syndrome_decomposition,
     synthesize_recovery,
@@ -315,3 +316,26 @@ def test_equivalence_of_routes_on_catalogue():
         assert decomposable == kl_verdict, case.name
         if case.channel_is_superoperator:
             assert entropy_test(case.code, case.errors).passed == kl_verdict, case.name
+
+
+def test_a_family_that_reaches_nothing_decomposes_into_the_complement():
+    # the one-member zero family: every syndrome frame is empty, so the recovery is the bare projection
+    trivial, zero = builtin_code("trivial(2)"), OperatorEnsemble((np.zeros((2, 2), dtype=complex),))
+    rec = synthesize_recovery(trivial, zero)
+    assert rec.syndrome_dim == 0 and rec.complement_dim == 2
+    assert len(rec.ensemble) == 1 and np.array_equal(rec.ensemble.stack[0], I2)
+    assert verify_recovery(trivial, zero, rec).passed
+    dec = syndrome_decomposition(trivial, zero)
+    assert np.array_equal(dec.iso_map, I2)
+    assert not dec.perfect and dec.max_residual == 0.0
+    assert dec.syndrome_dim == 0 and dec.complement_dim == 2 and len(dec.complement_basis) == 2
+
+
+def test_decomposition_completes_a_large_complement_to_a_unitary():
+    code = random_code(256, 2, seed=1)
+    dec = syndrome_decomposition(code, OperatorEnsemble((np.eye(256, dtype=complex),)))
+    assert dec.syndrome_dim == 1 and dec.complement_dim == 254 and not dec.perfect
+    assert np.max(np.abs(dec.iso_map.conj().T @ dec.iso_map - np.eye(256))) < 1e-12
+    frame = np.column_stack(dec.syndrome_basis + dec.complement_basis)
+    assert np.array_equal(frame[:, 0], dec.iso_map[:, 0]) and np.array_equal(frame[:, 1:], dec.iso_map[:, 2:])
+    assert np.allclose(dec.iso_map[:, :2], code.matrix, atol=1e-12)  # |nu_0^i> = |i_L> under the identity

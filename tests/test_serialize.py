@@ -3,10 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from qeckit import ChannelSpec, build_channel, builtin_code, repetition_phase_code, synthesize_recovery
+from qeckit import ChannelSpec, build_channel, builtin_code, entropy_test, repetition_phase_code, synthesize_recovery, tensor_power
 from qeckit.catalog import phase_error_family
+from qeckit.codes import reduced_dm_check
+from qeckit.fidelity import entangled_bound_check
 from qeckit.serialize import (
     array_to_json,
+    bound_check_to_json,
     channel_spec_from_json,
     channel_spec_to_json,
     code_from_json,
@@ -14,10 +17,12 @@ from qeckit.serialize import (
     dumps_canonical,
     ensemble_from_json,
     ensemble_to_json,
+    entropy_report_to_json,
     loads,
     matrix_from_json,
     recovery_from_json,
     recovery_to_json,
+    reduced_dm_report_to_json,
 )
 
 
@@ -212,3 +217,30 @@ def test_code_shape_entries_must_be_json_integers(shape):
     assert code_from_json(data).shape == (2, 2, 2)
     with pytest.raises(ValueError, match=re.escape(f"code JSON field 'shape' must list integers, got {shape!r}")):
         code_from_json({**data, "shape": shape})
+
+
+def _round_trips(doc: dict) -> None:
+    again = loads(dumps_canonical(doc))
+    assert again.keys() == doc.keys()
+    for key, value in doc.items():
+        assert again[key] == value, key
+
+
+def test_reduced_dm_report_round_trips():
+    doc = reduced_dm_report_to_json(reduced_dm_check(repetition_phase_code(3), 1))
+    assert isinstance(doc["passed"], bool)
+    _round_trips(doc)
+
+
+def test_entropy_report_round_trips():
+    full = tensor_power(build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": 0.1})), 5)
+    doc = entropy_report_to_json(entropy_test(repetition_phase_code(5), full))
+    assert doc["difference_bits"] > 0.0
+    _round_trips(doc)
+
+
+def test_bound_check_round_trips():
+    full = build_channel(ChannelSpec("decoherence_pm_basis", {"gamma": 0.1, "qubits": 3}))
+    doc = bound_check_to_json(entangled_bound_check(repetition_phase_code(3), full))
+    assert doc["satisfied"] is True
+    _round_trips(doc)
