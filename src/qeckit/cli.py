@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import errno
 import json
+import mmap
 import os
 import sys
 
@@ -41,13 +42,29 @@ class _InputError(Exception):
 
 
 def _load_json_file(path: str) -> dict:
+    """``ser.loads`` of the file at ``path``, mapped read-only rather than copied.
+
+    The scan reads the page cache's own pages; only a file that cannot be
+    mapped (an empty file, a FIFO, a ``/proc``-style file of size 0) is
+    read into bytes instead. The price of the map: a file that another
+    process truncates while it is mapped ends this process with SIGBUS.
+    Nesting too deep for the stdlib parser is an input error, like any
+    other invalid JSON.
+    """
     try:
         with open(path, "rb") as fh:
-            return ser.loads(fh.read())
+            try:
+                buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                return ser.loads(fh.read())
+            with buffer:
+                return ser.loads(buffer)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise _InputError(f"{path}: {exc}")
+    except RecursionError:
+        raise _InputError(f"{path}: JSON nested too deeply to read")
 
 
 def _read_file(path: str, decode):

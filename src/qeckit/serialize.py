@@ -27,12 +27,18 @@ canonical document from its bytes in one forward scan that predicts each
 row from the previous operator's pattern of repeats and checks each
 distinct row once; all distinct rows' numbers go to one ``json.loads``,
 so the block comes back as one read-only float64 array of the stdlib's
-floats, bit for bit, which ``OperatorEnsemble`` adopts uncopied.
+floats, bit for bit, which ``OperatorEnsemble`` adopts uncopied. The
+command line passes a file's read-only ``mmap`` rather than a copy of
+its bytes (a file that cannot be mapped, such as an empty file or a
+FIFO, is read instead), so the scan reads the page cache's pages in
+place; a file truncated by another process while it is mapped ends the
+process with SIGBUS.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 
 import numpy as np
 
@@ -348,7 +354,7 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _BLOCK = object()
 
 
-def _loads_canonical(text: str | bytes) -> dict | None:
+def _loads_canonical(text: str | bytes | mmap.mmap) -> dict | None:
     """``json.loads(text)`` with the top-level ``operators`` read as one array, or None unless canonical.
 
     Applies when the first ``"operators":`` key is the top-level one
@@ -361,12 +367,18 @@ def _loads_canonical(text: str | bytes) -> dict | None:
     separator exactly. The rest of the document is parsed with a
     placeholder for the block, which settles where the key sits, and all
     distinct rows' numbers by one ``json.loads``, from which the block is
-    gathered into one read-only (m, d, d, 2) array.
+    gathered into one read-only (m, d, d, 2) array. Bytes and an mmap
+    are scanned alike, through ``find`` and slices, which both have; only
+    rows and the text around the block are copied out of the buffer.
     """
     raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+
+    def at(sub: bytes, where: int) -> bool:  # ``raw.startswith(sub, where)``, which an mmap lacks
+        return raw[where : where + len(sub)] == sub
+
     key = raw.find(_OPERATORS_KEY)
     start = key + len(_OPERATORS_KEY)
-    if key < 0 or not raw.startswith(b"[[[[", start):
+    if key < 0 or not at(b"[[[[", start):
         return None
     pos = start + 4
     first = raw[pos : raw.find(b"]]", pos)]
@@ -378,12 +390,11 @@ def _loads_canonical(text: str | bytes) -> dict | None:
     distinct: dict[bytes, int] = {}
     pattern = range(d)  # row i of the last operator repeated its row pattern[i], or was new where pattern[i] == i
     index = []
-    startswith = raw.startswith
     while d <= DIM_CAP:
         rows, js = [], []  # this operator's rows and their indices in distinct
         for i in range(d):
             r = pattern[i]
-            if r < i and startswith(rows[r], pos) and startswith(b"]]", pos + len(rows[r])):
+            if r < i and at(rows[r], pos) and at(b"]]", pos + len(rows[r])):
                 body, j = rows[r], js[r]
             else:  # a row with no "]]" after it runs to the last byte, where no separator fits
                 body = raw[pos : raw.find(b"]]", pos)]
@@ -396,15 +407,15 @@ def _loads_canonical(text: str | bytes) -> dict | None:
             js.append(j)
             stop = pos + len(body)
             if i < d - 1:
-                if not startswith(b"]],[[", stop):
+                if not at(b"]],[[", stop):
                     return None
                 pos = stop + 5
         index += js
         seen: dict[int, int] = {}
         pattern = [seen.setdefault(j, i) for i, j in enumerate(js)]
-        if startswith(b"]]]]", stop):
+        if at(b"]]]]", stop):
             break
-        if not startswith(b"]]],[[[", stop):
+        if not at(b"]]],[[[", stop):
             return None
         pos = stop + 7
     end = stop + 4
@@ -418,9 +429,9 @@ def _loads_canonical(text: str | bytes) -> dict | None:
     if type(data) is not dict or data.get("operators") is not _BLOCK:
         return None
     _check_dim(d)  # refused before any of the block's numbers is parsed
-    try:  # 2 d numbers per distinct row, by the skeleton
-        numbers = json.loads(b"[" + b",".join(distinct).translate(None, b"[]") + b"]")
-        table = np.array(numbers, dtype=np.float64).reshape(len(distinct), d, 2)
+    try:  # 2 d numbers per distinct row, by the skeleton; their text and list are freed before the block is gathered
+        table = np.array(json.loads(b"[" + b",".join(distinct).translate(None, b"[]") + b"]"), dtype=np.float64)
+        table = table.reshape(len(distinct), d, 2)
     except (ValueError, OverflowError):  # outside JSON's number grammar, or an integer no float64 holds
         return None
     data["operators"] = block = table[np.reshape(index, (-1, d))]
@@ -428,20 +439,24 @@ def _loads_canonical(text: str | bytes) -> dict | None:
     return data
 
 
-def loads(text: str | bytes) -> dict:
+def loads(text: str | bytes | mmap.mmap) -> dict:
     """Decode a JSON document; the inverse of ``dumps_canonical``.
 
-    The result is ``json.loads(text)``, except that a top-level
-    ``operators`` block in the canonical dense layout comes back as one
-    read-only (m, d, d, 2) float64 array of [re, im] pairs, bit-identical
-    to the floats ``json.loads`` reads; a block whose first row holds more
-    than ``DIM_CAP`` pairs raises ``CapacityError`` before its other rows
-    are read. Bytes are decoded as a text-mode read decodes a file: strict
+    ``text`` is a str or a read-only buffer: bytes, or a file's ``mmap``,
+    whose canonical block is scanned in place, so the file is mapped, not
+    copied (a mapped file that another process truncates meanwhile ends
+    the process with SIGBUS). The result is ``json.loads(text)``, except
+    that a top-level ``operators`` block in the canonical dense layout
+    comes back as one read-only (m, d, d, 2) float64 array of [re, im]
+    pairs, bit-identical to the floats ``json.loads`` reads; a block whose
+    first row holds more than ``DIM_CAP`` pairs raises ``CapacityError``
+    before its other rows are read. A buffer is decoded as a text-mode
+    read decodes a file: strict
     UTF-8, a byte-order mark kept, CR LF and a lone CR read as LF. Any
     other text, every invalid document and every block holding an integer
     no float64 holds go through ``json.loads`` unchanged, with its errors.
     """
     data = _loads_canonical(text)
-    if data is None and isinstance(text, bytes):
-        text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    if data is None and not isinstance(text, str):
+        text = str(text, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return json.loads(text) if data is None else data

@@ -1,8 +1,10 @@
 import contextlib
 import json
 import math
+import mmap
 import os
 import re
+import threading
 import time
 import tracemalloc
 
@@ -11,11 +13,11 @@ import pytest
 
 from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code
 from qeckit.channels import CHANNEL_KINDS
-from qeckit import cli, memory
+from qeckit import cli, memory, serialize
 from qeckit.cli import main
 from qeckit.memory import identity_recovery
 from qeckit.serialize import channel_spec_to_json, code_to_json, dumps_canonical, recovery_to_json
-from test_fast_decode import BASE
+from test_fast_decode import BASE, MUTATIONS
 
 
 @pytest.fixture()
@@ -636,6 +638,16 @@ def test_recovery_wider_than_the_cap_is_refused_before_parsing(tmp_path, capsys)
     assert "wide.json: dimension 512 exceeds the cap 256" in capsys.readouterr().err
 
 
+def _read_as(role: str, path) -> list[str]:
+    """A command that reads the file at ``path`` as a code, a recovery, a channel or (``info``) whichever it holds."""
+    return {
+        "code": ["check", str(path), "decoherence:gamma=0.1"],
+        "recovery": ["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(path)],
+        "channel": ["fidelity", "trivial:2", str(path)],
+        "info": ["info", str(path)],
+    }[role]
+
+
 @pytest.mark.parametrize("role", ["code", "recovery", "channel"])
 def test_a_file_over_the_size_cap_is_refused_naming_the_file(tmp_path, capsys, role):
     # a canonical top-level operators block 512 wide, refused by the decoder whatever the file is read as
@@ -645,12 +657,7 @@ def test_a_file_over_the_size_cap_is_refused_naming_the_file(tmp_path, capsys, r
         '{"complement_dim":0,"dim":512,"label":"","operators":[[' + ",".join([row] * 512) + "]],"
         '"syndrome_coefficients":[],"syndrome_dim":1}\n'
     )
-    argv = {
-        "code": ["check", str(wide), "decoherence:gamma=0.1"],
-        "recovery": ["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(wide)],
-        "channel": ["fidelity", "trivial:2", str(wide)],
-    }[role]
-    assert main(argv) == 2
+    assert main(_read_as(role, wide)) == 2
     assert capsys.readouterr().err == f"error: {wide}: dimension 512 exceeds the cap 256\n"
 
 
@@ -684,12 +691,7 @@ def test_file_bytes_are_refused_as_a_text_mode_read_refuses_them(name, role, tmp
     data, message = REFUSED_FILES[name]
     path = tmp_path / "file.json"
     path.write_bytes(data)
-    argv = {
-        "code": ["check", str(path), "decoherence:gamma=0.1"],
-        "recovery": ["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(path)],
-        "channel": ["fidelity", "trivial:2", str(path)],
-    }[role]
-    assert main(argv) == 2
+    assert main(_read_as(role, path)) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
@@ -702,6 +704,86 @@ def test_file_bytes_read_as_a_text_mode_read_reads_them(name, tmp_path, capsys):
         rc = main(["fidelity", "trivial:2", "decoherence:gamma=0.1", "--recovery", str(path)])
         runs.append((rc, capsys.readouterr()))
     assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("role", ["code", "recovery", "channel", "info"])
+def test_a_deeply_nested_file_is_an_input_error_naming_it(role, tmp_path, capsys):
+    # deeper than the stdlib parser recurses on any interpreter: it raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(_read_as(role, path)) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("role", ["code", "recovery", "channel"])
+def test_an_empty_file_which_cannot_be_mapped_is_invalid_json(role, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_bytes(b"")
+    assert main(_read_as(role, path)) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: invalid JSON at line 1, column 1: Expecting value\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("role", ["code", "recovery", "channel"])
+def test_a_fifo_which_cannot_be_mapped_reads_as_a_file_of_its_bytes(role, tmp_path, capsys):
+    data = dumps_canonical(code_to_json(builtin_code("trivial:2"))).encode() if role == "code" else BASE_BYTES
+    path = tmp_path / "input.json"  # one path for both, as the report names it
+    path.write_bytes(data)
+    regular = (main(_read_as(role, path)), capsys.readouterr())
+    path.unlink()
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fh:  # blocks until the command opens the pipe
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    piped = (main(_read_as(role, path)), capsys.readouterr())
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert piped == regular
+    assert regular[0] == (1 if role == "code" else 0)  # a check of the trivial code against decoherence fails
+
+
+def _loads_outcome(buffer):
+    """What ``serialize.loads`` gives: canonical text and the operators' type, or the type and message it raises."""
+    try:
+        data = serialize.loads(buffer)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dumps_canonical(data), type(data.get("operators")) if isinstance(data, dict) else None
+
+
+BODIES = {
+    "canonical": BASE_BYTES,
+    **{name: data for name, (data, _) in REFUSED_FILES.items()},
+    **READ_FILES,
+    **{f"mutation: {name}": text.encode() for name, text in MUTATIONS},
+}
+
+
+@pytest.mark.parametrize("name", BODIES)
+def test_loads_of_a_mapped_file_is_loads_of_its_bytes(name, tmp_path):
+    path = tmp_path / "file.json"
+    path.write_bytes(BODIES[name])
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buffer:
+        assert _loads_outcome(buffer) == _loads_outcome(BODIES[name])
+
+
+def test_reading_a_recovery_file_maps_it_instead_of_copying_it(tmp_path, capsys):
+    # phase7's file is 45 MB and its decoded stack 17 MB; a copy of the file alone would exceed the bound
+    path = tmp_path / "rec7.json"
+    assert main(["synthesize", "phase7", "decoherence_pm_basis:gamma=0.1,qubits=7,max_errors=3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rec = cli._read_file(str(path), serialize.recovery_from_json)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.ensemble.stack.shape == (65, 128, 128)
+    assert peak < path.stat().st_size / 2
 
 
 @pytest.mark.parametrize("edit", [{"syndrome_dim": -3}, {"complement_dim": 999}, {"syndrome_coefficients": [[[1.0, 0.0]]]}])
