@@ -320,7 +320,7 @@ def random_code(
     _check_dim(n)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    basis, _, rank = orthonormalize(list(g.T), rank_tol=1e-12)
+    basis, _, rank = orthonormalize(list(g.T))
     if rank != k:  # pragma: no cover - zero-probability event
         raise ValueError("random matrix was rank deficient; pick another seed")
     states = tuple(PureState(v, shape, tol=tol) for v in basis)

@@ -8,18 +8,19 @@ no composite R_r A_a is formed. In those coordinates every worst case is a
 minimum of one objective, F(rho) - tr(L rho) with the convex quartic
 F(rho) = sum_a |tr(M_a rho)|^2 and a k x k hermitian L: L = 0 for the
 pure-state and entangled-state fidelities, and the code-frame Gram
-sum_a (A_a B)^dag (A_a B) for the deviation ``code_error``. Two solvers
-minimize it. ``_min_pure`` works over pure code states: closed form for
-k = 1, exact on the Bloch sphere for k = 2 (with a multiplier certifying
-optimality), and fixed-seed random restarts of Barzilai-Borwein descent for
-larger codes, an upper bound on the minimum. ``_min_over_states`` works
-over mixed code states, where the objective is convex: its minimum is the
-entangled-state fidelity and, for k > 2, less its Frank-Wolfe gap, a
-certified bound on the pure one. For k > 2 both run ``_descent``, on unit
-vectors c (rho = c c^dag) and on a purification Y (rho = Y Y^dag). Optimizer
-outputs always carry the witness state at which the reported value was
-re-evaluated. ``min_fidelity`` runs each solver once and its report carries
-the entangled-state report, which ``entangled_fidelity`` and
+sum_a (A_a B)^dag (A_a B) for the deviation ``code_error``. One solve,
+``_minima``, returns both of its minima. Over pure code states it is closed
+form for k = 1, exact on the Bloch sphere for k = 2 (with a multiplier
+certifying optimality), and for larger codes fixed-seed random restarts of
+Barzilai-Borwein descent, an upper bound on the minimum. Over mixed code
+states the objective is convex: that minimum is the entangled-state
+fidelity and, less its Frank-Wolfe gap, a certified floor under the pure
+one, so the k > 2 restarts stop once one converges within ``_GAP_TOL`` of
+it (the bracket is closed). For k > 2 both run ``_descent``, on unit
+vectors c (rho = c c^dag) and on a purification Y (rho = Y Y^dag).
+Optimizer outputs always carry the witness state at which the reported
+value was re-evaluated. ``min_fidelity`` solves once and its report
+carries the entangled-state report, which ``entangled_fidelity`` and
 ``entangled_bound_check`` read.
 """
 
@@ -250,34 +251,65 @@ def _descent(m_ops: np.ndarray, leak: np.ndarray, c: np.ndarray):
         c = c - step * g
 
 
-def _min_pure(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, str, dict]:
-    """Minimize F(rho) - tr(L rho) over pure code states rho = |c><c|: (c, method, trace).
+def _minima(m_ops: np.ndarray, leak: np.ndarray):
+    """Both minima of F(rho) - tr(L rho): ((c, method, trace), (rho, value, trace)).
 
-    k = 1 is closed form and k = 2 exact on the Bloch sphere
-    (``_min_on_sphere``). Larger codes run ``_descent`` from ``_RESTARTS``
-    starts drawn with ``_SEED``, each until |g| <= ``_GRAD_TOL`` max(1, |G - L|_F)
-    or the guard (``converged`` False). The best evaluated state's value is
-    an upper bound on the minimum.
+    The first is the pure code state rho = |c><c|, the second the minimizer
+    over k x k density matrices with its value. k = 1 is closed form. k = 2
+    is exact: the Bloch-sphere minimizer (``_min_on_sphere``) is also the
+    ball's when its multiplier is <= 0 (More and Sorensen; within rounding
+    of 0, as ``_min_on_sphere`` decides its hard case); otherwise the mixed
+    minimum is interior, at the stationary point r = -Q^-1 b of the convex
+    quadratic. Larger codes first run ``_descent`` on rho = Y Y^dag from
+    Y = I / sqrt(k); a full k x k factor leaves the convex objective no
+    spurious local minima (Journee, Bach, Absil and Sepulchre, SIAM J.
+    Optim. 20, 2327, 2010). It stops when the Frank-Wolfe gap
+    tr((G - L) rho) - lambda_min(G - L) = 2 value + tr(L rho) - lambda_min(G - L),
+    which bounds value - min by convexity, reaches ``_GAP_TOL`` (``converged``),
+    when its tangent gradient vanishes or at the guard, and reports that gap;
+    value - gap is the certified ``lower_bound``. Then ``_descent`` runs on
+    unit k-vectors from at most ``_RESTARTS`` starts drawn with ``_SEED``,
+    each until |g| <= ``_GRAD_TOL`` max(1, |G - L|_F) or the guard. The best
+    evaluated state's value is an upper bound on the pure minimum; once a
+    restart that stopped on its gradient leaves it within ``_GAP_TOL`` of
+    the lower bound, the rest are skipped (``certificate`` "closed").
     """
     k = leak.shape[0]
     if k == 1:
-        return np.array([1.0 + 0.0j]), "closed_form", {}
-    if k == 2:
-        c, trace = _min_on_sphere(_sphere_form(m_ops, leak))
-        return c, "bloch_exact", trace
-
-    rng = np.random.default_rng(_SEED)
-    best_c, best_v, counts = None, math.inf, []
-    for _ in range(_RESTARTS):
-        start = rng.normal(size=k) + 1j * rng.normal(size=k)
-        for steps, (c, _, value, grad, _, norm) in enumerate(_descent(m_ops, leak, start)):
-            if value < best_v:
-                best_c, best_v = c, value
-            if norm <= _GRAD_TOL * max(1.0, np.linalg.norm(grad)):
+        c, rho = np.array([1.0 + 0.0j]), np.ones((1, 1), dtype=np.complex128)
+        method, trace, solve = "closed_form", {}, {"method": "closed_form"}
+    elif k == 2:
+        t = _sphere_form(m_ops, leak)
+        c, trace = _min_on_sphere(t)
+        rho, radius, method = np.outer(c, c.conj()), 1.0, "bloch_exact"
+        if trace["multiplier"] > _HARD_CASE_TOL * max(1.0, float(np.max(np.abs(t)))):
+            r = np.linalg.solve(t[1:, 1:], -t[1:, 0])  # positive definite: Q >= multiplier > 0
+            rho, radius = np.tensordot(np.concatenate([[1.0], r]), _PAULIS, axes=1) / 2.0, float(np.linalg.norm(r))
+        solve = {"method": "bloch_ball", **trace, "radius": radius}
+    else:
+        start = np.eye(k, dtype=np.complex128) / math.sqrt(k)  # rho = I/k
+        for steps, (_, rho, value, grad, lin, norm) in enumerate(_descent(m_ops, leak, start)):
+            gap = max(0.0, 2.0 * value + lin - float(np.linalg.eigvalsh(grad)[0]))
+            if gap <= _GAP_TOL or not norm:  # a vanishing gradient leaves no step to take
                 break
-        counts.append(steps)
-    trace = {"restarts": _RESTARTS, "seed": _SEED, "best_restart_value": best_v, "steps": sum(counts)}
-    return best_c, "random_restart", {**trace, "converged": max(counts) < _DESCENT_STEPS}
+        solve = {"method": "purified_descent", "gap": gap, "steps": steps, "converged": gap <= _GAP_TOL}
+        floor, method = value - gap, "random_restart"
+
+        rng = np.random.default_rng(_SEED)
+        best_c, best_v, counts = None, math.inf, []
+        for _ in range(_RESTARTS):
+            start = rng.normal(size=k) + 1j * rng.normal(size=k)
+            for steps, (c, _, value, grad, _, norm) in enumerate(_descent(m_ops, leak, start)):
+                if value < best_v:
+                    best_c, best_v = c, value
+                if norm <= _GRAD_TOL * max(1.0, np.linalg.norm(grad)):
+                    break
+            counts.append(steps)
+            if closed := steps < _DESCENT_STEPS and best_v - floor <= _GAP_TOL:  # more restarts gain at most _GAP_TOL
+                break
+        c, trace = best_c, {"restarts": len(counts), "seed": _SEED, "best_restart_value": best_v, "steps": sum(counts)}
+        trace.update(converged=max(counts) < _DESCENT_STEPS, lower_bound=floor, certificate="closed" if closed else "open")
+    return (c, method, trace), (rho, _objective(m_ops, leak, rho)[0], solve)
 
 
 def _witness(code: QuantumCode, c: np.ndarray) -> PureState:
@@ -290,25 +322,22 @@ def min_fidelity(
 ) -> FidelityReport:
     """Worst-case pure-state fidelity over the code, carrying the entangled report of the same pass.
 
-    Compresses once and minimizes F with L = 0 once over pure code states
-    and once over mixed ones, whatever k; ``report.entangled`` is the
-    ``entangled_fidelity`` report of those solves. ``recovery``, when
-    given, is applied after the channel. k = 1 is closed form; k = 2 is
-    the exact Bloch-sphere minimum; larger codes use fixed-seed random
-    restarts, an upper bound, and add the certified lower bound
+    Compresses once and solves for both minima of F with L = 0 once
+    (``_minima``), whatever k; ``report.entangled`` is the
+    ``entangled_fidelity`` report of that solve. ``recovery``, when given,
+    is applied after the channel. k = 1 is closed form; k = 2 is the exact
+    Bloch-sphere minimum; larger codes use fixed-seed random restarts, an
+    upper bound, and add the certified lower bound
     ``optimizer_trace["lower_bound"]``, the minimum over mixed code states
-    less its Frank-Wolfe gap. The returned value is re-evaluated at the
-    witness state, so
+    less its Frank-Wolfe gap, with ``certificate`` "closed" when the
+    restarts stopped within ``_GAP_TOL`` of it. The returned value is
+    re-evaluated at the witness state, so
     report.value == pure_fidelity(report.argmin_state, ensemble, recovery).
     """
     m_ops, _ = _logical(code, ensemble, recovery)
-    zero = np.zeros((code.k, code.k))
-    c_best, method, trace = _min_pure(m_ops, zero)
+    (c_best, method, trace), (rho, value, solve) = _minima(m_ops, np.zeros((code.k, code.k)))
     witness = _witness(code, c_best)
     f_pure = pure_fidelity(witness, ensemble, recovery)
-    rho, value, solve = _min_over_states(m_ops, zero)
-    if code.k > 2:  # the minimum over mixed states is at most the pure one
-        trace["lower_bound"] = value - solve["gap"]
     max_entangled = float(np.sum(np.abs(np.trace(m_ops, axis1=1, axis2=2) / code.k) ** 2))
     # I/k and the pure witness are states too, so rounding never lifts the minimum above them
     min_value = max(0.0, min(value, max_entangled, f_pure))
@@ -335,65 +364,27 @@ def code_error(code: QuantumCode, composite: OperatorEnsemble) -> FidelityReport
 
     The deviation is <psi|L|psi> - F(|psi><psi|), with L the code-frame
     Gram sum_m (B_m B)^dag (B_m B), so it is minus the shared objective and
-    its maximum is the pure solver's minimum of F - tr(L rho), negated. For
+    its maximum is the solve's pure minimum of F - tr(L rho), negated. For
     trace-preserving composites L = I and the deviation is 1 minus the
     pure fidelity. The witness maximizes the deviation (the report field
     name follows the fidelity report; here it is an arg-max). For k > 2 the
     random restarts give only a lower bound on the maximum, and
     ``optimizer_trace["upper_bound"]`` certifies it from above: minus the
-    minimum of F - tr(L rho) over mixed code states, less its Frank-Wolfe
-    gap. For trace-preserving composites that is 1 minus ``min_fidelity``'s
-    ``lower_bound``.
+    solve's ``lower_bound`` on F - tr(L rho), the minimum over mixed code
+    states less its Frank-Wolfe gap. For trace-preserving composites that
+    is 1 minus ``min_fidelity``'s ``lower_bound``.
     """
     m_ops, leak = _logical(code, composite)
-    c_best, method, trace = _min_pure(m_ops, leak)
+    (c_best, method, trace), _ = _minima(m_ops, leak)
     witness = _witness(code, c_best)
-    if code.k > 2:
-        _, value, solve = _min_over_states(m_ops, leak)
-        trace["upper_bound"] = -(value - solve["gap"])
+    if "lower_bound" in trace:  # the objective's floor is minus the deviation's ceiling
+        trace["upper_bound"] = -trace.pop("lower_bound")
     return FidelityReport(
         value=float(np.vdot(c_best, leak @ c_best).real) - pure_fidelity(witness, composite),
         argmin_state=witness,
         optimizer_trace={"method": method, **trace},
         method=method,
     )
-
-
-def _min_over_states(m_ops: np.ndarray, leak: np.ndarray) -> tuple[np.ndarray, float, dict]:
-    """Minimum of the convex F(rho) - tr(L rho) over k x k density matrices.
-
-    Returns (rho, F(rho) - tr(L rho), trace). k = 1 is closed form. k = 2
-    is exact on the Bloch ball: the sphere minimizer is the ball's when its
-    multiplier is <= 0 (More and Sorensen; within rounding of 0, as
-    ``_min_on_sphere`` decides its hard case); otherwise the minimum is
-    interior, at the stationary point r = -Q^-1 b of the convex quadratic.
-    Larger codes run ``_descent`` on rho = Y Y^dag from Y = I / sqrt(k); a
-    full k x k factor leaves the convex objective no spurious local minima
-    (Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2327, 2010). It
-    stops when the Frank-Wolfe gap
-    tr((G - L) rho) - lambda_min(G - L) = 2 value + tr(L rho) - lambda_min(G - L),
-    which bounds value - min by convexity, reaches ``_GAP_TOL`` (``converged``),
-    when its tangent gradient vanishes or at the guard, and reports that gap.
-    """
-    k = m_ops.shape[1]
-    if k == 1:
-        rho, trace = np.ones((1, 1), dtype=np.complex128), {"method": "closed_form"}
-    elif k == 2:
-        t = _sphere_form(m_ops, leak)
-        c, trace = _min_on_sphere(t)
-        rho, radius = np.outer(c, c.conj()), 1.0
-        if trace["multiplier"] > _HARD_CASE_TOL * max(1.0, float(np.max(np.abs(t)))):
-            r = np.linalg.solve(t[1:, 1:], -t[1:, 0])  # positive definite: Q >= multiplier > 0
-            rho, radius = np.tensordot(np.concatenate([[1.0], r]), _PAULIS, axes=1) / 2.0, float(np.linalg.norm(r))
-        trace = {"method": "bloch_ball", **trace, "radius": radius}
-    else:
-        start = np.eye(k, dtype=np.complex128) / math.sqrt(k)  # rho = I/k
-        for steps, (_, rho, value, grad, lin, norm) in enumerate(_descent(m_ops, leak, start)):
-            gap = max(0.0, 2.0 * value + lin - float(np.linalg.eigvalsh(grad)[0]))
-            if gap <= _GAP_TOL or not norm:  # a vanishing gradient leaves no step to take
-                break
-        trace = {"method": "purified_descent", "gap": gap, "steps": steps, "converged": gap <= _GAP_TOL}
-    return rho, _objective(m_ops, leak, rho)[0], trace
 
 
 def entangled_fidelity(

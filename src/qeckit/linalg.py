@@ -24,7 +24,7 @@ DIM_CAP = 2**8
 #: entries); larger families are refused before any operator is built.
 ENSEMBLE_BYTE_CAP = 4 * 2**30
 
-# Default relative rank cutoff of ``orthonormalize``, and recovery's rank cuts.
+# Relative rank cutoff of ``orthonormalize``, and recovery's rank cuts.
 _RANK_TOL = 1e-10
 # Eigenvalues at or below this contribute zero entropy (0 log 0 = 0).
 _ENTROPY_FLOOR = 1e-14
@@ -173,14 +173,12 @@ def kron_all(mats: Sequence) -> np.ndarray:
     return out
 
 
-def orthonormalize(
-    vectors: Sequence, rank_tol: float = _RANK_TOL
-) -> tuple[list[np.ndarray], np.ndarray, int]:
+def orthonormalize(vectors: Sequence) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Orthonormalize a batch of vectors, tracking expansion coefficients.
 
     Modified Gram-Schmidt with one re-orthogonalization pass, which keeps
     the basis orthonormal even when inputs are nearly dependent. A vector
-    whose residual norm after projection falls below ``rank_tol`` times the
+    whose residual norm after projection falls below ``_RANK_TOL`` times the
     largest input norm contributes no new basis vector.
 
     Returns ``(basis, coeffs, rank)`` with ``vectors[j] ~= sum_i
@@ -198,7 +196,7 @@ def orthonormalize(
     scale = max((float(np.linalg.norm(v)) for v in vecs), default=0.0)
     if scale == 0.0:
         return [], np.zeros((0, m), dtype=np.complex128), 0
-    cutoff = rank_tol * scale
+    cutoff = _RANK_TOL * scale
 
     basis: list[np.ndarray] = []
     columns: list[np.ndarray] = []

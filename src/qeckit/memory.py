@@ -4,8 +4,9 @@ A memory run starts from a pure state in the code, alternates the noise
 channel and the recovery superoperator on its density matrix, and records
 the overlap with the initial state after every cycle. The optional
 worst-case mode re-minimizes the fidelity over the whole code at every
-cycle with ``min_fidelity``'s pure-state solver, for any code dimension k:
-exact for k <= 2, an upper bound for k > 2.
+cycle with ``min_fidelity``'s solve, for any code dimension k: exact for
+k <= 2 and, for k > 2, an upper bound whose restarts stop once the certified
+mixed-state floor of the same solve closes the bracket.
 
 Every cycle runs in one orthonormal frame W, a basis of the range of
 ``B B^dag + sum_r R_r R_r^dag``: it holds the code and every recovery
@@ -29,7 +30,7 @@ import numpy as np
 from .channels import ChannelSpec, OperatorEnsemble, _require_superoperator, build_channel, e_error_family, tensor_power
 from .codes import QuantumCode, builtin_code, repetition_phase_code
 from .config import DEFAULT_TOL, ToleranceConfig
-from .fidelity import _choi_kraus, _min_pure, binomial_fidelity_bound
+from .fidelity import _choi_kraus, _minima, binomial_fidelity_bound
 from .linalg import PureState, _check_bytes, dagger
 from .recovery import RecoveryOperator, synthesize_recovery
 
@@ -43,7 +44,8 @@ class MemoryRun:
     ``per_cycle_fidelity`` has ``cycles + 1`` entries, starting at 1.0 for
     the initial state itself. ``worst_case_fidelity`` holds per-cycle
     minima over pure code states when the run was asked for them: exact for
-    k <= 2 and, as in ``min_fidelity``, an upper bound for k > 2.
+    k <= 2 and, as in ``min_fidelity``, an upper bound for k > 2, within
+    ``fidelity._GAP_TOL`` of the truth where the solve's bracket closed.
     ``monotone`` records (without asserting) whether the trajectory never
     increased. ``min_eigenvalue`` is the
     smallest eigenvalue of any cycle's state (1.0 for zero cycles); the
@@ -105,12 +107,14 @@ def _worst_case_values(v: np.ndarray, sectors: np.ndarray) -> float:
     """Minimum of <psi| T^t(|psi><psi|) |psi> over the code, from the evolved sector matrices.
 
     ``v`` holds the code basis in frame coordinates (d x k) and
-    ``sectors[i * k + j]`` the evolved image of |i_L><j_L|. ``_min_pure`` finds
-    the witness from the logical channel's Kraus matrices; q re-evaluates it.
+    ``sectors[i * k + j]`` the evolved image of |i_L><j_L|. ``_minima`` finds
+    the pure witness from the logical channel's Kraus matrices, solving the
+    mixed minimum first so that k > 2 restarts stop on a closed bracket;
+    q re-evaluates the witness.
     """
     k = v.shape[1]
     q = (dagger(v) @ sectors @ v).reshape(k, k, k, k)  # q[i, j, kk, ll]
-    c, _, _ = _min_pure(_choi_kraus(q), np.zeros((k, k)))
+    (c, _, _), _ = _minima(_choi_kraus(q), np.zeros((k, k)))
     return float(np.einsum("ijkl,i,j,k,l->", q, c, c.conj(), c.conj(), c).real)
 
 

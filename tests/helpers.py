@@ -321,9 +321,7 @@ def frame_search_minimum(m_ops, witness, seed=0, restarts=32, perturbations=60):
         return best_v, best_p, u
 
     witness = witness / np.linalg.norm(witness)
-    frame_basis, _, _ = orthonormalize(
-        [witness] + [np.eye(k, dtype=np.complex128)[:, j] for j in range(k)], rank_tol=1e-8
-    )
+    frame_basis, _, _ = orthonormalize([witness] + [np.eye(k, dtype=np.complex128)[:, j] for j in range(k)])
     starts = [np.eye(k, dtype=np.complex128), np.column_stack(frame_basis)]
     starts += [random_unitary(k, rng) for _ in range(max(restarts // 4, 2))]
     return min((optimize_frame(u) for u in starts), key=lambda found: found[0])

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import qeckit
-from qeckit import ToleranceConfig, channels, codes, fidelity, memory, recovery, serialize
+from qeckit import ToleranceConfig, channels, codes, fidelity, linalg, memory, recovery, serialize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(qeckit.__file__).resolve().parent
@@ -77,7 +77,7 @@ def test_every_public_function_has_a_caller(monkeypatch):
 
 def test_every_tolerance_parameter_is_a_config():
     bare = []
-    for module in (channels, codes, recovery, fidelity, memory, serialize):
+    for module in (channels, codes, linalg, recovery, fidelity, memory, serialize):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             if name.startswith("_") or fn.__module__ != module.__name__:
                 continue
@@ -97,7 +97,7 @@ SPHERE_SOLVER = {"_bloch_form", "_min_on_sphere", "_sphere_form"}
 
 
 def test_only_fidelity_reaches_the_sphere_solver():
-    """Every pure worst case goes through ``fidelity._min_pure``; no other module forms or solves a Bloch form itself."""
+    """Every worst case goes through ``fidelity._minima``; no other module forms or solves a Bloch form itself."""
     users = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "fidelity":

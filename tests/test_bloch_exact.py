@@ -21,7 +21,7 @@ from qeckit import (
     synthesize_recovery,
     tensor_power,
 )
-from qeckit import memory
+from qeckit import fidelity, memory
 from qeckit.catalog import phase_error_family
 from qeckit.channels import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qeckit.fidelity import _bloch_form, _min_on_sphere
@@ -110,6 +110,14 @@ def test_code_error_matches_oracle():
         assert_certified(report.optimizer_trace)
         oracle, _ = grid_refine_minimum(deviation_tensor(code, ensemble))
         assert abs(report.value + oracle) <= 1e-12
+
+
+def test_min_fidelity_solves_the_sphere_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fidelity, "_min_on_sphere", lambda t, _s=_min_on_sphere: calls.append(1) or _s(t))
+    report = min_fidelity(*phase_composite(3))
+    assert report.method == "bloch_exact" and report.entangled.optimizer_trace["method"] == "bloch_ball"
+    assert len(calls) == 1  # the pure minimum and the ball's come from one solve
 
 
 def test_memory_worst_cases_match_oracle(monkeypatch):

@@ -521,13 +521,11 @@ def test_each_fidelity_command_runs_each_solver_once(k, tmp_path, capsys, monkey
     path = tmp_path / f"k{k}.json"
     path.write_text(dumps_canonical(code_to_json(random_code(8, k, seed=5, shape=(2, 2, 2)))))
     calls = []
-    for name in ("_min_pure", "_min_over_states"):
-        solver = getattr(fidelity, name)
-        monkeypatch.setattr(fidelity, name, lambda *args, _s=solver, _n=name: calls.append(_n) or _s(*args))
+    monkeypatch.setattr(fidelity, "_minima", lambda *args, _s=fidelity._minima: calls.append(1) or _s(*args))
     for extra in ([], ["--entangled"]):
         calls.clear()
         assert main(["fidelity", str(path), "amplitude_damping:p=0.2,qubits=3", *extra]) == 0
-        assert sorted(calls) == ["_min_over_states", "_min_pure"]
+        assert len(calls) == 1  # one solve returns both the pure and the mixed minimum
     capsys.readouterr()
 
 

@@ -32,7 +32,7 @@ from qeckit.fidelity import (
     _PAULIS,
     _bloch_form,
     _logical,
-    _min_over_states,
+    _minima,
     _objective,
     _quartic,
 )
@@ -94,7 +94,7 @@ def test_minimum_is_below_every_feasible_value(name):
 def test_solved_state_matches_the_doubled_space_fidelity(name):
     code, noise, recovery = CASES[name]
     m_ops, _ = _logical(code, noise, recovery)
-    rho, value, _ = _min_over_states(m_ops, np.zeros((code.k, code.k)))
+    _, (rho, value, _) = _minima(m_ops, np.zeros((code.k, code.k)))
     assert np.allclose(rho, rho.conj().T, atol=1e-14)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
@@ -105,7 +105,7 @@ def test_solved_state_matches_the_doubled_space_fidelity(name):
 def test_two_dimensional_minimum_is_certified_on_the_ball(name):
     code, noise, recovery = CASES[name]
     m_ops, _ = _logical(code, noise, recovery)
-    rho, value, trace = _min_over_states(m_ops, np.zeros((code.k, code.k)))
+    _, (rho, value, trace) = _minima(m_ops, np.zeros((code.k, code.k)))
     t = _bloch_form(_quartic(m_ops))
     q, b = t[1:, 1:], t[1:, 0]
     r = np.einsum("mij,ji->m", _PAULIS[1:], rho).real
@@ -130,7 +130,7 @@ def test_interior_branch_on_a_contracting_channel():
     # fully depolarizing noise: F = |r|^2 / 3 on the ball, minimized at the centre
     dep = build_channel(ChannelSpec("depolarizing_third", {}))
     m_ops, _ = _logical(random_code(2, 2, seed=1), dep)
-    rho, value, trace = _min_over_states(m_ops, np.zeros((2, 2)))
+    _, (rho, value, trace) = _minima(m_ops, np.zeros((2, 2)))
     assert trace["multiplier"] > 0.0 and trace["radius"] <= 1e-12
     assert np.allclose(rho, np.eye(2) / 2.0, atol=1e-12)
     assert abs(value) <= 1e-15
@@ -182,12 +182,12 @@ def test_mixed_descent_certifies_its_minimum(n, k, seed, qubits, gamma):
     code = random_code(n, k, seed=seed)
     m_ops, gram = _logical(code, build_channel(ChannelSpec("decoherence", {"gamma": gamma, "qubits": qubits})))
     zero = np.zeros((k, k))
-    rho, _, _ = _min_over_states(m_ops, zero)
+    _, (rho, _, _) = _minima(m_ops, zero)
     # a frame search led by the solve's top eigenvector; any state it finds is feasible for both objectives
     _, weights, frame = frame_search_minimum(m_ops, np.linalg.eigh(rho)[1][:, -1], restarts=0, perturbations=10)
     feasible = (frame * weights) @ frame.conj().T
     for leak in (zero, gram):
-        _, value, trace = _min_over_states(m_ops, leak)
+        _, (_, value, trace) = _minima(m_ops, leak)
         assert trace["converged"]
         assert 0.0 <= trace["gap"] <= _GAP_TOL
         assert value - trace["gap"] <= _objective(m_ops, leak, feasible)[0]
@@ -198,7 +198,7 @@ def test_a_mixed_descent_stopped_by_the_guard_is_reported(monkeypatch):
     m_ops, _ = _logical(code, build_channel(ChannelSpec("decoherence", {"gamma": 0.3, "qubits": 3})))
     zero = np.zeros((3, 3))
     monkeypatch.setattr(fidelity, "_DESCENT_STEPS", 3)
-    rho, value, trace = _min_over_states(m_ops, zero)
+    _, (rho, value, trace) = _minima(m_ops, zero)
     assert trace["steps"] == 3 and trace["converged"] is False
     at_rho, grad, lin = _objective(m_ops, zero, rho)
     assert value == at_rho

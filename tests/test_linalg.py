@@ -119,7 +119,7 @@ def test_orthonormalize_roundtrip_and_staircase():
     rng = np.random.default_rng(19)
     vecs = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(4)]
     vecs.append(vecs[0] + vecs[1])  # force a dependent member
-    basis, coeffs, rank = orthonormalize(vecs, rank_tol=1e-10)
+    basis, coeffs, rank = orthonormalize(vecs)
     assert rank == 4
     recon = np.column_stack(basis) @ coeffs
     assert np.max(np.abs(recon - np.column_stack(vecs))) < 1e-9

@@ -188,7 +188,7 @@ def test_logical_channel_refused_before_it_is_formed(monkeypatch):
         raise AssertionError("the logical channel was formed and solved before the refusal")
 
     monkeypatch.setattr(fidelity, "_error_images", no_images)
-    monkeypatch.setattr(fidelity, "_min_pure", no_solve)
+    monkeypatch.setattr(fidelity, "_minima", no_solve)
     with pytest.raises(CapacityError, match="logical channel"):
         min_fidelity(code, channel, recovery=recovery)
     with pytest.raises(CapacityError, match="logical channel"):

@@ -2,19 +2,20 @@
 
 ``run_memory(worst_case=True)`` turns each cycle's logical channel into at
 most k^2 Kraus matrices (``fidelity._choi_kraus``) and minimizes it with the
-pure-state solver ``min_fidelity`` runs. For k > 2 that solver gives an upper
-bound, so every cycle is held between the certified mixed-state lower bound
-of the same logical channel and the smallest fidelity of sampled code states
-pushed densely through the cycles. A mixed-state solve's value less its
-Frank-Wolfe gap is that certified lower bound.
+solve ``min_fidelity`` runs. For k > 2 its pure minimum is an upper bound, so
+every cycle is held between the certified mixed-state lower bound of the same
+logical channel and the smallest fidelity of sampled code states pushed
+densely through the cycles. A mixed-state solve's value less its Frank-Wolfe
+gap is that certified lower bound. The trivial code's restarts stop on a
+closed bracket; the random codes' run to the end.
 """
 
 import numpy as np
 import pytest
 
 from helpers import dense_memory_run
-from qeckit import ChannelSpec, PureState, build_channel, min_fidelity, random_code, run_memory
-from qeckit.fidelity import _choi_kraus, _min_over_states
+from qeckit import ChannelSpec, PureState, build_channel, builtin_code, min_fidelity, random_code, run_memory
+from qeckit.fidelity import _choi_kraus, _minima
 from qeckit.memory import identity_recovery
 
 CYCLES = 2
@@ -60,23 +61,26 @@ def _compressed_cycles(code, channel, recovery, cycles):
     return found
 
 
+# code, channel qubits, sampling seed
 CASES = {
-    "random_code(8,3,5)": (8, 3, 5, 3),
-    "random_code(16,4,1604)": (16, 4, 1604, 4),
+    "random_code(8,3,5)": (lambda: random_code(8, 3, seed=5), 3, 5),
+    "random_code(16,4,1604)": (lambda: random_code(16, 4, seed=1604), 4, 1604),
+    "trivial(8)": (lambda: builtin_code("trivial(8)"), 3, 8),
 }
 
 
 @pytest.fixture(scope="module", params=CASES, ids=list(CASES))
 def bracket(request):
-    n, k, seed, qubits = CASES[request.param]
-    code = random_code(n, k, seed=seed)
+    make_code, qubits, seed = CASES[request.param]
+    code = make_code()
+    n, k = code.n, code.k
     channel = build_channel(ChannelSpec("decoherence", {"gamma": 0.3, "qubits": qubits}))
     recovery = identity_recovery(n)
     run = run_memory(code, channel, recovery, code.basis[0], CYCLES, worst_case=True)
     first = min_fidelity(code, channel, recovery)
     lower = []
     for kraus in _compressed_cycles(code, channel, recovery, CYCLES):
-        _, value, solve = _min_over_states(kraus, np.zeros((k, k)))
+        _, (_, value, solve) = _minima(kraus, np.zeros((k, k)))
         lower.append(value - solve["gap"])
     rng = np.random.default_rng(seed)
     sampled = np.full(CYCLES + 1, np.inf)
