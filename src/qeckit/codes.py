@@ -93,33 +93,76 @@ def _error_images(code: QuantumCode, ensemble: OperatorEnsemble) -> np.ndarray:
 
 
 def _image_gram(images: np.ndarray) -> np.ndarray:
-    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` from one product of the images in logical-block order."""
+    """``G[a, b, i, j] = <A_a i_L|A_b j_L>`` as an (m, m, k, k) view of one (km x km) array in logical-block order.
+
+    Only the upper logical blocks ``G_ij = X_i^dag X_j`` (i <= j, ``X_i =
+    images[:, :, i]``) are products, one per logical row i over the columns
+    of ``X_i, ..., X_{k-1}`` in one contiguous (n, km) copy of the images.
+    Each lower block is the conjugate transpose of its mirror, and each
+    diagonal block's strict upper triangle the conjugate of its strict lower
+    one, with a real diagonal, so G is exactly Hermitian:
+    ``G[:, :, j, i] == G[:, :, i, j].conj().T`` for every i and j. The
+    lower triangle is the one kept because a BLAS may round a product's
+    trailing columns differently from its leading ones, and the lower
+    triangle matches the bits of one whole (km x km) product in more entries.
+    """
     n, m, k = images.shape
-    flat = images.transpose(0, 2, 1).reshape(n, k * m)
-    return (dagger(flat) @ flat).reshape(k, m, k, m).transpose(1, 3, 0, 2)
+    xs = np.ascontiguousarray(images.transpose(0, 2, 1)).reshape(n, k * m)  # X_i = xs[:, i m:(i + 1) m]
+    x_conj = np.empty((n, m), dtype=np.complex128)
+    flat = np.empty((k * m, k * m), dtype=np.complex128)
+    gram = flat.reshape(k, m, k, m).transpose(1, 3, 0, 2)
+    for i in range(k):
+        rows = slice(i * m, (i + 1) * m)
+        np.conjugate(xs[:, rows], out=x_conj)
+        np.matmul(x_conj.T, xs[:, i * m:], out=flat[rows, i * m:])
+        block = gram[:, :, i, i]
+        for a in range(m - 1):
+            np.conjugate(block[a + 1:, a], out=block[a, a + 1:])
+        np.fill_diagonal(block.imag, 0.0)
+        for j in range(i):
+            np.conjugate(gram[:, :, j, i].T, out=gram[:, :, i, j])
+        flat[rows, :(i + 1) * m] += 0.0  # a mirrored +0.0 comes back as -0.0; the product itself gives +0.0
+    return gram
 
 
 def _error_gram(code: QuantumCode, errors: OperatorEnsemble) -> np.ndarray:
-    """``_image_gram`` of the error images, refused from m and k alone before any image is formed."""
+    """``_image_gram`` of the error images, refused from m, n and k alone before any image is formed.
+
+    The budget counts the Gram's 16 (mk)^2 bytes plus 16 nmk bytes each for
+    the images and their contiguous (n, km) copy.
+    """
     mk = len(errors) * code.k
-    _check_bytes(16 * mk**2, f"image Gram ({mk} x {mk})")
+    _check_bytes(16 * mk**2 + 2 * 16 * code.n * mk, f"image Gram ({mk} x {mk}) and its images")
     return _image_gram(_error_images(code, errors))
 
 
-def _slice_max(k: int, values) -> tuple[float, tuple[int, int, int, int]]:
-    """Maximum of V[a, b, i, j] = values(i, j)[a, b] over all four indices, one (i, j) slice at a time.
+def _pair_max(k: int, values, mirror: bool) -> tuple[float, tuple[int, int, int, int] | None]:
+    """Maximum of V[a, b, i, j] = values(i, j)[a, b] over all four indices, one logical pair i < j at a time.
 
-    The witness is the first index in C order within rounding of the
-    maximum, so exact ties give one witness whatever order the Gram was
-    summed in.
+    V is symmetric under i <-> j: with ``mirror`` as V[b, a, j, i] =
+    V[a, b, i, j], otherwise as V[a, b, j, i] = V[a, b, i, j]. The witness
+    is the first index in C order within rounding of the maximum, so exact
+    ties give one witness whatever order the Gram was summed in. Only the
+    slices that hold a candidate are read again, each with its mirrored
+    (j, i) candidates when ``mirror`` is set (otherwise those come after the
+    slice's own in C order). With k = 1 there is no pair: 0.0 and no witness.
     """
-    maxima = np.array([[values(i, j).max() for j in range(k)] for i in range(k)])
+    pairs = list(combinations(range(k), 2))
+    if not pairs:
+        return 0.0, None
+    maxima = np.array([values(i, j).max() for i, j in pairs])
     top = float(maxima.max())
     floor = top * (1.0 - 1e-12)
     witnesses = []
-    for i, j in np.argwhere(maxima >= floor):  # only these slices hold a candidate
-        v = values(i, j)
-        witnesses.append((*np.unravel_index(int(np.flatnonzero(v >= floor)[0]), v.shape), i, j))
+    for (i, j), peak in zip(pairs, maxima):
+        if peak < floor:
+            continue
+        hits = values(i, j) >= floor
+        a, b = np.unravel_index(int(np.flatnonzero(hits)[0]), hits.shape)
+        witnesses.append((a, b, i, j))
+        if mirror:
+            b, a = np.unravel_index(int(np.flatnonzero(hits.T)[0]), hits.shape)
+            witnesses.append((b, a, j, i))
     return top, tuple(int(x) for x in min(witnesses))
 
 
@@ -132,16 +175,23 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig =
     within ``tol.check`` (absolute; the inputs are unit vectors). G as an (mk) x
     (mk) matrix over k, and sum_i G[:, :, i, i] / k, carry the spectra of the
     corrupted mixed and entangled codeword states (``entropy_test``, quant-ph/9604022).
-    Violations are reduced one m x m logical slice at a time, each a block with
-    contiguous rows in the Gram's logical-block order, so no second array of the Gram's size is formed.
+    Since G is Hermitian, both violations are reduced over the logical pairs
+    i < j only, one m x m slice at a time: |G[:, :, i, i] - G[:, :, j, j]|
+    is symmetric in i and j, and |G[:, :, j, i]| is the transpose of
+    |G[:, :, i, j]|, whose mirrored entries join the witness search. No second
+    array of the Gram's size is formed.
     """
     gram = _error_gram(code, errors)
     m, k = gram.shape[0], code.k
-    idx = np.arange(k)
-    diags = gram[:, :, idx, idx]  # (m, m, k)
-    zero = np.zeros((m, m))
-    max_off, off_witness = _slice_max(k, lambda i, j: np.abs(gram[:, :, i, j]) if i != j else zero)
-    max_diag, diag_witness = _slice_max(k, lambda i, j: np.abs(diags[:, :, i] - diags[:, :, j]))
+    diff, mag = np.empty((m, m), dtype=np.complex128), np.empty((m, m))  # one buffer each for every slice
+    max_off, off_witness = _pair_max(k, lambda i, j: np.abs(gram[:, :, i, j], out=mag), mirror=True)
+    max_diag, diag_witness = _pair_max(
+        k, lambda i, j: np.abs(np.subtract(gram[:, :, i, i], gram[:, :, j, j], out=diff), out=mag), mirror=False
+    )
+
+    lam = gram[:, :, 0, 0].copy()
+    for i in range(1, k):
+        lam += gram[:, :, i, i]
 
     passed = max_off < tol.check and max_diag < tol.check
     witness = None
@@ -151,7 +201,7 @@ def kl_check(code: QuantumCode, errors: OperatorEnsemble, tol: ToleranceConfig =
         passed=passed,
         max_offdiag_violation=max_off,
         max_diag_violation=max_diag,
-        lambda_matrix=diags.mean(axis=2),
+        lambda_matrix=lam / k,
         witness=witness,
         tol=tol.check,
     )

@@ -39,9 +39,21 @@ worst cases moved to the pure-state solver ``min_fidelity`` runs, fed the
 Kraus matrices of each cycle's logical channel; its rows moved by at most
 2.2e-16. ``memory-bound`` is the README's ``memory … --p 0.05`` example, recorded
 while ``--e`` still defaulted to 1 in the parser rather than in the command.
+
+The benchmark runs with one BLAS thread, the other tests with the default
+count, and a thread count can move the bits of a blocked product. So the
+commands that form the image Gram (``check`` and ``synthesize --out`` of
+phase3, phase5 and phase7, and ``check`` of every ``LIFTED`` channel) also
+run in a child process with ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``,
+against the same digests.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +242,48 @@ def test_inline_outputs_match_golden_digest(name, tmp_path, monkeypatch, capsys)
         _run(["synthesize", "phase3", family, "--seed", "3", "--out", "recovery3.json"], capsys)
     assert main([*argv, "--seed", "3"]) == rc
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# argv: [[name, argv, file written or None], ...] -> {name: [exit code, stdout digest, file digest or None]}
+_CHILD = """
+import contextlib, hashlib, io, json, sys
+from qeckit.cli import main
+
+digests = {}
+for name, argv, path in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    written = None
+    if path is not None:
+        with open(path, "rb") as fh:
+            written = hashlib.sha256(fh.read()).hexdigest()
+    digests[name] = [rc, hashlib.sha256(out.getvalue().encode()).hexdigest(), written]
+sys.stdout.write(json.dumps(digests))
+"""
+
+
+def test_gram_commands_match_golden_digests_under_one_blas_thread(tmp_path):
+    runs, expected = [], {}
+    for m in sorted(GOLDEN):
+        family = f"decoherence_pm_basis:gamma=0.1,qubits={m},max_errors={(m - 1) // 2}"
+        runs.append([f"check{m}", ["check", f"phase{m}", family, "--seed", "3"], None])
+        expected[f"check{m}"] = [0, GOLDEN[m]["check"], None]
+        out = f"recovery{m}.json"
+        runs.append([f"synthesize{m}", ["synthesize", f"phase{m}", family, "--seed", "3", "--out", out], out])
+        expected[f"synthesize{m}"] = [0, GOLDEN[m]["synthesize"], GOLDEN[m]["recovery"]]
+    family7 = "decoherence_pm_basis:gamma=0.1,qubits=7,max_errors=3"
+    runs.append(["synthesize7", ["synthesize", "phase7", family7, "--seed", "3", "--out", "recovery7.json"], "recovery7.json"])
+    expected["synthesize7"] = [0, PHASE7["synthesize"], PHASE7["recovery"]]
+    for channel, (code, _, rc, check) in sorted(LIFTED.items()):
+        runs.append([channel, ["check", code, channel, "--seed", "3"], None])
+        expected[channel] = [rc, check, None]
+
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(runs)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expected

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,23 @@ def test_binomial_bound_values():
         binomial_fidelity_bound(3, 4, 0.1)
     with pytest.raises(ValueError):
         binomial_fidelity_bound(3, 1, 1.5)
+
+
+def test_binomial_bound_keeps_its_precision_on_long_registers():
+    def exact_head(r, e, p):
+        q = Fraction(1.0 - p)
+        return sum(math.comb(r, j) * Fraction(p) ** j * q ** (r - j) for j in range(e + 1))
+
+    for r, e, p in ((1000, 1, 0.1), (200, 1, 0.3), (1029, 1, 0.1), (40, 5, 0.5)):
+        value = binomial_fidelity_bound(r, e, p)
+        exact = exact_head(r, e, p)
+        assert value > 0.0 and abs(Fraction(value) - exact) <= 1e-14 * exact  # 1 - tail read -2.8e-14 at r = 1000
+    for r, e, p in ((3, 1, 0.1), (7, 3, 0.05), (40, 20, 0.5)):  # tails up to 1/2 keep 1 - tail, bit for bit
+        tail = sum(math.comb(r, j) * p**j * (1.0 - p) ** (r - j) for j in range(e + 1, r + 1))
+        assert tail <= 0.5 and binomial_fidelity_bound(r, e, p) == 1.0 - tail
+    # past the float range of a head term C(1100, 550) the bound stays 1 - tail, not a refusal
+    tail = sum(math.comb(1100, j) * 0.95**j * (1.0 - 0.95) ** (1100 - j) for j in range(1001, 1101))
+    assert tail > 0.5 and binomial_fidelity_bound(1100, 1000, 0.95) == 1.0 - tail
 
 
 def test_corrected_phase_code_meets_binomial_bound():

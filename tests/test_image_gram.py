@@ -9,6 +9,7 @@ tests hold the fast routes to them.
 
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qeckit import (
     NotCorrectableError,
     OperatorEnsemble,
     build_channel,
+    builtin_code,
     compose,
     e_error_family,
     entangled_state_test,
@@ -92,6 +94,23 @@ def test_gram_matches_einsum_oracle(code, errors, superop):
 
 
 @pytest.mark.parametrize("code,errors,superop", ALL_CASES, ids=_ids(ALL_CASES))
+def test_gram_is_exactly_hermitian(code, errors, superop):
+    gram = codes._image_gram(codes._error_images(code, errors))
+    for i, j in product(range(code.k), repeat=2):
+        assert np.array_equal(gram[:, :, j, i], gram[:, :, i, j].conj().T)
+
+
+def test_kl_check_of_one_logical_state_has_no_violation():
+    # k = 1 has no logical pair i < j to reduce over
+    code = random_code(16, 1, seed=7)
+    report = kl_check(code, _pauli_family(16, 2))
+    assert report.max_offdiag_violation == 0.0 and report.max_diag_violation == 0.0
+    assert report.passed and report.witness is None
+    images = codes._error_images(code, _pauli_family(16, 2))
+    assert np.array_equal(report.lambda_matrix, codes._image_gram(images)[:, :, 0, 0])
+
+
+@pytest.mark.parametrize("code,errors,superop", ALL_CASES, ids=_ids(ALL_CASES))
 def test_kl_check_verdict_and_witness_match_einsum_gram(code, errors, superop, monkeypatch):
     fast = kl_check(code, errors)
     monkeypatch.setattr(codes, "_image_gram", lambda x: einsum_gram(x.transpose(1, 0, 2)))
@@ -111,6 +130,17 @@ def test_kl_check_slices_match_the_whole_array_reduction(code, errors, superop):
     assert report.max_offdiag_violation == max_off
     assert report.max_diag_violation == max_diag
     assert report.witness == (None if report.passed else witness)
+
+
+def test_kl_check_witness_can_lie_in_a_mirrored_slice():
+    # |G[1, 0, 0, 1]| = |<1|1>| = 1 is the largest entry of the reduced slice (0, 1), but its
+    # mirror G[0, 1, 1, 0] comes first in C order; the diagonal spread also reaches 1 at (1, 1, 0, 1)
+    lowering = OperatorEnsemble((np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]])))
+    code = builtin_code("trivial(2)")
+    report = kl_check(code, lowering)
+    assert report.max_offdiag_violation == report.max_diag_violation == 1.0
+    assert report.witness == (0, 1, 1, 0)
+    assert dense_kl_violations(codes._image_gram(codes._error_images(code, lowering))) == (1.0, 1.0, (0, 1, 1, 0))
 
 
 def test_kl_check_peak_stays_near_the_gram():
@@ -226,3 +256,15 @@ def test_image_gram_refused_before_it_is_formed(monkeypatch):
         kl_check(code, pauli)
     with pytest.raises(CapacityError, match="image Gram"):
         entropy_test(code, channel)
+
+
+def test_image_gram_budget_counts_the_images_and_their_copy(monkeypatch):
+    # 16 (mk)^2 bytes of Gram plus 16 nmk bytes each for the images and their (k, n, m) copy
+    code = random_code(16, 4, seed=3)
+    pauli = e_error_family(build_channel(ChannelSpec("pauli_unitary_basis", {})), 4, 2)
+    need = 16 * (67 * 4) ** 2 + 2 * 16 * 16 * 67 * 4
+    monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", need - 1)
+    with pytest.raises(CapacityError, match="image Gram"):
+        kl_check(code, pauli)
+    monkeypatch.setattr(linalg, "ENSEMBLE_BYTE_CAP", need)
+    assert kl_check(code, pauli).max_offdiag_violation >= 0.0
