@@ -202,22 +202,51 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout without one; a file that cannot be written is an input error."""
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _InputError(f"{path}: {exc}")
-    else:
-        sys.stdout.write(text)
+# Bytes that a file write gathers before each call to the operating system; with the
+# default 8 KiB, writing the 45 MB phase7 recovery file took about a third longer.
+_WRITE_BUFFER = 1 << 20
+
+
+def _write(pieces, path: str | None) -> None:
+    """Write the strings ``pieces`` to the file at ``path``, or to stdout without one; a file that cannot be written is an input error.
+
+    A file gets UTF-8 bytes: each distinct piece object is encoded once
+    (``_array_text`` repeats a row's string wherever the row repeats), and
+    the bytes go out through one ``_WRITE_BUFFER`` buffer, so neither the
+    whole text nor its whole encoding is ever held. Every piece is encoded
+    before the file is opened, so a piece that UTF-8 cannot encode (a lone
+    surrogate, such as an undecodable file name echoed in a text report)
+    is an input error naming the path, and creates no file.
+    """
+    if not path:
+        sys.stdout.write("".join(pieces))
+        return
+    encoded: dict[int, tuple[str, bytes]] = {}  # holds each piece, so that no other piece takes its id
+    chunks = []
+    try:
+        for piece in pieces:
+            entry = encoded.get(id(piece))
+            if entry is None:
+                entry = encoded[id(piece)] = (piece, piece.encode("utf-8"))
+            chunks.append(entry[1])
+    except UnicodeEncodeError as exc:
+        raise _InputError(f"{path}: {exc}")
+    try:
+        with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc}")
 
 
 def _emit(report: dict, fmt: str, path: str | None) -> None:
     """Write ``report`` as canonical JSON or indented text (``fmt``) to ``path``, or to stdout without one."""
-    text = ser.dumps_canonical(report) if fmt == "json" else "\n".join(_render_text(_lists(report))) + "\n"
-    _write(text, path)
+    if fmt == "text":
+        pieces = ["\n".join(_render_text(_lists(report))) + "\n"]
+    elif path:
+        pieces = ser._canonical_pieces(report)
+    else:  # the benchmark's trace counts the bytes of every report printed here
+        pieces = [ser.dumps_canonical(report)]
+    _write(pieces, path)
 
 
 def _cmd_check(args) -> int:
@@ -253,7 +282,7 @@ def _cmd_synthesize(args) -> int:
         "verification": ser.verification_report_to_json(verification),
     }
     if args.out:
-        _write(ser.dumps_canonical(ser.recovery_to_json(rec)), args.out)
+        _write(ser._canonical_pieces(ser.recovery_to_json(rec)), args.out)
         out["result"]["recovery_file"] = args.out
     else:
         out["result"]["recovery"] = ser.recovery_to_json(rec)
@@ -312,7 +341,7 @@ def _cmd_memory(args) -> int:
             rec = synthesize_recovery(code, channel, tol, seed=args.seed)
         run = run_memory(code, channel, rec, code.basis[0], args.cycles, tol=tol)
         text = trajectory_csv(run, bound)
-    _write(text, args.out)
+    _write([text], args.out)
     return 0
 
 

@@ -8,19 +8,24 @@ Documents: every ``X_to_json`` returns its matrices and vectors as complex
 numpy arrays, which every ``X_from_json`` takes back as they are;
 ``array_to_json`` gives an array's nested lists to callers who want lists.
 
-Writing: ``dumps_canonical`` is the one place where arrays become text. It
-writes every numpy array in a document, at any depth, through one writer,
-``_array_text``, and assembles the text in one join. It keys an array's
-rows (its last two axes) by their bytes, dumps each distinct value of the
-distinct rows once, and fills the rows in from that table. Recovery
-files (rows repeat wherever the code basis does) and Knill–Laflamme
-matrices (``λ_ab`` depends on ``A_a†A_b`` only up to a phase) repeat most
-of their values: on a 2-vCPU host, a 277×277 KL report writes in 0.09 s
-(0.28 s through ``tolist()`` and ``json.dumps``) and the 45 MB phase7
-recovery in 0.11 s (0.22 s row by row). An 8×128×128 block with every
-value distinct pays for the table without using it: 0.51 s against
-0.35 s row by row. Every number is written by ``json.dumps``, so the
-bytes are the stdlib's.
+Writing: ``_canonical_pieces`` is the one place where a JSON document
+becomes text. It writes every numpy array in a document, at any depth,
+through one writer, ``_array_text``, and yields the text as pieces;
+``dumps_canonical`` is their join, and the command line streams an
+``--out`` file from them as bytes, each distinct piece encoded once.
+``_array_text`` keys an array's rows (its last two axes) by their bytes,
+dumps each distinct value of the distinct rows once, and fills the rows
+in from that table, so a repeated row is the same string object each
+time. Recovery files (rows repeat wherever the code basis does) and
+Knill–Laflamme matrices (``λ_ab`` depends on ``A_a†A_b`` only up to a
+phase) repeat most of their values: on a 2-vCPU host, a 277×277 KL
+report writes in 0.06 s (0.17 s through ``tolist()`` and
+``json.dumps``), and the 45 MB phase7 recovery file reaches the disk in
+0.04 s with a 3.6 MiB traced peak (0.07 s and 52 MiB through the whole
+text and its whole encoding). An 8×128×128 block with every value
+distinct pays for the table without using it: 0.51 s against 0.35 s row
+by row. Every number is written by ``json.dumps``, so the bytes are the
+stdlib's.
 
 Reading: ``loads`` reads the dense top-level ``operators`` block of a
 canonical document from its bytes in one forward scan that predicts each
@@ -321,16 +326,13 @@ def _hold(arrays: list, mark: str, value):
     return mark
 
 
-def dumps_canonical(data) -> str:
-    """Deterministic JSON encoding (sorted keys, fixed separators); the inverse of ``loads``.
+def _canonical_pieces(data):
+    """Yield the strings that join to ``dumps_canonical(data)``, its final newline included.
 
-    Any value at any depth may be a numpy array; complex entries are
-    written as [re, im] pairs. The text is the one ``json.dumps`` gives
-    with every array replaced by ``array_to_json`` of it, byte for byte.
     The rest of the document goes through ``json.dumps`` with a mark in
-    each array's place, each array through ``_array_text``, and the text
-    is assembled from both in one join. A mark that a string of the
-    document also spells is lengthened until it spells no other.
+    each array's place, and each array through ``_array_text``, whose
+    pieces repeat by identity wherever rows repeat. A mark that a string
+    of the document also spells is lengthened until it spells no other.
     """
     mark = _MARK
     while True:
@@ -340,12 +342,23 @@ def dumps_canonical(data) -> str:
         if len(parts) == len(arrays) + 1:
             break
         mark += _MARK
-    pieces = [parts[0]]
+    yield parts[0]
     for array, part in zip(arrays, parts[1:]):
-        pieces += _array_text(array)
-        pieces.append(part)
-    pieces.append("\n")
-    return "".join(pieces)
+        yield from _array_text(array)
+        yield part
+    yield "\n"
+
+
+def dumps_canonical(data) -> str:
+    """Deterministic JSON encoding (sorted keys, fixed separators); the inverse of ``loads``.
+
+    Any value at any depth may be a numpy array; complex entries are
+    written as [re, im] pairs. The text is the one ``json.dumps`` gives
+    with every array replaced by ``array_to_json`` of it, byte for byte:
+    the join of ``_canonical_pieces``, which the command line streams to
+    an ``--out`` file piece by piece instead.
+    """
+    return "".join(_canonical_pieces(data))
 
 
 _OPERATORS_KEY = b'"operators":'

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code
+from qeckit import ChannelSpec, build_channel, builtin_code, fidelity, random_code, synthesize_recovery
 from qeckit.channels import CHANNEL_KINDS
 from qeckit import cli, memory, serialize
 from qeckit.cli import main
@@ -449,6 +449,76 @@ def test_out_file_writing(files, tmp_path, capsys):
     with open(target) as fh:
         report = json.load(fh)
     assert report["result"]["passed"] is True
+
+
+def _psi_code(tmp_path) -> str:
+    path = tmp_path / "psi.json"
+    path.write_text(dumps_canonical({**code_to_json(builtin_code("phase3")), "label": "ψ"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1"],
+    ["check", "phase3", "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1", "--format", "text"],
+    ["fidelity", "phase3", "decoherence:gamma=0.1,qubits=3", "--entangled"],
+    ["bounds", "--r", "7", "--e", "2"],
+    ["info", "pauli_unitary_basis:qubits=3,max_errors=1"],
+    ["info", "PSI"],
+    ["info", "PSI", "--format", "text"],
+    ["memory", "pair", "overlap_example:q=0.25", "--cycles", "3"],
+    ["memory", "phase3", "--compare", "--gamma", "0.05", "--cycles", "3"],
+])
+def test_an_out_file_holds_the_bytes_printed_to_stdout(argv, tmp_path, capsys):
+    psi = "PSI" in argv
+    argv = [_psi_code(tmp_path) if arg == "PSI" else arg for arg in argv]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+    if psi and "text" in argv:
+        assert "label: ψ\n" in printed  # not ASCII: the file is UTF-8
+
+
+def test_a_synthesized_recovery_file_is_its_canonical_text(tmp_path, capsys):
+    # every row distinct: the golden digests pin only the phase codes' files, whose rows repeat
+    code = random_code(8, 3, seed=5, shape=(2, 2, 2))
+    code_path, out = tmp_path / "code.json", tmp_path / "rec.json"
+    code_path.write_text(dumps_canonical(code_to_json(code)))
+    channel = "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=0"
+    assert main(["synthesize", str(code_path), channel, "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rec = synthesize_recovery(code, build_channel(cli._parse_channel_shorthand(channel)), seed=3)
+    assert out.read_bytes() == dumps_canonical(recovery_to_json(rec)).encode("utf-8")
+
+
+def test_an_out_text_that_utf8_cannot_encode_creates_no_file(tmp_path, capsys, monkeypatch):
+    # an undecodable file name reaches argv as a lone surrogate, which the text report echoes
+    monkeypatch.chdir(tmp_path)
+    code = os.fsdecode(b"code\xff.json")
+    (tmp_path / code).write_text(dumps_canonical(code_to_json(builtin_code("phase3"))))
+    argv = ["check", code, "decoherence_pm_basis:gamma=0.1,qubits=3,max_errors=1", "--format", "text", "--out", "r.txt"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: r.txt: 'utf-8' codec can't encode") and captured.err.count("\n") == 1
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_writing_a_recovery_file_peaks_below_its_size(tmp_path, capsys):
+    # phase7's file is 45 MB; the whole text and its whole encoding traced 103 MiB
+    out = tmp_path / "rec7.json"
+    argv = ["synthesize", "phase7", "decoherence_pm_basis:gamma=0.1,qubits=7,max_errors=3", "--out", str(out)]
+    assert main(argv) == 0  # warm-up: first-call allocations are not the writer's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < out.stat().st_size
 
 
 @pytest.mark.parametrize("flag", ["nan", "inf"])
